@@ -6,11 +6,19 @@ checks this, not these primitives).  All differential operators act in
 Fourier space and are exact for band-limited inputs; all norms use the flat
 quadrature weight ``(L/n)**dim`` per sample, which is spectrally accurate
 for periodic integrands.
+
+Fields are real, so the spectral layer shared by the steppers, the
+differential operators and the Sobolev norms uses numpy's real transforms
+(``Grid.rfft``/``Grid.irfft``) on the half lattice whose last axis keeps
+only the modes ``0..n/2``.  The dyadic and calibration layer keeps the full
+complex lattice (``Grid.wavevectors``, ``Grid.k2``, ``ScalarField.spectrum``),
+built on first use; no run workload builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +44,6 @@ __all__ = [
     "spectral_l2_norm",
     "sobolev_norm",
     "hs_norm",
-    "vector_lp_norm",
-    "vector_sup_norm",
-    "dealias_values",
     "random_band_limited",
     "write_snapshot",
     "read_snapshot",
@@ -64,13 +69,25 @@ def _fft_friendly(n: int) -> bool:
     return m == 1
 
 
+def _on_axis(vec: np.ndarray, axis: int, dim: int) -> np.ndarray:
+    s = [1] * dim
+    s[axis] = vec.size
+    return vec.reshape(s)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic box in 2 or 3 dimensions.
 
-    Carries the discrete frequency lattice ``xi = (2*pi/L) * m`` with integer
-    mode indices ``m in {-n/2, ..., n/2 - 1}`` per axis, the quadrature cell
-    volume, and the 2/3-rule dealiasing mask shared by all nonlinear products.
+    Carries the frequencies ``xi = (2*pi/L) * m``, ``m in {-n/2, ..., n/2-1}``
+    per axis, the quadrature cell volume, and the symbols on the half lattice
+    of the real transforms, chosen so that ``irfft(symbol * rfft(f))`` equals
+    ``ifftn(symbol * fftn(f)).real`` on the full lattice to round-off:
+    ``rwavevectors`` (``xi_i``, zero on the Nyquist mode ``m_i = -n/2``),
+    ``rsecond[i][j]`` (``xi_i xi_j``, zero where exactly one axis sits at its
+    Nyquist mode), ``rk2``, the 2/3-rule ``rdealias_mask`` shared by all
+    nonlinear products, and the Parseval weights ``rweight`` (1 on the zero
+    and Nyquist columns of the last axis, 2 on the conjugate-pair columns).
     """
 
     dim: int
@@ -92,35 +109,55 @@ class Grid:
             raise FieldError("far-field density must be positive")
 
         n, L, dim = self.n, float(self.box_length), self.dim
-        shape = (n,) * dim
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-        axes = []
+        nyq = n // 2  # fftfreq puts the mode -n/2 at this index
+        keep = np.abs(np.rint(np.fft.fftfreq(n) * n)) <= n // 3
+        zeroed, nyquist, mask = [], [], True
         for i in range(dim):
-            s = [1] * dim
-            s[i] = n
-            axes.append(k1.reshape(s))
-        k2 = np.zeros(shape)
-        for k in axes:
-            k2 = k2 + k * k
-
-        modes = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        keep = np.abs(modes) <= n // 3
-        mask = np.ones(shape, dtype=bool)
-        for i in range(dim):
-            s = [1] * dim
-            s[i] = n
-            mask &= keep.reshape(s)
+            # the last axis of a real transform keeps the columns 0..n/2
+            cut = slice(None) if i < dim - 1 else slice(nyq + 1)
+            kz, kn = k1[cut].copy(), np.zeros_like(k1[cut])
+            kz[nyq], kn[nyq] = 0.0, k1[nyq]
+            zeroed.append(_on_axis(kz, i, dim))
+            nyquist.append(_on_axis(kn, i, dim))
+            mask = mask & _on_axis(keep[cut], i, dim)
+        # zeroed and nyquist have disjoint supports, so the diagonal is xi_i^2
+        second = tuple(
+            tuple(zeroed[i] * zeroed[j] + nyquist[i] * nyquist[j] for j in range(dim)) for i in range(dim)
+        )
+        weight = np.full(nyq + 1, 2.0)
+        weight[0] = weight[nyq] = 1.0
 
         x1 = np.arange(n) * (L / n)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", (n,) * dim)
         object.__setattr__(self, "frequencies", k1)
-        object.__setattr__(self, "wavevectors", tuple(axes))
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "dealias_mask", mask)
+        object.__setattr__(self, "rwavevectors", tuple(zeroed))
+        object.__setattr__(self, "rsecond", second)
+        object.__setattr__(self, "rk2", sum(second[i][i] for i in range(dim)))
+        object.__setattr__(self, "rdealias_mask", mask)
+        object.__setattr__(self, "rweight", _on_axis(weight, dim - 1, dim))
         object.__setattr__(self, "cell_volume", (L / n) ** dim)
         object.__setattr__(self, "volume", L**dim)
         object.__setattr__(self, "dx", L / n)
         object.__setattr__(self, "coordinates", x1)
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half-lattice spectrum of real samples."""
+        return np.fft.rfftn(values)
+
+    def irfft(self, hat: np.ndarray) -> np.ndarray:
+        """Real samples of a half-lattice spectrum."""
+        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dim)))
+
+    # full complex lattice, for the dyadic and calibration layer
+
+    @cached_property
+    def wavevectors(self) -> tuple:
+        return tuple(_on_axis(self.frequencies, i, self.dim) for i in range(self.dim))
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        return sum(k * k for k in self.wavevectors)
 
     def meshgrid(self):
         """Real-space coordinate arrays, one per axis, 'ij' indexed."""
@@ -188,47 +225,39 @@ def constant_field(grid: Grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, float(value)))
 
 
-def zero_vector(grid: Grid) -> VectorField:
-    return VectorField(grid, np.zeros((grid.dim,) + grid.shape))
-
-
 # ----------------------------------------------------------------------
 # spectral differential operators
 
 
 def gradient(f: ScalarField) -> VectorField:
     grid = f.grid
-    hat = np.fft.fftn(f.values)
+    hat = grid.rfft(f.values)
     comps = np.empty((grid.dim,) + grid.shape)
-    for i, k in enumerate(grid.wavevectors):
-        comps[i] = np.fft.ifftn(1j * k * hat).real
+    for i, k in enumerate(grid.rwavevectors):
+        comps[i] = grid.irfft(1j * k * hat)
     return VectorField(grid, comps)
 
 
 def divergence(F: VectorField) -> ScalarField:
     grid = F.grid
-    out = np.zeros(grid.shape, dtype=complex)
-    for i, k in enumerate(grid.wavevectors):
-        out += 1j * k * np.fft.fftn(F.components[i])
-    return ScalarField(grid, np.fft.ifftn(out).real)
+    out = sum(1j * k * grid.rfft(c) for k, c in zip(grid.rwavevectors, F.components))
+    return ScalarField(grid, grid.irfft(out))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     grid = f.grid
-    hat = np.fft.fftn(f.values)
-    return ScalarField(grid, np.fft.ifftn(-grid.k2 * hat).real)
+    return ScalarField(grid, grid.irfft(-grid.rk2 * grid.rfft(f.values)))
 
 
 def hessian(f: ScalarField) -> np.ndarray:
     """All second derivatives as a (dim, dim, n, ...) array."""
     grid = f.grid
-    hat = np.fft.fftn(f.values)
+    hat = grid.rfft(f.values)
     d = grid.dim
     out = np.empty((d, d) + grid.shape)
     for i in range(d):
         for j in range(i, d):
-            ki, kj = grid.wavevectors[i], grid.wavevectors[j]
-            out[i, j] = np.fft.ifftn(-(ki * kj) * hat).real
+            out[i, j] = grid.irfft(-grid.rsecond[i][j] * hat)
             out[j, i] = out[i, j]
     return out
 
@@ -239,15 +268,10 @@ def jacobian(F: VectorField) -> np.ndarray:
     d = grid.dim
     out = np.empty((d, d) + grid.shape)
     for i in range(d):
-        hat = np.fft.fftn(F.components[i])
+        hat = grid.rfft(F.components[i])
         for j in range(d):
-            out[i, j] = np.fft.ifftn(1j * grid.wavevectors[j] * hat).real
+            out[i, j] = grid.irfft(1j * grid.rwavevectors[j] * hat)
     return out
-
-
-def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Project real-space samples onto the 2/3-rule band."""
-    return np.fft.ifftn(np.fft.fftn(values) * grid.dealias_mask).real
 
 
 # ----------------------------------------------------------------------
@@ -306,41 +330,30 @@ def l2_norm(f: ScalarField) -> float:
     return lp_norm(f, 2)
 
 
+def _parseval(f: ScalarField, symbol) -> float:
+    """sqrt of the quadrature of sum symbol * |hat f|^2 over the full lattice."""
+    grid = f.grid
+    hat = grid.rfft(f.values)
+    power = grid.rweight * (hat.real**2 + hat.imag**2)
+    return float(np.sqrt(np.sum(symbol * power) * grid.cell_volume / float(np.prod(grid.shape))))
+
+
 def spectral_l2_norm(f: ScalarField) -> float:
     """L2 norm evaluated on the Fourier side (Parseval route)."""
-    grid = f.grid
-    hat = np.fft.fftn(f.values)
-    npts = float(np.prod(grid.shape))
-    return float(np.sqrt(np.sum(np.abs(hat) ** 2) * grid.cell_volume / npts))
-
-
-def vector_lp_norm(F: VectorField, p: float) -> float:
-    return lp_norm(ScalarField(F.grid, F.magnitude()), p)
-
-
-def vector_sup_norm(F: VectorField) -> float:
-    return float(np.max(F.magnitude()))
+    return _parseval(f, 1.0)
 
 
 def sobolev_norm(f: ScalarField, k: int) -> float:
     """H^k norm with spectral weight sum_{m<=k} |xi|^(2m)."""
     if k < 0 or k != int(k):
         raise FieldError(f"sobolev_norm requires integer k >= 0, got {k}")
-    grid = f.grid
-    hat2 = np.abs(np.fft.fftn(f.values)) ** 2
-    weight = np.zeros(grid.shape)
-    for m in range(int(k) + 1):
-        weight += grid.k2**m
-    npts = float(np.prod(grid.shape))
-    return float(np.sqrt(np.sum(weight * hat2) * grid.cell_volume / npts))
+    k2 = f.grid.rk2
+    return _parseval(f, sum(k2**m for m in range(int(k) + 1)))
 
 
 def hs_norm(f: ScalarField, s: float) -> float:
     """Fractional Sobolev norm with weight (1 + |xi|^2)^s."""
-    grid = f.grid
-    hat2 = np.abs(np.fft.fftn(f.values)) ** 2
-    npts = float(np.prod(grid.shape))
-    return float(np.sqrt(np.sum((1.0 + grid.k2) ** s * hat2) * grid.cell_volume / npts))
+    return _parseval(f, (1.0 + f.grid.rk2) ** s)
 
 
 def vector_sobolev_norm(F: VectorField, k: int) -> float:
@@ -366,13 +379,12 @@ def random_band_limited(
     if max_mode is None:
         max_mode = grid.n // 6
     white = rng.standard_normal(grid.shape)
-    hat = np.fft.fftn(white)
+    hat = grid.rfft(white)
     scale = 2.0 * np.pi / grid.box_length
-    radial2 = grid.k2 / scale**2
-    hat[radial2 > max_mode**2] = 0.0
+    hat[grid.rk2 / scale**2 > max_mode**2] = 0.0
     if zero_mean:
         hat[(0,) * grid.dim] = 0.0
-    v = np.fft.ifftn(hat).real
+    v = grid.irfft(hat)
     m = np.max(np.abs(v))
     if m > 0:
         v = v * (amplitude / m)

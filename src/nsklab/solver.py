@@ -39,6 +39,7 @@ from .fields import (
 __all__ = [
     "SolverError",
     "CflError",
+    "NonFiniteError",
     "FlowState",
     "SolverConfig",
     "TrajectoryRecord",
@@ -65,6 +66,10 @@ class SolverError(RuntimeError):
 
 class CflError(SolverError):
     pass
+
+
+class NonFiniteError(SolverError):
+    """A step produced a NaN or infinite field value."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +105,17 @@ class SolverConfig:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
-        if self.gamma < 1.0:
-            raise FieldError(f"adiabatic exponent must be >= 1, got {self.gamma}")
-        if self.dt <= 0.0:
-            raise FieldError("time step must be positive")
-        if self.t_end < 0.0:
-            raise FieldError("horizon must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise FieldError(f"adiabatic exponent must be finite and >= 1, got {self.gamma}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise FieldError("time step must be positive and finite")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise FieldError("horizon must be >= 0 and finite")
+        ratio = self.t_end / self.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise FieldError(f"horizon {self.t_end:g} is not a whole number of steps dt={self.dt:g}")
+        if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
+            raise FieldError(f"cfl_safety must be positive and finite, got {self.cfl_safety}")
         if self.scheme != "semi-implicit-spectral":
             raise FieldError(f"unknown scheme {self.scheme!r}")
 
@@ -155,15 +165,6 @@ def pressure_gradient(rho: ScalarField, gamma: float) -> VectorField:
 # stepping
 
 
-def _masked_fft(values: np.ndarray, mask) -> np.ndarray:
-    hat = np.fft.fftn(values)
-    return hat * mask if mask is not None else hat
-
-
-def _grad_real(grid: Grid, hat: np.ndarray) -> list[np.ndarray]:
-    return [np.fft.ifftn(1j * k * hat).real for k in grid.wavevectors]
-
-
 def _check_cfl(state: FlowState, cfg: SolverConfig, transport_speed: float) -> None:
     grid = state.grid
     rmax = float(np.max(state.rho.values))
@@ -178,66 +179,66 @@ def _check_cfl(state: FlowState, cfg: SolverConfig, transport_speed: float) -> N
         )
 
 
-def _require_new_density_positive(values: np.ndarray, t_new: float) -> None:
-    m = float(np.min(values))
+def _new_state(s: FlowState, cfg: SolverConfig, rho: np.ndarray, vel: np.ndarray) -> FlowState:
+    """The stepped state, after the step's one positivity and one finiteness check."""
+    t_new = s.t + cfg.dt
+    m = float(np.min(rho))
     if m <= 0.0:
         raise PositivityError(
-            f"density lost positivity at t={t_new:.6g} (min {m:.6e}); "
-            "try halving the time step"
+            f"density lost positivity at t={t_new:.6g} (min {m:.6e}); try halving the time step"
         )
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(vel))):
+        raise NonFiniteError(f"non-finite field at t={t_new:.6g}; try halving the time step")
+    return FlowState(t_new, ScalarField(s.grid, rho), VectorField(s.grid, vel), s.formulation)
 
 
 def step_effective(s: FlowState, cfg: SolverConfig) -> FlowState:
     if s.formulation != "effective":
         raise FieldError("step_effective needs an effective-form state")
     grid = s.grid
-    mask = grid.dealias_mask if cfg.dealias else None
+    mask = grid.rdealias_mask if cfg.dealias else True
+    ks = grid.rwavevectors
     r = s.rho.values
     v = s.vel.components
     dt = cfg.dt
 
-    log_r_hat = np.fft.fftn(np.log(r))
-    dlog = _grad_real(grid, log_r_hat)
+    log_r_hat = grid.rfft(np.log(r))
+    dlog = [grid.irfft(1j * k * log_r_hat) for k in ks]
     speed = float(np.max(np.sqrt(sum(c * c for c in v)))) + 2.0 * float(
         np.max(np.sqrt(sum(c * c for c in dlog)))
     )
     _check_cfl(s, cfg, speed)
 
     # mass: implicit diffusion, explicit divergence-form transport
-    nr_hat = np.zeros(grid.shape, dtype=complex)
-    for i, k in enumerate(grid.wavevectors):
-        nr_hat -= 1j * k * _masked_fft(r * v[i], mask)
-    denom = 1.0 + dt * grid.k2
-    new_r_hat = (np.fft.fftn(r) + dt * nr_hat) / denom
-    new_r = np.fft.ifftn(new_r_hat).real
-    _require_new_density_positive(new_r, s.t + dt)
+    nr_hat = sum(-1j * k * (grid.rfft(r * v[i]) * mask) for i, k in enumerate(ks))
+    denom = 1.0 + dt * grid.rk2
+    new_r = grid.irfft((grid.rfft(r) + dt * nr_hat) / denom)
 
-    # velocity: implicit Laplacian, explicit transport + pressure
+    # velocity: implicit Laplacian, explicit transport + pressure; the
+    # pressure force is differentiated on the Fourier side
     if cfg.gamma == 1.0:
-        pg = _grad_real(grid, log_r_hat)
+        p_hat = log_r_hat
     else:
         g = cfg.gamma
-        pg_hat = _masked_fft(r ** (g - 1.0), mask)
-        pg = [(g / (g - 1.0)) * c for c in _grad_real(grid, pg_hat)]
+        p_hat = (g / (g - 1.0)) * (grid.rfft(r ** (g - 1.0)) * mask)
     w = [v[j] - 2.0 * dlog[j] for j in range(grid.dim)]
     new_v = np.empty_like(v)
     for i in range(grid.dim):
-        dvi = _grad_real(grid, np.fft.fftn(v[i]))
-        conv = sum(w[j] * dvi[j] for j in range(grid.dim))
-        nv_hat = -_masked_fft(conv, mask) - np.fft.fftn(pg[i])
-        new_v[i] = np.fft.ifftn((np.fft.fftn(v[i]) + dt * nv_hat) / denom).real
+        v_hat = grid.rfft(v[i])
+        conv = sum(w[j] * grid.irfft(1j * k * v_hat) for j, k in enumerate(ks))
+        nv_hat = -(grid.rfft(conv) * mask) - 1j * ks[i] * p_hat
+        new_v[i] = grid.irfft((v_hat + dt * nv_hat) / denom)
 
-    return FlowState(
-        s.t + dt, ScalarField(grid, new_r), VectorField(grid, new_v), "effective"
-    )
+    return _new_state(s, cfg, new_r, new_v)
 
 
 def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
     if s.formulation != "primitive":
         raise FieldError("step_primitive needs a primitive-form state")
     grid = s.grid
-    mask = grid.dealias_mask if cfg.dealias else None
+    mask = grid.rdealias_mask if cfg.dealias else True
     d = grid.dim
+    ks, kk = grid.rwavevectors, grid.rsecond
     r = s.rho.values
     u = s.vel.components
     dt = cfg.dt
@@ -245,47 +246,34 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
     speed = float(np.max(np.sqrt(sum(c * c for c in u))))
     _check_cfl(s, cfg, speed)
 
-    ks = grid.wavevectors
-    m_hat = np.stack([_masked_fft(r * u[i], mask) for i in range(d)])
-    m_real = np.stack([np.fft.ifftn(h).real for h in m_hat])
+    m_hat = [grid.rfft(r * u[i]) * mask for i in range(d)]
+    m_real = [grid.irfft(h) for h in m_hat]
 
-    # explicit momentum right-hand side, every term in divergence form
-    rhs_hat = np.zeros((d,) + grid.shape, dtype=complex)
-
-    p_hat = _masked_fft(r**cfg.gamma, mask)
-    for i in range(d):
-        rhs_hat[i] -= 1j * ks[i] * p_hat
-
-    du = [_grad_real(grid, np.fft.fftn(u[i])) for i in range(d)]
+    # explicit momentum right-hand side, every term in divergence form:
+    # -rho u_i u_j + 2 rho D(u)_ij + rho (hess log rho)_ij, one transform per (i, j)
+    du = [[grid.irfft(1j * k * h) for k in ks] for h in map(grid.rfft, u)]
     log_hess = hessian(log_field(s.rho))
+    p_hat = grid.rfft(r**cfg.gamma) * mask
+    rhs_hat = []
     for i in range(d):
+        acc = -1j * ks[i] * p_hat
         for j in range(d):
-            flux = _masked_fft(m_real[i] * u[j], mask)  # rho u_i u_j
-            visc = _masked_fft(r * (du[i][j] + du[j][i]), mask)  # 2 rho D(u)_ij
-            capil = _masked_fft(r * log_hess[i, j], mask)
-            rhs_hat[i] += 1j * ks[j] * (-flux + visc + capil)
+            stress = r * (du[i][j] + du[j][i] + log_hess[i, j]) - m_real[i] * u[j]
+            acc += 1j * ks[j] * (grid.rfft(stress) * mask)
+        # subtract the linearized stress that the implicit solve adds back
+        rhs_hat.append(acc + grid.rk2 * m_hat[i] + sum(kk[i][j] * m_hat[j] for j in range(d)))
 
-    # subtract the linearized stress that the implicit solve adds back
-    k_dot_m = sum(ks[j] * m_hat[j] for j in range(d))
+    a = 1.0 + dt * grid.rk2
+    a_full = a + dt * grid.rk2
+    y = [m_hat[i] + dt * rhs_hat[i] for i in range(d)]
+    new_m = np.empty_like(u)
     for i in range(d):
-        rhs_hat[i] += grid.k2 * m_hat[i] + ks[i] * k_dot_m
-
-    a = 1.0 + dt * grid.k2
-    a_full = a + dt * grid.k2
-    y = m_hat + dt * rhs_hat
-    k_dot_y = sum(ks[j] * y[j] for j in range(d))
-    new_m = np.empty_like(m_real)
-    for i in range(d):
-        new_m[i] = np.fft.ifftn((y[i] - dt * ks[i] * k_dot_y / a_full) / a).real
+        kky = sum(kk[i][j] * y[j] for j in range(d))
+        new_m[i] = grid.irfft((y[i] - dt * kky / a_full) / a)
 
     div_m = sum(1j * ks[j] * m_hat[j] for j in range(d))
-    new_r = np.fft.ifftn(np.fft.fftn(r) - dt * div_m).real
-    _require_new_density_positive(new_r, s.t + dt)
-
-    new_u = new_m / new_r
-    return FlowState(
-        s.t + dt, ScalarField(grid, new_r), VectorField(grid, new_u), "primitive"
-    )
+    new_r = grid.irfft(grid.rfft(r) - dt * div_m)
+    return _new_state(s, cfg, new_r, new_m / new_r)
 
 
 def step(s: FlowState, cfg: SolverConfig) -> FlowState:
@@ -357,8 +345,8 @@ def run(
 ) -> TrajectoryRecord:
     """Integrate to the horizon, sampling probes every step and states at a stride.
 
-    Positivity loss aborts cleanly and is recorded on the trajectory; other
-    stepper failures propagate.  The minimum density is always monitored.
+    Positivity loss and non-finite fields abort cleanly and are recorded on
+    the trajectory; other stepper failures propagate.  The minimum density is always monitored.
     """
     if state_stride < 1:
         raise FieldError("state stride must be >= 1")
@@ -383,14 +371,14 @@ def run(
         for name, fn in probes.items():
             series[name].append(float(fn(state)))
 
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
+    n_steps = round(cfg.t_end / cfg.dt)
     state = initial
     sample(state)
     record.states.append(state)
     for k in range(n_steps):
         try:
             state = step(state, cfg)
-        except PositivityError as err:
+        except (PositivityError, NonFiniteError) as err:
             record.aborted = True
             record.abort_reason = str(err)
             record.abort_time = (k + 1) * cfg.dt

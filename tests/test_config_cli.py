@@ -313,3 +313,41 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw0" / "manifest.json").exists()
         assert (tmp_path / "sw1" / "manifest.json").exists()
+
+
+class TestSolverValueExits:
+    @pytest.mark.parametrize(
+        "line,match",
+        [("t_end = 0.0055", "whole number of steps"), ("t_end = 0.005\ncfl_safety = 0.0", "cfl_safety")],
+    )
+    def test_rejected_value_exit_two(self, tmp_path, capsys, line, match):
+        text = MINIMAL.format(outdir="rejected").replace("t_end = 0.005", line)
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "rejected").exists()
+
+    def test_non_finite_step_exit_three(self, tmp_path, capsys, monkeypatch):
+        import nsklab.experiment as experiment
+
+        make = experiment.make_preset
+
+        def poisoned_preset(*args, **kwargs):
+            state = make(*args, **kwargs)
+            comps = state.vel.components.copy()
+            comps[0][16, 16] = np.nan
+            object.__setattr__(state.vel, "components", comps)
+            return state
+
+        monkeypatch.setattr(experiment, "make_preset", poisoned_preset)
+        cfg_path = tmp_path / "c.cfg"
+        # snapshots off: the poisoned initial state could not be written as a field
+        cfg_path.write_text(MINIMAL.format(outdir="nan_run") + "snapshots = false\n")
+        code = cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "nan_run" / "manifest.json").read_text())
+        assert manifest["aborted"] and manifest["abort_time"] == pytest.approx(1e-3)

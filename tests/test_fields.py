@@ -14,8 +14,10 @@ from nsklab.fields import (
     constant_field,
     divergence,
     gradient,
+    hessian,
     hs_norm,
     integral,
+    jacobian,
     l2_norm,
     laplacian,
     log_field,
@@ -270,3 +272,42 @@ class TestSnapshots:
         path.write_bytes(data[:-16])
         with pytest.raises(FieldError, match="payload"):
             read_snapshot(path)
+
+
+class TestRealTransformLayer:
+    """The half-lattice operators against the complex full-lattice forms."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 24), (3, 12)])
+    def test_operators_match_complex_transforms(self, dim, n):
+        g = make_grid(dim, n, 2 * np.pi * 1.3, 1.0)
+        rng = np.random.default_rng(11)
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        F = VectorField(g, rng.standard_normal((dim,) + g.shape))
+        hat = np.fft.fftn(f.values)
+        for axis in range(dim):  # white noise carries every Nyquist plane
+            plane = np.take(hat, n // 2, axis=axis)
+            assert np.max(np.abs(plane)) > 1.0
+        ks = g.wavevectors
+        cases = [
+            (gradient(f).components, [np.fft.ifftn(1j * k * hat).real for k in ks]),
+            (hessian(f), [[np.fft.ifftn(-(ki * kj) * hat).real for kj in ks] for ki in ks]),
+            (
+                jacobian(F),
+                [[np.fft.ifftn(1j * kj * np.fft.fftn(c)).real for kj in ks] for c in F.components],
+            ),
+            (
+                divergence(F).values,
+                np.fft.ifftn(sum(1j * k * np.fft.fftn(c) for k, c in zip(ks, F.components))).real,
+            ),
+            (laplacian(f).values, np.fft.ifftn(-g.k2 * hat).real),
+        ]
+        for new, old in cases:
+            old = np.asarray(old)
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("dim,n", [(2, 24), (2, 32), (2, 48), (3, 24)])
+    def test_half_spectrum_parseval(self, dim, n):
+        g = make_grid(dim, n, 3.0, 1.0)
+        f = ScalarField(g, np.random.default_rng(n).standard_normal(g.shape))
+        assert spectral_l2_norm(f) == pytest.approx(l2_norm(f), rel=1e-12)
+        assert sobolev_norm(f, 0) == pytest.approx(l2_norm(f), rel=1e-12)

@@ -14,6 +14,7 @@ from nsklab.fields import (
 from nsklab.solver import (
     CflError,
     FlowState,
+    NonFiniteError,
     SolverConfig,
     SolverError,
     far_field_defect,
@@ -21,6 +22,7 @@ from nsklab.solver import (
     make_preset,
     pressure_gradient,
     run,
+    step,
     step_effective,
     step_primitive,
     theorem_range_warnings,
@@ -40,6 +42,29 @@ class TestConfig:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(FieldError, match="scheme"):
             SolverConfig(gamma=2.0, dt=1e-3, t_end=1.0, scheme="leapfrog")
+
+    def test_rejects_horizon_off_the_step_lattice(self):
+        with pytest.raises(FieldError, match="whole number of steps"):
+            SolverConfig(gamma=2.0, dt=1e-3, t_end=0.5005)
+        # 0.02 / 1e-3 == 20.000000000000004: round-off stays inside the slack
+        SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, math.nan])
+    def test_rejects_bad_cfl_safety(self, bad):
+        with pytest.raises(FieldError, match="cfl_safety"):
+            SolverConfig(gamma=2.0, dt=1e-3, t_end=1.0, cfl_safety=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_gamma(self, bad):
+        with pytest.raises(FieldError, match="adiabatic exponent"):
+            SolverConfig(gamma=bad, dt=1e-3, t_end=1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(FieldError, match="time step"):
+            SolverConfig(gamma=2.0, dt=bad, t_end=1.0)
+        with pytest.raises(FieldError, match="horizon"):
+            SolverConfig(gamma=2.0, dt=1e-3, t_end=bad)
 
     def test_range_warnings(self):
         assert theorem_range_warnings(3.0, 3)
@@ -207,6 +232,59 @@ class TestSteppers:
             np.abs(a.vel.components - b.vel.components)
         )
         assert diff <= 1e-3
+
+
+def _poisoned(state: FlowState) -> FlowState:
+    # fields are finite by construction, so the NaN goes in behind the check
+    comps = state.vel.components.copy()
+    comps[0][tuple(n // 2 for n in state.grid.shape)] = np.nan
+    object.__setattr__(state.vel, "components", comps)
+    return state
+
+
+class TestTransformBudget:
+    """Transforms per step; a change that adds some back fails here."""
+
+    @pytest.mark.parametrize(
+        "dim,formulation,expected",
+        [(2, "effective", 18), (3, "effective", 28), (2, "primitive", 23), (3, "primitive", 40)],
+    )
+    def test_transforms_per_step(self, monkeypatch, dim, formulation, expected):
+        g = make_grid(dim, 32 if dim == 2 else 16, 4 * np.pi, 1.0)
+        s = make_preset("gaussian-bump", g)
+        if formulation == "effective":
+            s = to_effective(s)
+        cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3)
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+            )
+        step(s, cfg)
+        assert len(calls) == expected
+        assert set(calls) == {"rfftn", "irfftn"}
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("formulation", ["effective", "primitive"])
+    def test_step_raises_non_finite_error(self, grid64_wide, formulation):
+        s = make_preset("gaussian-bump", grid64_wide)
+        if formulation == "effective":
+            s = to_effective(s)
+        cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.01)
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            step(_poisoned(s), cfg)
+
+    def test_run_records_abort(self, grid64_wide):
+        s = _poisoned(to_effective(make_preset("gaussian-bump", grid64_wide)))
+        cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.01)
+        rec = run(s, cfg, check_far_field=False)
+        assert rec.aborted
+        assert rec.abort_time == pytest.approx(1e-3)
+        assert "non-finite" in rec.abort_reason
+        assert rec.times.size == 1
 
 
 class TestRun:
