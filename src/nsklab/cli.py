@@ -74,7 +74,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    out = report(args.manifests, args.output)
+    try:
+        out = report(args.manifests, args.output)
+    except (OSError, ValueError) as err:
+        print(f"report error: {err}", file=sys.stderr)
+        return 2
     print(f"summary written to {out}")
     return 0
 

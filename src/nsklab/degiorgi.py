@@ -26,6 +26,7 @@ from .fields import (
     gradient,
     laplacian,
 )
+from .solver import to_effective
 
 __all__ = [
     "IterationSpec",
@@ -360,8 +361,6 @@ class _SubTrajectory:
 
 
 def _effective_sup(state) -> float:
-    from .solver import to_effective
-
     eff = state if state.formulation == "effective" else to_effective(state)
     return float(np.max(eff.vel.magnitude()))
 
@@ -377,8 +376,6 @@ def inverse_density_pde_residual(trajectory):
     spatial terms are spectral at the center state.  For states produced by
     the first-order stepper the residual shrinks linearly in dt.
     """
-    from .solver import to_effective
-
     states = trajectory.states
     if len(states) < 3:
         raise FieldError("need at least three stored states for the residual series")

@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .audits import audit_csv_lines
 from .config import ConfigError, ExperimentConfig, parse_config
-from .estimates import gamma_q_admissible, log_law_constant
+from .estimates import LOG_FLOOR, gamma_q_admissible, log_law_constant
 from .fields import ScalarField, sobolev_norm, write_snapshot
-from .probes import resolve_audits, resolve_probes
+from .probes import GROWTH_EXPONENTS, resolve_audits, resolve_probes
 from .solver import SolverError, make_preset, run, to_effective
 
 __all__ = ["RunManifest", "run_experiment", "sweep", "report", "SweepResult"]
@@ -52,8 +52,12 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        """Raises ValueError on text that is not JSON or not a manifest's keys."""
         data = json.loads(text)
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as err:
+            raise ValueError(f"not a run manifest: {err}") from None
 
 
 def _fmt(x: float) -> str:
@@ -200,9 +204,6 @@ def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResu
     return results
 
 
-_GROWTH_PS = (2, 6, 14, 30)
-
-
 def _series_columns(series_path: Path) -> dict[str, np.ndarray]:
     lines = series_path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -211,8 +212,11 @@ def _series_columns(series_path: Path) -> dict[str, np.ndarray]:
 
 
 def report(manifest_paths, out_path: Path | str) -> Path:
-    """Aggregate manifests into one plot-ready summary CSV (one row per run)."""
-    growth_cols = [f"growth.p{p}" for p in _GROWTH_PS]
+    """Aggregate manifests into one plot-ready summary CSV (one row per run).
+
+    An unreadable or malformed manifest raises OSError or ValueError.
+    """
+    growth_cols = [f"growth.p{p}" for p in GROWTH_EXPONENTS]
     header = [
         "run",
         "preset",
@@ -231,7 +235,10 @@ def report(manifest_paths, out_path: Path | str) -> Path:
     ]
     rows = []
     for path in manifest_paths:
-        m = RunManifest.from_json(Path(path).read_text())
+        try:
+            m = RunManifest.from_json(Path(path).read_text())
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         outdir = Path(m.directory)
         row = {
             "run": outdir.name,
@@ -252,11 +259,11 @@ def report(manifest_paths, out_path: Path | str) -> Path:
         if series_path.exists():
             cols = _series_columns(series_path)
             if "veff.max" in cols and "density.min" in cols and np.min(cols["density.min"]) > 0:
-                vt = 1.0 / float(np.min(cols["density.min"])) + math.exp(25.0 / 9.0)
+                vt = 1.0 / float(np.min(cols["density.min"])) + LOG_FLOOR
                 row["c_v"] = _fmt(float(np.max(cols["veff.max"])) / math.sqrt(math.log(vt)))
             if "density.min" in cols:
                 row["min_density"] = _fmt(float(np.min(cols["density.min"])))
-            for p, col in zip(_GROWTH_PS, growth_cols):
+            for p, col in zip(GROWTH_EXPONENTS, growth_cols):
                 key = f"norm.weighted.p{p}"
                 if key in cols:
                     row[col] = _fmt(float(np.max(cols[key])) / math.sqrt(p + 2.0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import difflib
 import math
+import weakref
 
 import numpy as np
 
@@ -27,19 +28,38 @@ class ProbeError(ValueError):
     pass
 
 
+def _once_per_state(fn):
+    """fn(state), evaluated once per state object.
+
+    A one-slot memo keyed on the state's identity; it holds the state only
+    weakly, so it never keeps a state alive.
+    """
+    slot = [None, None]  # weak reference to the last state, its value
+
+    def get(s):
+        if slot[0] is None or slot[0]() is not s:
+            slot[:] = [weakref.ref(s), fn(s)]
+        return slot[1]
+
+    return get
+
+
 def _simple_probes(gamma: float) -> dict:
+    energy = _once_per_state(lambda s: estimates.energy(s, gamma))
+    vdiss = _once_per_state(lambda s: estimates.v_energy_dissipations(s, gamma))
+    jungel = _once_per_state(lambda s: estimates.jungel_terms(s.rho))
     return {
-        "energy.total": lambda s: estimates.energy(s, gamma).total,
-        "energy.kinetic": lambda s: estimates.energy(s, gamma).kinetic,
-        "energy.potential": lambda s: estimates.energy(s, gamma).potential,
-        "energy.fisher": lambda s: estimates.energy(s, gamma).fisher,
+        "energy.total": lambda s: energy(s).total,
+        "energy.kinetic": lambda s: energy(s).kinetic,
+        "energy.potential": lambda s: energy(s).potential,
+        "energy.fisher": lambda s: energy(s).fisher,
         "energy.dissipation": estimates.dissipation_rate,
         "venergy": estimates.v_energy,
-        "venergy.pressure_dissipation": lambda s: estimates.v_energy_dissipations(s, gamma)[0],
-        "venergy.velocity_dissipation": lambda s: estimates.v_energy_dissipations(s, gamma)[1],
-        "jungel.D": lambda s: estimates.jungel_terms(s.rho)[0],
-        "jungel.A": lambda s: estimates.jungel_terms(s.rho)[1],
-        "jungel.Bp": lambda s: estimates.jungel_terms(s.rho)[2],
+        "venergy.pressure_dissipation": lambda s: vdiss(s)[0],
+        "venergy.velocity_dissipation": lambda s: vdiss(s)[1],
+        "jungel.D": lambda s: jungel(s)[0],
+        "jungel.A": lambda s: jungel(s)[1],
+        "jungel.Bp": lambda s: jungel(s)[2],
     }
 
 
@@ -91,8 +111,7 @@ def _psi_probe(p: float):
     return probe
 
 
-def resolve_probe(name: str, gamma: float):
-    simple = _simple_probes(gamma)
+def _resolve_probe(name: str, simple: dict):
     if name in simple:
         return simple[name]
     if name in ALWAYS_RECORDED:
@@ -112,15 +131,17 @@ def resolve_probe(name: str, gamma: float):
         return lambda s: vector_sobolev_norm(estimates._as_effective(s).vel, k)
     if name.startswith("besov.rho."):
         return _besov_probe(name[len("besov.rho.") :])
-    near = difflib.get_close_matches(name, known_probe_names(gamma), n=3)
+    near = difflib.get_close_matches(name, known_probe_names(), n=3)
     hint = f"; nearest valid names: {', '.join(near)}" if near else ""
     raise ProbeError(f"unknown probe {name!r}{hint}")
 
 
 def resolve_probes(names, gamma: float) -> dict:
+    """Probe callables by name; probes reading one underlying evaluation share it."""
+    simple = _simple_probes(gamma)
     out = {}
     for name in names:
-        fn = resolve_probe(name, gamma)
+        fn = _resolve_probe(name, simple)
         if fn is not None:
             out[name] = fn
     return out

@@ -74,12 +74,19 @@ class NonFiniteError(SolverError):
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
-    """A (rho, velocity) snapshot; vel is u in primitive form, v in effective form."""
+    """A (rho, velocity) snapshot; vel is u in primitive form, v in effective form.
+
+    ``log_rho_hat`` and ``grad_log_rho`` optionally carry the half-lattice
+    spectrum of log rho and grad(log rho), set together by ``run()`` on the
+    state it is about to sample and step; everything else leaves them None.
+    """
 
     t: float
     rho: ScalarField
     vel: VectorField
     formulation: str = "primitive"
+    log_rho_hat: np.ndarray | None = field(default=None, repr=False)
+    grad_log_rho: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.formulation not in ("primitive", "effective"):
@@ -134,18 +141,44 @@ def theorem_range_warnings(gamma: float, dim: int) -> list[str]:
 # formulation changes
 
 
+def _log_density(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of log rho and grad(log rho): the carried pair, or computed."""
+    if s.log_rho_hat is not None and s.grad_log_rho is not None:
+        return s.log_rho_hat, s.grad_log_rho
+    grid = s.grid
+    hat = grid.rfft(np.log(s.rho.values))
+    grad = np.empty((grid.dim,) + grid.shape)
+    for i, k in enumerate(grid.rwavevectors):
+        grad[i] = grid.irfft(1j * k * hat)
+    return hat, grad
+
+
+def _carrying(s: FlowState, **changes) -> FlowState:
+    """A copy with the log-density pair attached; effective states only."""
+    if s.formulation == "effective":
+        changes["log_rho_hat"], changes["grad_log_rho"] = _log_density(s)
+    return replace(s, **changes) if changes else s
+
+
+def _bare(s: FlowState) -> FlowState:
+    """A copy without carried arrays, for keeping beyond the current step."""
+    if s.log_rho_hat is None and s.grad_log_rho is None:
+        return s
+    return replace(s, log_rho_hat=None, grad_log_rho=None)
+
+
 def to_effective(s: FlowState) -> FlowState:
     if s.formulation != "primitive":
         raise FieldError("state is already in effective form")
-    shift = gradient(log_field(s.rho))
-    return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components + shift.components), "effective")
+    shift = _log_density(s)[1]
+    return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components + shift), "effective")
 
 
 def from_effective(s: FlowState) -> FlowState:
     if s.formulation != "effective":
         raise FieldError("state is not in effective form")
-    shift = gradient(log_field(s.rho))
-    return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - shift.components), "primitive")
+    shift = _log_density(s)[1]
+    return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - shift), "primitive")
 
 
 def pressure_gradient(rho: ScalarField, gamma: float) -> VectorField:
@@ -202,8 +235,7 @@ def step_effective(s: FlowState, cfg: SolverConfig) -> FlowState:
     v = s.vel.components
     dt = cfg.dt
 
-    log_r_hat = grid.rfft(np.log(r))
-    dlog = [grid.irfft(1j * k * log_r_hat) for k in ks]
+    log_r_hat, dlog = _log_density(s)
     speed = float(np.max(np.sqrt(sum(c * c for c in v)))) + 2.0 * float(
         np.max(np.sqrt(sum(c * c for c in dlog)))
     )
@@ -297,19 +329,12 @@ class TrajectoryRecord:
     abort_reason: str = ""
     abort_time: float | None = None
 
-    @property
-    def state_times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    def scalar(self, name: str) -> np.ndarray:
-        return self.scalars[name]
-
 
 def _veff_max(state: FlowState) -> float:
     if state.formulation == "effective":
         return float(np.max(state.vel.magnitude()))
-    shift = gradient(log_field(state.rho))
-    return float(np.max(np.sqrt(np.sum((state.vel.components + shift.components) ** 2, axis=0))))
+    shift = _log_density(state)[1]
+    return float(np.max(np.sqrt(np.sum((state.vel.components + shift) ** 2, axis=0))))
 
 
 def far_field_defect(state: FlowState) -> float:
@@ -347,11 +372,15 @@ def run(
 
     Positivity loss and non-finite fields abort cleanly and are recorded on
     the trajectory; other stepper failures propagate.  The minimum density is always monitored.
+    The current effective state carries grad(log rho), computed once and
+    shared by the far-field check, the probes and the next step; the stored
+    states do not.
     """
     if state_stride < 1:
         raise FieldError("state stride must be >= 1")
+    state = _carrying(initial)
     if check_far_field and initial.t == 0.0:
-        defect = far_field_defect(initial)
+        defect = far_field_defect(state)
         if defect > FAR_FIELD_TOL:
             raise SolverError(
                 f"initial state violates the far-field proxy: boundary deviation "
@@ -372,9 +401,8 @@ def run(
             series[name].append(float(fn(state)))
 
     n_steps = round(cfg.t_end / cfg.dt)
-    state = initial
     sample(state)
-    record.states.append(state)
+    record.states.append(_bare(initial))
     for k in range(n_steps):
         try:
             state = step(state, cfg)
@@ -383,10 +411,10 @@ def run(
             record.abort_reason = str(err)
             record.abort_time = (k + 1) * cfg.dt
             break
-        state = replace(state, t=(k + 1) * cfg.dt)
+        state = _carrying(state, t=(k + 1) * cfg.dt)
         sample(state)
         if (k + 1) % state_stride == 0 or k + 1 == n_steps:
-            record.states.append(state)
+            record.states.append(_bare(state))
     record.times = np.array(times)
     record.scalars = {name: np.array(vals) for name, vals in series.items()}
     return record

@@ -242,6 +242,28 @@ class TestReport:
         assert row["growth.p2"] != ""
         assert float(row["c_v"]) >= 0.0
 
+    def test_c_v_is_the_runs_log_law_constant(self, tmp_path):
+        from nsklab.estimates import log_law_constant
+        from nsklab.experiment import _fmt
+        from nsklab.probes import resolve_probes
+        from nsklab.solver import make_preset, run, to_effective
+
+        # at this amplitude a floor that differs from LOG_FLOOR in the last
+        # digits moves c_v by one unit in the last place
+        cfg = parse_config(FULL.format(outdir="runC").replace("amplitude = 0.4", "amplitude = 0.3"))
+        manifest = run_experiment(cfg, tmp_path)
+        out = report([Path(manifest.directory) / "manifest.json"], tmp_path / "summary.csv")
+        header, line = out.read_text().strip().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        state = make_preset(cfg.preset_name, cfg.make_grid(), cfg.preset_params, seed=cfg.seed)
+        record = run(
+            to_effective(state),
+            cfg.solver,
+            probes=resolve_probes(cfg.probe_names, cfg.solver.gamma),
+            state_stride=cfg.state_stride,
+        )
+        assert row["c_v"] == _fmt(log_law_constant(record))
+
 
 class TestCli:
     def test_run_verb_exit_zero(self, tmp_path, capsys):
@@ -305,6 +327,26 @@ class TestCli:
         )
         assert code == 0
         assert out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "content,match",
+        [
+            (None, "No such file"),
+            ("{not json", "Expecting property name"),
+            ('{"directory": "x", "colour": "blue"}', "not a run manifest"),
+            ("[1, 2]", "not a run manifest"),
+        ],
+    )
+    def test_report_verb_bad_manifest_exit_two(self, tmp_path, capsys, content, match):
+        path = tmp_path / "manifest.json"
+        if content is not None:
+            path.write_text(content)
+        code = cli_main(["report", str(path), "-o", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("report error: ") and match in err
+        assert str(path) in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_sweep_verb_directory(self, tmp_path):
         for i in range(2):

@@ -1,0 +1,202 @@
+"""Derived fields computed once per state and shared.
+
+The run loop attaches grad(log rho) and the log-density spectrum to the
+current effective state, and the stepper, the formulation changes and the
+probes read that copy; probe families that read one underlying evaluation
+share it.  None of this may change a single output bit, and none of the
+carried arrays may outlive the step they belong to.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from nsklab import estimates, solver
+from nsklab.fields import make_grid
+from nsklab.probes import resolve_probes
+from nsklab.solver import (
+    FlowState,
+    SolverConfig,
+    far_field_defect,
+    from_effective,
+    make_preset,
+    run,
+    step,
+    to_effective,
+)
+
+DEMO_PROBES = (
+    "energy.total", "energy.kinetic", "venergy",
+    "norm.weighted.p2", "norm.weighted.p6", "sobolev.rho.H2",
+)
+FFT_NAMES = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """A list that records the name of every numpy.fft call made from now on."""
+    calls = []
+    for name in FFT_NAMES:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+        )
+    return calls
+
+
+def _bump(dim: int) -> FlowState:
+    g = make_grid(dim, 32 if dim == 2 else 16, 4 * np.pi, 1.0)
+    return to_effective(make_preset("gaussian-bump", g))
+
+
+def _fresh(s: FlowState) -> FlowState:
+    return FlowState(s.t, s.rho, s.vel, s.formulation)
+
+
+def _carries(s: FlowState) -> bool:
+    return s.log_rho_hat is not None or s.grad_log_rho is not None
+
+
+class TestCarriedStep:
+    @pytest.mark.parametrize("dim,expected", [(2, 15), (3, 24)])
+    def test_carried_state_steps_with_fewer_transforms(self, transforms, dim, expected):
+        s = solver._carrying(_bump(dim))
+        transforms.clear()
+        step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3))
+        assert len(transforms) == expected
+
+    @pytest.mark.parametrize("dim,expected", [(2, 17), (3, 27)])
+    def test_gamma_one_budget(self, transforms, dim, expected):
+        s = _bump(dim)
+        transforms.clear()
+        step(s, SolverConfig(gamma=1.0, dt=1e-3, t_end=1e-3))
+        assert len(transforms) == expected
+        assert set(transforms) == {"rfftn", "irfftn"}
+
+    @pytest.mark.parametrize("dim,expected", [(2, 17), (3, 27)])
+    def test_gamma_one_carry_plus_step_keeps_budget(self, transforms, dim, expected):
+        # the run loop's own derivation plus the step costs what one bare step does
+        s = _bump(dim)
+        transforms.clear()
+        step(solver._carrying(s), SolverConfig(gamma=1.0, dt=1e-3, t_end=1e-3))
+        assert len(transforms) == expected
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_carried_step_is_bit_identical(self, dim, gamma):
+        s = _bump(dim)
+        cfg = SolverConfig(gamma=gamma, dt=1e-3, t_end=1e-3)
+        a, b = step(s, cfg), step(solver._carrying(s), cfg)
+        assert np.array_equal(a.rho.values, b.rho.values)
+        assert np.array_equal(a.vel.components, b.vel.components)
+
+    def test_formulation_changes_use_and_drop_the_carried_copy(self, transforms):
+        s = _bump(2)
+        carried = solver._carrying(s)
+        transforms.clear()
+        prim = from_effective(carried)
+        assert transforms == []
+        assert not _carries(prim)
+        assert np.array_equal(prim.vel.components, from_effective(s).vel.components)
+        assert far_field_defect(carried) == far_field_defect(s)
+        assert not _carries(to_effective(prim))
+
+    def test_primitive_states_carry_nothing(self):
+        g = make_grid(2, 32, 4 * np.pi, 1.0)
+        s = make_preset("gaussian-bump", g)
+        assert solver._carrying(s) is s
+
+
+class TestRunLoop:
+    CFG = SolverConfig(gamma=2.0, dt=1e-3, t_end=6e-3)
+
+    def test_demo_loop_costs_22_transforms_per_step(self, transforms):
+        # one more step costs the step, the next state's grad(log rho) and one sample
+        s = _bump(2)
+        counts = []
+        for n_steps in (1, 2):
+            transforms.clear()
+            cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=n_steps * 1e-3)
+            run(s, cfg, probes=resolve_probes(DEMO_PROBES, 2.0))
+            counts.append(len(transforms))
+        assert counts[1] - counts[0] == 22
+
+    def test_stored_states_carry_nothing(self):
+        rec = run(_bump(2), self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
+        assert len(rec.states) == 7
+        assert not any(_carries(s) for s in rec.states)
+
+    def test_carrying_initial_state_is_stored_bare(self):
+        rec = run(solver._carrying(_bump(2)), self.CFG, state_stride=6)
+        assert not any(_carries(s) for s in rec.states)
+
+    def test_trajectory_matches_bare_stepping(self):
+        s = _bump(2)
+        rec = run(s, self.CFG)
+        bare = s
+        for k in range(6):
+            bare = step(bare, self.CFG)
+            assert np.array_equal(rec.states[k + 1].rho.values, bare.rho.values)
+            assert np.array_equal(rec.states[k + 1].vel.components, bare.vel.components)
+
+    def test_series_match_probes_on_fresh_states(self):
+        rec = run(_bump(2), self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
+        assert len(rec.states) == len(rec.times)
+        fresh_probes = resolve_probes(DEMO_PROBES, 2.0)
+        for i, s in enumerate(rec.states):
+            f = _fresh(s)
+            assert rec.scalars["veff.max"][i] == solver._veff_max(f)
+            for name, fn in fresh_probes.items():
+                assert rec.scalars[name][i] == fn(f), (name, i)
+
+
+class TestProbeFamiliesEvaluateOnce:
+    @pytest.mark.parametrize(
+        "attr,names",
+        [
+            ("energy", ("energy.total", "energy.kinetic", "energy.potential", "energy.fisher")),
+            ("jungel_terms", ("jungel.D", "jungel.A", "jungel.Bp")),
+            (
+                "v_energy_dissipations",
+                ("venergy.pressure_dissipation", "venergy.velocity_dissipation"),
+            ),
+        ],
+    )
+    def test_one_call_per_sampled_state(self, monkeypatch, attr, names):
+        original = getattr(estimates, attr)
+        seen = []
+
+        def counted(*args):
+            seen.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(estimates, attr, counted)
+        cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3)
+        rec = run(_bump(2), cfg, probes=resolve_probes(names, 2.0))
+        assert len(seen) == len(rec.times) == 5
+        # and each family member reads its own entry of the shared evaluation
+        monkeypatch.setattr(estimates, attr, original)
+        fresh = resolve_probes(names, 2.0)
+        for name in names:
+            assert rec.scalars[name][-1] == fresh[name](_fresh(rec.states[-1]))
+
+    def test_memo_tells_states_apart(self):
+        probes = resolve_probes(("energy.total",), 2.0)
+        a = _bump(2)
+        b = step(a, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3))
+        ea, eb = probes["energy.total"](a), probes["energy.total"](b)
+        assert ea == estimates.energy(a, 2.0).total
+        assert eb == estimates.energy(b, 2.0).total
+        assert ea != eb
+
+    def test_memo_does_not_keep_states_alive(self):
+        probes = resolve_probes(("energy.total",), 2.0)
+        s = _bump(2)
+        probes["energy.total"](s)
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
