@@ -5,6 +5,10 @@ declared tolerance; two-sided (equivalence) checks are encoded by putting the
 worst-case side ratio on the left and the admissible constant on the right,
 so the single invariant ``passed == (lhs <= rhs * (1 + tolerance))`` holds
 for every report.
+
+Each report is of one kind: "asserted" rows check a claim, "measured" rows
+only record a value (their right-hand side is infinite) and are left out of
+the run's audit counts.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 __all__ = ["AuditReport", "bound_report", "identity_report", "audit_csv_lines"]
 
-CSV_HEADER = "inequality_id,lhs,rhs,ratio,tolerance,pass,citation"
+CSV_HEADER = "inequality_id,lhs,rhs,ratio,tolerance,pass,citation,kind"
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,7 @@ class AuditReport:
     tolerance: float
     passed: bool
     citation: str
+    kind: str = "asserted"  # or "measured"
 
     def csv_row(self) -> str:
         cols = [
@@ -37,16 +42,17 @@ class AuditReport:
             f"{self.tolerance:.17g}",
             "true" if self.passed else "false",
             self.citation,
+            self.kind,
         ]
         return ",".join(cols)
 
 
-def bound_report(inequality_id, lhs, rhs, tolerance, citation) -> AuditReport:
+def bound_report(inequality_id, lhs, rhs, tolerance, citation, kind="asserted") -> AuditReport:
     """lhs <= rhs up to relative tolerance; ratio is lhs/rhs (0 when vacuous)."""
     lhs, rhs = float(lhs), float(rhs)
     ratio = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else np.inf)
     passed = bool(lhs <= rhs * (1.0 + tolerance) + np.finfo(float).tiny)
-    return AuditReport(inequality_id, lhs, rhs, ratio, tolerance, passed, citation)
+    return AuditReport(inequality_id, lhs, rhs, ratio, tolerance, passed, citation, kind)
 
 
 def identity_report(inequality_id, lhs, rhs, tolerance, citation, floor=0.0) -> AuditReport:

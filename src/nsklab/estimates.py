@@ -28,6 +28,7 @@ from .fields import (
     divergence,
     gradient,
     hessian,
+    hessian_energy,
     integral,
     jacobian,
     laplacian,
@@ -50,6 +51,7 @@ __all__ = [
     "dissipation_rate",
     "v_energy",
     "v_energy_dissipations",
+    "second_order_terms",
     "bd_identity_audit",
     "jungel_terms",
     "jungel_audit",
@@ -219,40 +221,70 @@ def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:
     return a, b
 
 
-def _bd_terms(s: FlowState) -> tuple[float, float, float, float]:
-    prim = _as_primitive(s)
-    rho, u = prim.rho, prim.vel
-    grid = prim.grid
+def _weighted(rho: ScalarField, tensor: np.ndarray) -> float:
+    """integral of rho |tensor|^2 for a (dim, dim, n, ...) array."""
+    return float(np.sum(rho.values * np.sum(tensor**2, axis=(0, 1))) * rho.grid.cell_volume)
+
+
+def _second_order(rho: ScalarField, u: VectorField | None, convexity: bool) -> dict[str, float]:
+    grid = rho.grid
     cell = grid.cell_volume
-
-    eff = _as_effective(prim)
-    jv = jacobian(eff.vel)
-    lhs = float(np.sum(rho.values * np.sum(jv**2, axis=(0, 1))) * cell)
-
-    ju = jacobian(u)
-    term_u = float(np.sum(rho.values * np.sum(ju**2, axis=(0, 1))) * cell)
     hess_log = hessian(log_field(rho))
-    term_hess = float(np.sum(rho.values * np.sum(hess_log**2, axis=(0, 1))) * cell)
-
-    # 4 d/dt of the gradient-of-sqrt energy, with the time derivative expressed
-    # through the mass equation: 4 * integral of div(rho u) * lap(sqrt rho)/sqrt rho
-    m = VectorField(grid, rho.values * u.components)
-    div_m = divergence(m)
+    out = {"D": _weighted(rho, hess_log)}
     srho = sqrt_field(rho)
-    lap_s = laplacian(srho)
-    term_dt = 4.0 * float(np.sum(div_m.values * lap_s.values / srho.values) * cell)
-    return lhs, term_u, term_hess, term_dt
+    s_hat = grid.rfft(srho.values)
+    if convexity:
+        out["A"] = hessian_energy(grid, s_hat)
+        gq = gradient(power_field(rho, 0.25))
+        out["Bp"] = float(np.sum(np.sum(gq.components**2, axis=0) ** 2) * cell)
+    if u is not None:
+        ju = jacobian(u)
+        out["u"] = _weighted(rho, ju)
+        ju += hess_log  # grad v = grad u + hess log rho
+        out["lhs"] = _weighted(rho, ju)
+        del ju, hess_log  # both tensors go before the divergence allocates
+        # 4 d/dt of the gradient-of-sqrt energy, with the time derivative expressed
+        # through the mass equation: 4 * integral of div(rho u) * lap(sqrt rho)/sqrt rho
+        div_m = divergence(VectorField(grid, rho.values * u.components))
+        lap_s = grid.irfft(-grid.rk2 * s_hat)
+        out["dt"] = 4.0 * float(np.sum(div_m.values * lap_s / srho.values) * cell)
+    return out
 
 
-def bd_identity_audit(trajectory, tolerance: float = 1e-8) -> AuditReport:
+def second_order_terms(s: FlowState, identity: bool = True, convexity: bool = True) -> dict[str, float]:
+    """The integrals of one state that the bd-identity and jungel audits read,
+    derived from one Hessian of log rho.
+
+    Always "D" = int rho |hess log rho|^2.  With ``identity``: "lhs" =
+    int rho |grad v|^2, "u" = int rho |grad u|^2 and "dt" = 4 int div(rho u)
+    lap(sqrt rho)/sqrt rho.  With ``convexity``: "A" = int |hess sqrt rho|^2
+    (by Parseval, from the spectrum of sqrt rho that "dt" also uses) and
+    "Bp" = int |grad rho^(1/4)|^4.  Only these floats outlive the call.
+
+    grad v is formed as grad u + hess log rho, not by differentiating
+    v = u + grad log rho.  The two differ only through the Nyquist-plane
+    content of log rho: ``hessian`` keeps the products n_i n_j there, while
+    two first derivatives (each with its Nyquist entry zeroed) drop them.  On
+    run states that is round-off (at most 1.8e-15 relative).
+    """
+    u = _as_primitive(s).vel if identity else None
+    return _second_order(s.rho, u, convexity)
+
+
+def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditReport:
     """Pointwise-in-time identity: rho|grad v|^2 integrates to the rho|grad u|^2
-    and rho|hess log rho|^2 pieces plus the exact rate of the gradient energy."""
+    and rho|hess log rho|^2 pieces plus the exact rate of the gradient energy.
+
+    ``terms(state)`` gives the state's integrals as ``second_order_terms``
+    does; a caller passes its own to share them with the jungel audit.
+    """
     states = trajectory.states
     if not states:
         raise FieldError("trajectory holds no states")
     worst = (0.0, 0.0, 0.0)  # (relative residual, lhs, rhs)
     for s in states:
-        lhs, a, b, c = _bd_terms(s)
+        t = terms(s) if terms is not None else second_order_terms(s, convexity=False)
+        lhs, a, b, c = t["lhs"], t["u"], t["D"], t["dt"]
         rhs = a + b + c
         scale = max(abs(lhs), abs(a), abs(b), abs(c), 1e-300)
         rel = abs(lhs - rhs) / scale
@@ -274,27 +306,25 @@ def bd_identity_audit(trajectory, tolerance: float = 1e-8) -> AuditReport:
 
 def jungel_terms(rho: ScalarField) -> tuple[float, float, float]:
     """D = int rho |hess log rho|^2, A = int |hess sqrt rho|^2, B' = int |grad rho^(1/4)|^4."""
-    cell = rho.grid.cell_volume
-    hess_log = hessian(log_field(rho))
-    d_val = float(np.sum(rho.values * np.sum(hess_log**2, axis=(0, 1))) * cell)
-    hess_sqrt = hessian(sqrt_field(rho))
-    a_val = float(np.sum(hess_sqrt**2) * cell)
-    gq = gradient(power_field(rho, 0.25))
-    b_val = float(np.sum(np.sum(gq.components**2, axis=0) ** 2) * cell)
-    return d_val, a_val, b_val
+    t = _second_order(rho, None, convexity=True)
+    return t["D"], t["A"], t["Bp"]
 
 
-def jungel_audit(rho: ScalarField, slack: float = 1e-10):
-    """D >= A/7 and D >= B'/8; asserted in 3d, reported without assertion in 2d."""
-    d_val, a_val, b_val = jungel_terms(rho)
+def jungel_audit(rho: ScalarField, slack: float = 1e-10, terms=None):
+    """D >= A/7 and D >= B'/8; asserted in 3d, reported as measured in 2d.
+
+    ``terms`` is rho's (D, A, B') when the caller already has it.
+    """
+    d_val, a_val, b_val = jungel_terms(rho) if terms is None else terms
     cite = "convexity bounds on second derivatives of the density square root"
     if rho.grid.dim == 3:
         scale = max(d_val, 1.0)
         r1 = bound_report("jungel.hessian_sqrt", a_val / 7.0, d_val + slack * scale, 0.0, cite)
         r2 = bound_report("jungel.quartic_gradient", b_val / 8.0, d_val + slack * scale, 0.0, cite)
         return [r1, r2]
-    r1 = bound_report("jungel.hessian_sqrt.measured", a_val / 7.0, math.inf, 0.0, cite + " (2d: measured only)")
-    r2 = bound_report("jungel.quartic_gradient.measured", b_val / 8.0, math.inf, 0.0, cite + " (2d: measured only)")
+    cite += " (2d: measured only)"
+    r1 = bound_report("jungel.hessian_sqrt.measured", a_val / 7.0, math.inf, 0.0, cite, kind="measured")
+    r2 = bound_report("jungel.quartic_gradient.measured", b_val / 8.0, math.inf, 0.0, cite, kind="measured")
     return [r1, r2]
 
 
@@ -459,6 +489,7 @@ def log_law_audit(trajectory, preset: str | None = None) -> AuditReport:
         rhs,
         0.0,
         "logarithmic control of the velocity maximum",
+        kind="asserted" if math.isfinite(cv) else "measured",
     )
 
 

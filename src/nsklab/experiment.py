@@ -140,7 +140,9 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
             if cert.certified and cert.observed > 0:
                 extra["certificate_tightness"] = cert.bound / cert.observed
 
-    failures = sum(0 if r.passed else 1 for r in reports)
+    # measured-only rows record a value and check nothing, so they are not counted
+    checked = [r for r in reports if r.kind == "asserted"]
+    failures = sum(0 if r.passed else 1 for r in checked)
     if record.aborted:
         exit_code = 3
     elif failures:
@@ -161,7 +163,7 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
         aborted=record.aborted,
         abort_time=record.abort_time,
         abort_reason=record.abort_reason,
-        audit_total=len(reports),
+        audit_total=len(checked),
         audit_failures=failures,
         exit_code=exit_code,
         extra=extra,

@@ -34,6 +34,7 @@ __all__ = [
     "divergence",
     "laplacian",
     "hessian",
+    "hessian_energy",
     "log_field",
     "sqrt_field",
     "power_field",
@@ -330,12 +331,28 @@ def l2_norm(f: ScalarField) -> float:
     return lp_norm(f, 2)
 
 
+def _spectral_quadrature(grid: Grid, hat: np.ndarray, symbol) -> float:
+    """Quadrature of sum symbol * |hat|^2 over the full lattice (Parseval)."""
+    power = grid.rweight * (hat.real**2 + hat.imag**2)
+    return float(np.sum(symbol * power) * grid.cell_volume / float(np.prod(grid.shape)))
+
+
 def _parseval(f: ScalarField, symbol) -> float:
     """sqrt of the quadrature of sum symbol * |hat f|^2 over the full lattice."""
-    grid = f.grid
-    hat = grid.rfft(f.values)
-    power = grid.rweight * (hat.real**2 + hat.imag**2)
-    return float(np.sqrt(np.sum(symbol * power) * grid.cell_volume / float(np.prod(grid.shape))))
+    return float(np.sqrt(_spectral_quadrature(f.grid, f.grid.rfft(f.values), symbol)))
+
+
+def hessian_energy(grid: Grid, hat: np.ndarray) -> float:
+    """Integral of |hess f|^2 from the half-lattice spectrum of f, with no inverse transform.
+
+    The symbol is sum_ij rsecond[i][j]^2, the one ``hessian`` applies, so this
+    equals the quadrature of ``hessian(f)**2`` to round-off.  ``rk2**2`` would
+    not: it keeps the mixed products where exactly one axis sits at its
+    Nyquist mode, which ``hessian`` zeroes.
+    """
+    d = grid.dim
+    symbol = sum(grid.rsecond[i][j] ** 2 for i in range(d) for j in range(d))
+    return _spectral_quadrature(grid, hat, symbol)
 
 
 def spectral_l2_norm(f: ScalarField) -> float:

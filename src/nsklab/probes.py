@@ -9,6 +9,7 @@ typos fail loudly before a run starts.
 from __future__ import annotations
 
 import difflib
+import functools
 import math
 import weakref
 
@@ -31,15 +32,21 @@ class ProbeError(ValueError):
 def _once_per_state(fn):
     """fn(state), evaluated once per state object.
 
-    A one-slot memo keyed on the state's identity; it holds the state only
-    weakly, so it never keeps a state alive.
+    The memo is keyed on the state's identity and holds each state only
+    weakly: an entry goes when its state does, so the memo never keeps a state
+    alive and holds nothing but fn's results.  It keeps one entry per live
+    state, so callers that visit the stored states several times over, like
+    the audits, still evaluate each state once.
     """
-    slot = [None, None]  # weak reference to the last state, its value
+    memo: dict = {}
 
     def get(s):
-        if slot[0] is None or slot[0]() is not s:
-            slot[:] = [weakref.ref(s), fn(s)]
-        return slot[1]
+        key = id(s)
+        hit = memo.get(key)
+        if hit is None or hit[0]() is not s:
+            ref = weakref.ref(s, lambda _, key=key: memo.pop(key, None))
+            hit = memo[key] = (ref, fn(s))
+        return hit[1]
 
     return get
 
@@ -202,10 +209,11 @@ def _audit_pi(record, ctx):
     return _merge_worst(reports)
 
 
-def _audit_jungel(record, ctx):
+def _audit_jungel(record, ctx, terms):
     reports = []
     for s in record.states:
-        reports.extend(estimates.jungel_audit(s.rho))
+        t = terms(s)
+        reports.extend(estimates.jungel_audit(s.rho, terms=(t["D"], t["A"], t["Bp"])))
     return _merge_worst(reports)
 
 
@@ -213,8 +221,8 @@ def _audit_region(record, ctx):
     return _merge_worst([estimates.region_split(s, ctx["gamma"]).chebyshev for s in record.states])
 
 
-def _audit_bd(record, ctx):
-    return [estimates.bd_identity_audit(record)]
+def _audit_bd(record, ctx, terms):
+    return [estimates.bd_identity_audit(record, terms=terms)]
 
 
 def _audit_loglaw(record, ctx):
@@ -265,12 +273,25 @@ def known_audit_names() -> list[str]:
     return sorted(AUDITS)
 
 
+# audits that read second_order_terms, with the flag each one needs
+SECOND_ORDER = {"bd-identity": "identity", "jungel": "convexity"}
+
+
 def resolve_audits(names) -> dict:
-    out = {}
+    """Audit callables by name.
+
+    The second-order audits share one derivation per stored state: it computes
+    what each of them configured here reads, and only its floats are kept.
+    """
+    names = list(names)
     for name in names:
         if name not in AUDITS:
             near = difflib.get_close_matches(name, known_audit_names(), n=3)
             hint = f"; nearest valid names: {', '.join(near)}" if near else ""
             raise ProbeError(f"unknown audit {name!r}{hint}")
-        out[name] = AUDITS[name]
-    return out
+    flags = {flag: name in names for name, flag in SECOND_ORDER.items()}
+    terms = _once_per_state(lambda s: estimates.second_order_terms(s, **flags))
+    return {
+        name: functools.partial(AUDITS[name], terms=terms) if name in SECOND_ORDER else AUDITS[name]
+        for name in names
+    }

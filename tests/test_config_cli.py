@@ -178,6 +178,21 @@ class TestRunExperiment:
             b2 = (Path(m2.directory) / name).read_bytes()
             assert b1 == b2, name
 
+    def test_measured_rows_are_not_counted(self, tmp_path):
+        # the 2d jungel rows only record a value (rhs = inf): they are written
+        # with kind "measured" and left out of the audit counts
+        manifest = run_experiment(parse_config(FULL.format(outdir="runK")), tmp_path)
+        lines = (Path(manifest.directory) / "audits.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        assert header[:7] == ["inequality_id", "lhs", "rhs", "ratio", "tolerance", "pass", "citation"]
+        assert header[-1] == "kind"
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        measured = [r["inequality_id"] for r in rows if r["kind"] == "measured"]
+        assert measured == ["jungel.hessian_sqrt.measured", "jungel.quartic_gradient.measured"]
+        assert all(r["kind"] == "asserted" for r in rows if r["inequality_id"] not in measured)
+        assert manifest.audit_total == len(rows) - 2
+        assert manifest.audit_failures == 0
+
     def test_constant_run_all_zero_series(self, tmp_path):
         text = MINIMAL.format(outdir="runZ") + "\n[probes]\nnames = energy.total\n"
         manifest = run_experiment(parse_config(text), tmp_path)

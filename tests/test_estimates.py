@@ -22,6 +22,7 @@ from nsklab.estimates import (
     psi,
     region_split,
     reverse_holder_audit,
+    second_order_terms,
     sobolev_diagnostics,
     v_energy,
     weighted_velocity_norm,
@@ -31,10 +32,21 @@ from nsklab.fields import (
     ScalarField,
     VectorField,
     constant_field,
+    hessian,
+    jacobian,
     make_grid,
     random_band_limited,
+    sqrt_field,
 )
-from nsklab.solver import FlowState, SolverConfig, TrajectoryRecord, make_preset, run, to_effective
+from nsklab.solver import (
+    FlowState,
+    SolverConfig,
+    TrajectoryRecord,
+    from_effective,
+    make_preset,
+    run,
+    to_effective,
+)
 
 
 def _traj(states, scalars=None):
@@ -215,6 +227,54 @@ class TestBdIdentity:
             assert rep.passed, (preset, rep)
 
 
+def _explicit_lhs(s) -> float:
+    """int rho |grad v|^2 with v built by to_effective and differentiated by jacobian."""
+    prim = s if s.formulation == "primitive" else from_effective(s)
+    jv = jacobian(to_effective(prim).vel)
+    return float(np.sum(s.rho.values * np.sum(jv**2, axis=(0, 1))) * s.grid.cell_volume)
+
+
+def _band_limited_state(grid, seed):
+    # log rho band-limited: no Nyquist-plane content, where the two forms differ
+    rng = np.random.default_rng(seed)
+    rho = np.exp(random_band_limited(grid, rng, amplitude=0.4).values)
+    vel = np.stack([random_band_limited(grid, rng, amplitude=0.3).values for _ in range(grid.dim)])
+    return _state(grid, rho, vel)
+
+
+class TestBdExpansion:
+    """grad v = grad u + hess log rho against differentiating v = u + grad log rho."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_band_limited_states(self, dim, n, formulation):
+        g = make_grid(dim, n, 4 * np.pi, 1.0)
+        for seed in (1, 2, 3):
+            s = _band_limited_state(g, seed)
+            if formulation == "effective":
+                s = to_effective(s)
+            lhs = second_order_terms(s, convexity=False)["lhs"]
+            assert lhs == pytest.approx(_explicit_lhs(s), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("preset", ["gaussian-bump", "random-large"])
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_along_run(self, grid64_wide, preset, formulation):
+        s = make_preset(preset, grid64_wide, seed=12)
+        if formulation == "effective":
+            s = to_effective(s)
+        rec = run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.01), state_stride=2)
+        assert len(rec.states) == 6
+        for st in rec.states:
+            lhs = second_order_terms(st, convexity=False)["lhs"]
+            assert lhs == pytest.approx(_explicit_lhs(st), rel=1e-12, abs=0.0)
+
+    def test_audit_reads_the_shared_terms(self, grid64_wide):
+        s = make_preset("random-large", grid64_wide, seed=8)
+        t = second_order_terms(s)
+        rep = bd_identity_audit(_traj([s]))
+        assert (rep.lhs, rep.rhs) == (t["lhs"], t["u"] + t["D"] + t["dt"])
+
+
 def _analytic_jungel(grid, amp=0.5):
     """Independent oracle: closed-form derivatives of rho = 1 + amp * exp(-r^2)."""
     coords = grid.meshgrid()
@@ -273,12 +333,30 @@ class TestJungel:
             reps = jungel_audit(ScalarField(grid3d, 1.0 + f.values))
             assert all(r.passed for r in reps)
 
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_parseval_hessian_of_sqrt_is_exact(self, dim, n):
+        g = make_grid(dim, n, 4 * np.pi, 1.0)
+        rho = ScalarField(g, 1.0 + 0.3 * np.random.default_rng(n).uniform(-1.0, 1.0, g.shape))
+        srho = sqrt_field(rho)
+        hat = np.fft.fftn(srho.values)
+        for axis in range(dim):  # white noise carries every Nyquist plane
+            assert np.max(np.abs(np.take(hat, n // 2, axis=axis))) > 1.0
+        ref = float(np.sum(hessian(srho) ** 2) * g.cell_volume)
+        _, a_val, _ = jungel_terms(rho)
+        assert a_val == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert jungel_terms(rho)[1] == second_order_terms(_state(g, rho.values))["A"]
+
     def test_2d_reports_without_assertion(self, grid64):
         rng = np.random.default_rng(78)
         f = random_band_limited(grid64, rng, amplitude=0.5)
         reps = jungel_audit(ScalarField(grid64, 1.0 + f.values))
         assert all(r.passed for r in reps)
         assert all("measured" in r.inequality_id for r in reps)
+        assert all(r.kind == "measured" for r in reps)
+
+    def test_3d_rows_are_asserted(self, grid3d):
+        f = random_band_limited(grid3d, np.random.default_rng(79), max_mode=5, amplitude=0.5)
+        assert [r.kind for r in jungel_audit(ScalarField(grid3d, 1.0 + f.values))] == ["asserted"] * 2
 
 
 class TestWeightedNorm:

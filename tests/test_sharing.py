@@ -4,7 +4,9 @@ The run loop attaches grad(log rho) and the log-density spectrum to the
 current effective state, and the stepper, the formulation changes and the
 probes read that copy; probe families that read one underlying evaluation
 share it.  None of this may change a single output bit, and none of the
-carried arrays may outlive the step they belong to.
+carried arrays may outlive the step they belong to.  The bd-identity and
+jungel audits share one derivation per stored state, in either order, and
+keep only its floats.
 """
 
 import weakref
@@ -14,10 +16,11 @@ import pytest
 
 from nsklab import estimates, solver
 from nsklab.fields import make_grid
-from nsklab.probes import resolve_probes
+from nsklab.probes import resolve_audits, resolve_probes
 from nsklab.solver import (
     FlowState,
     SolverConfig,
+    TrajectoryRecord,
     far_field_defect,
     from_effective,
     make_preset,
@@ -200,3 +203,84 @@ class TestProbeFamiliesEvaluateOnce:
         ref = weakref.ref(s)
         del s
         assert ref() is None
+
+
+def _record(dim: int, formulation: str, n_steps: int = 2) -> TrajectoryRecord:
+    s = _bump(dim)
+    if formulation == "primitive":
+        s = from_effective(s)
+    rec = TrajectoryRecord(s.grid, formulation)
+    rec.states = [s]
+    for _ in range(n_steps):
+        rec.states.append(step(rec.states[-1], SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3)))
+    return rec
+
+
+def _audit_rows(names, record):
+    audits = resolve_audits(names)
+    return [row for name in names for row in audits[name](record, {})]
+
+
+class TestSecondOrderAudits:
+    """bd-identity and jungel: one derivation per stored state, floats only."""
+
+    # transforms per stored state (before sharing, 3D: 41, 18, 59 primitive
+    # and 45, 18, 63 effective; 2D: 24, 11, 35 and 27, 11, 38)
+    @pytest.mark.parametrize(
+        "dim,formulation,names,expected",
+        [
+            (3, "primitive", ("bd-identity",), 25),
+            (3, "primitive", ("jungel",), 12),
+            (3, "primitive", ("bd-identity", "jungel"), 29),
+            (3, "primitive", ("jungel", "bd-identity"), 29),
+            (3, "effective", ("bd-identity", "jungel"), 33),
+            (2, "primitive", ("bd-identity",), 15),
+            (2, "primitive", ("jungel",), 8),
+            (2, "primitive", ("bd-identity", "jungel"), 18),
+            (2, "primitive", ("jungel", "bd-identity"), 18),
+            (2, "effective", ("bd-identity", "jungel"), 21),
+        ],
+    )
+    def test_transforms_per_stored_state(self, transforms, dim, formulation, names, expected):
+        rec = _record(dim, formulation)
+        assert len(rec.states) == 3
+        transforms.clear()
+        _audit_rows(names, rec)
+        assert len(transforms) == 3 * expected
+        assert set(transforms) == {"rfftn", "irfftn"}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_rows_do_not_depend_on_order_or_sharing(self, dim, formulation):
+        rec = _record(dim, formulation)
+        first = _audit_rows(("bd-identity", "jungel"), rec)
+        second = _audit_rows(("jungel", "bd-identity"), rec)
+        assert first == second[2:] + second[:2]
+        # and each audit alone gives the rows it gives when shared
+        assert first == _audit_rows(("bd-identity",), rec) + _audit_rows(("jungel",), rec)
+
+    def test_one_derivation_per_stored_state_and_only_floats_kept(self, monkeypatch):
+        original = estimates.second_order_terms
+        seen = []
+
+        def counted(s, **flags):
+            out = original(s, **flags)
+            seen.append((s, out))
+            return out
+
+        monkeypatch.setattr(estimates, "second_order_terms", counted)
+        rec = _record(2, "primitive", n_steps=4)
+        _audit_rows(("jungel", "bd-identity"), rec)
+        assert [s for s, _ in seen] == rec.states
+        for _, out in seen:
+            assert sorted(out) == ["A", "Bp", "D", "dt", "lhs", "u"]
+            assert all(type(v) is float for v in out.values())
+
+    def test_memo_does_not_keep_states_alive(self):
+        audits = resolve_audits(("bd-identity", "jungel"))
+        rec = _record(2, "primitive")
+        for name in ("bd-identity", "jungel"):
+            audits[name](rec, {})
+        refs = [weakref.ref(s) for s in rec.states]
+        del rec
+        assert all(r() is None for r in refs)
