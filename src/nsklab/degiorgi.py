@@ -19,14 +19,13 @@ import numpy as np
 from .calibration import calibrated
 from .fields import (
     FieldError,
-    Grid,
     PositivityError,
     ScalarField,
     divergence,
     gradient,
     laplacian,
 )
-from .solver import to_effective
+from .solver import to_effective, veff_max
 
 __all__ = [
     "IterationSpec",
@@ -159,7 +158,7 @@ def ladder(M: float, base: float, n_max: int) -> LevelSetLadder:
     if M < 2.0 * base:
         warnings.warn(
             f"ladder scale M={M:g} below twice the base {base:g}; the iteration "
-            "scheme assumes M >= 2*base",
+            "assumes M >= 2*base",
             stacklevel=2,
         )
     n = np.arange(n_max + 1)
@@ -197,12 +196,11 @@ def _state_inverse_density(state) -> ScalarField:
     return ScalarField(rho.grid, 1.0 / rho.values)
 
 
-def truncation_energy(trajectory, k: float) -> float:
+def truncation_energy(states, k: float) -> float:
     """sup-in-time L2 mass of the truncated inverse density plus its
-    time-integrated squared gradient, over the stored states."""
-    states = trajectory.states
+    time-integrated squared gradient, over the given states."""
     if not states:
-        raise FieldError("trajectory holds no states")
+        raise FieldError("no states given")
     sup_l2_sq = 0.0
     grad_sq = []
     times = []
@@ -337,9 +335,8 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
 
     bound = base
     for w_index, (lo, hi, idx) in enumerate(spans):
-        sub = _SubTrajectory([states[i] for i in idx])
-        u0 = truncation_energy(sub, base)
-        v_max = max(_effective_sup(states[i]) for i in idx)
+        u0 = truncation_energy([states[i] for i in idx], base)
+        v_max = max(veff_max(states[i]) for i in idx)
         m_needed = math.sqrt(constant * v_max**3 * u0)
         M = max(m_needed, 2.0 * base)
         bound = M + base
@@ -353,16 +350,6 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
 
     sound = all(w.sound for w in windows)
     return CertificateReport(True, "", tuple(windows), bound, observed_overall, sound, constant)
-
-
-class _SubTrajectory:
-    def __init__(self, states):
-        self.states = states
-
-
-def _effective_sup(state) -> float:
-    eff = state if state.formulation == "effective" else to_effective(state)
-    return float(np.max(eff.vel.magnitude()))
 
 
 # ----------------------------------------------------------------------

@@ -33,14 +33,12 @@ from .fields import (
     jacobian,
     laplacian,
     log_field,
-    lp_norm,
     power_field,
     sobolev_norm,
     sqrt_field,
-    sup_norm,
     vector_sobolev_norm,
 )
-from .solver import FlowState, from_effective, to_effective
+from .solver import FlowState, from_effective, to_effective, veff_max
 
 __all__ = [
     "EnergyBreakdown",
@@ -60,6 +58,7 @@ __all__ = [
     "RegionSplit",
     "region_split",
     "psi",
+    "rho_v_moment",
     "reverse_holder_audit",
     "log_law_constant",
     "log_law_audit",
@@ -414,13 +413,16 @@ def _states_and_times(trajectory):
     return states, np.array([s.t for s in states])
 
 
+def rho_v_moment(s: FlowState, p: float) -> float:
+    """Spatial integral of rho |v|^p at one state."""
+    e = _as_effective(s)
+    return float(np.sum(e.rho.values * e.vel.magnitude() ** p) * e.grid.cell_volume)
+
+
 def psi(trajectory, p: float) -> float:
     """Time-trapezoid of the spatial integral of rho |v|^p over stored states."""
     states, times = _states_and_times(trajectory)
-    vals = []
-    for s in states:
-        e = _as_effective(s)
-        vals.append(float(np.sum(e.rho.values * e.vel.magnitude() ** p) * e.grid.cell_volume))
+    vals = [rho_v_moment(s, p) for s in states]
     if len(vals) == 1:
         return 0.0
     return float(np.trapezoid(np.array(vals), times))
@@ -430,7 +432,7 @@ def _v_sup_series(trajectory) -> np.ndarray:
     if "veff.max" in trajectory.scalars:
         return trajectory.scalars["veff.max"]
     states, _ = _states_and_times(trajectory)
-    return np.array([float(np.max(_as_effective(s).vel.magnitude())) for s in states])
+    return np.array([veff_max(s) for s in states])
 
 
 def _vt_value(trajectory) -> float:

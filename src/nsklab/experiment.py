@@ -9,7 +9,6 @@ independently with isolated output directories.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,9 +18,9 @@ import numpy as np
 from . import __version__
 from .audits import audit_csv_lines
 from .config import ConfigError, ExperimentConfig, parse_config
-from .estimates import LOG_FLOOR, gamma_q_admissible, log_law_constant
+from .estimates import gamma_q_admissible, log_law_constant
 from .fields import ScalarField, sobolev_norm, write_snapshot
-from .probes import GROWTH_EXPONENTS, resolve_audits, resolve_probes
+from .probes import GROWTH_EXPONENTS, growth_constant, resolve_audits, resolve_probes
 from .solver import SolverError, make_preset, run, to_effective
 
 __all__ = ["RunManifest", "run_experiment", "sweep", "report", "SweepResult"]
@@ -72,6 +71,26 @@ def _write_series_csv(path: Path, record) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _derived_numbers(record) -> dict:
+    """The run's summary numbers, computed here once: the manifest keeps them
+    at full precision, the audits read c_v from them, the report copies them."""
+    out = {
+        "min_density": float(np.min(record.scalars["density.min"])),
+        "c_v": log_law_constant(record),
+    }
+    for p in GROWTH_EXPONENTS:
+        if f"norm.weighted.p{p}" in record.scalars:
+            out[f"growth.p{p}"] = growth_constant(record, p)
+    # observed headroom of the density maximum over twice the far-field
+    # value, relative to the initial deviation size: reported, not asserted
+    grid = record.grid
+    h3 = sobolev_norm(ScalarField(grid, record.states[0].rho.values - grid.far_field_density), 3)
+    if h3 > 0:
+        sup_rho = float(np.max(record.scalars["density.max"]))
+        out["density_bound_ratio"] = (sup_rho - 2.0 * grid.far_field_density) / h3
+    return out
+
+
 def run_experiment(config: ExperimentConfig, output_root: Path | str | None = None) -> RunManifest:
     """Execute one configured run and write its outputs; never raises on a
     clean solver abort (recorded in the manifest instead)."""
@@ -105,27 +124,14 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
                 write_snapshot(st.vel.component(i), st.t, vel_path)
                 files.append(vel_path.name)
 
+    extra = _derived_numbers(record)
     ctx = {
         "gamma": config.solver.gamma,
         "preset": config.preset_name,
-        "c_v": 0.0,
+        "c_v": extra["c_v"],
     }
     reports = []
-    extra: dict = {}
-    if record.states:
-        # observed headroom of the density maximum over twice the far-field
-        # value, relative to the initial deviation size: reported, not asserted
-        dev0 = ScalarField(
-            grid, record.states[0].rho.values - grid.far_field_density
-        )
-        h3 = sobolev_norm(dev0, 3)
-        if h3 > 0:
-            sup_rho = float(np.max(record.scalars["density.max"]))
-            extra["density_bound_ratio"] = (
-                sup_rho - 2.0 * grid.far_field_density
-            ) / h3
     if audits and not record.aborted:
-        ctx["c_v"] = log_law_constant(record)
         for name, fn in audits.items():
             reports.extend(fn(record, ctx))
         audit_path = outdir / "audits.csv"
@@ -137,8 +143,10 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
             cert_path.write_text("\n".join(cert.csv_lines()) + "\n")
             (outdir / "certificate.txt").write_text(cert.text_summary() + "\n")
             files.extend([cert_path.name, "certificate.txt"])
-            if cert.certified and cert.observed > 0:
-                extra["certificate_tightness"] = cert.bound / cert.observed
+            if cert.certified:
+                extra["certified_bound"] = cert.bound
+                if cert.observed > 0:
+                    extra["certificate_tightness"] = cert.bound / cert.observed
 
     # measured-only rows record a value and check nothing, so they are not counted
     checked = [r for r in reports if r.kind == "asserted"]
@@ -206,19 +214,11 @@ def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResu
     return results
 
 
-def _series_columns(series_path: Path) -> dict[str, np.ndarray]:
-    lines = series_path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return {name: data[:, i] for i, name in enumerate(header)}
-
-
 def report(manifest_paths, out_path: Path | str) -> Path:
     """Aggregate manifests into one plot-ready summary CSV (one row per run).
 
     An unreadable or malformed manifest raises OSError or ValueError.
     """
-    growth_cols = [f"growth.p{p}" for p in GROWTH_EXPONENTS]
     header = [
         "run",
         "preset",
@@ -233,7 +233,7 @@ def report(manifest_paths, out_path: Path | str) -> Path:
         "certified_bound",
         "certificate_tightness",
         "density_bound_ratio",
-        *growth_cols,
+        *(f"growth.p{p}" for p in GROWTH_EXPONENTS),
     ]
     rows = []
     for path in manifest_paths:
@@ -241,9 +241,8 @@ def report(manifest_paths, out_path: Path | str) -> Path:
             m = RunManifest.from_json(Path(path).read_text())
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-        outdir = Path(m.directory)
         row = {
-            "run": outdir.name,
+            "run": Path(m.directory).name,
             "preset": m.preset,
             "gamma": _fmt(m.gamma),
             "q_admissible": _fmt(m.q_admissible) if m.q_admissible is not None else "",
@@ -254,26 +253,9 @@ def report(manifest_paths, out_path: Path | str) -> Path:
                 1.0 if m.audit_total == 0 else 1.0 - m.audit_failures / m.audit_total
             ),
         }
-        for key in ("certificate_tightness", "density_bound_ratio"):
+        for key in header:
             if key in m.extra:
                 row[key] = _fmt(m.extra[key])
-        series_path = outdir / "series.csv"
-        if series_path.exists():
-            cols = _series_columns(series_path)
-            if "veff.max" in cols and "density.min" in cols and np.min(cols["density.min"]) > 0:
-                vt = 1.0 / float(np.min(cols["density.min"])) + LOG_FLOOR
-                row["c_v"] = _fmt(float(np.max(cols["veff.max"])) / math.sqrt(math.log(vt)))
-            if "density.min" in cols:
-                row["min_density"] = _fmt(float(np.min(cols["density.min"])))
-            for p, col in zip(GROWTH_EXPONENTS, growth_cols):
-                key = f"norm.weighted.p{p}"
-                if key in cols:
-                    row[col] = _fmt(float(np.max(cols[key])) / math.sqrt(p + 2.0))
-        cert_path = outdir / "certificate.txt"
-        if cert_path.exists():
-            text = cert_path.read_text()
-            if "certified sup 1/rho <=" in text:
-                row["certified_bound"] = text.split("<=")[1].split()[0]
         rows.append(row)
 
     out_path = Path(out_path)

@@ -18,7 +18,7 @@ import numpy as np
 from . import degiorgi, estimates
 from .audits import AuditReport, bound_report
 from .dyadic import BesovIndex, besov_norm, build_dyadic_family
-from .fields import FieldError, ScalarField, sobolev_norm, vector_sobolev_norm
+from .fields import ScalarField, sobolev_norm, vector_sobolev_norm
 
 __all__ = ["ProbeError", "resolve_probes", "resolve_audits", "known_probe_names", "known_audit_names"]
 
@@ -110,14 +110,6 @@ def _besov_probe(spec: str):
     return probe
 
 
-def _psi_probe(p: float):
-    def probe(state):
-        e = estimates._as_effective(state)
-        return float(np.sum(e.rho.values * e.vel.magnitude() ** p) * e.grid.cell_volume)
-
-    return probe
-
-
 def _resolve_probe(name: str, simple: dict):
     if name in simple:
         return simple[name]
@@ -127,7 +119,8 @@ def _resolve_probe(name: str, simple: dict):
         p = _parse_exponent(name[len("norm.weighted.p") :])
         return lambda s: estimates.weighted_velocity_norm(s, p)
     if name.startswith("psi.p"):
-        return _psi_probe(_parse_exponent(name[len("psi.p") :]))
+        p = _parse_exponent(name[len("psi.p") :])
+        return lambda s: estimates.rho_v_moment(s, p)
     if name.startswith("sobolev.rho.H"):
         k = int(name[len("sobolev.rho.H") :])
         return lambda s: sobolev_norm(
@@ -158,13 +151,17 @@ def resolve_probes(names, gamma: float) -> dict:
 # trajectory-level audits
 
 
+def _severity(r: AuditReport) -> tuple:
+    # a measured row's ratio is 0 (its rhs is inf), so its value ranks it
+    return (not r.passed, r.lhs if r.kind == "measured" else r.ratio)
+
+
 def _merge_worst(reports: list[AuditReport]) -> list[AuditReport]:
+    """Per inequality id, a failing row if there is one, else the largest."""
     worst: dict[str, AuditReport] = {}
     for r in reports:
         prev = worst.get(r.inequality_id)
-        if prev is None or (not r.passed and prev.passed) or (
-            r.passed == prev.passed and r.ratio > prev.ratio
-        ):
+        if prev is None or _severity(r) > _severity(prev):
             worst[r.inequality_id] = r
     return [worst[k] for k in sorted(worst)]
 
@@ -173,22 +170,20 @@ GROWTH_EXPONENTS = (2, 6, 14, 30)
 GROWTH_SPREAD_LIMIT = 0.20
 
 
-def _growth_constants(record) -> dict[int, float]:
-    out = {}
-    for p in GROWTH_EXPONENTS:
-        key = f"norm.weighted.p{p}"
-        if key in record.scalars:
-            sup = float(np.max(record.scalars[key]))
-        else:
-            sup = max(estimates.weighted_velocity_norm(s, p) for s in record.states)
-        out[p] = sup / math.sqrt(p + 2.0)
-    return out
+def growth_constant(record, p: int) -> float:
+    """sup_t of the weighted velocity norm of exponent p, over sqrt(p+2): from
+    the recorded per-step column when there is one, else the stored states."""
+    key = f"norm.weighted.p{p}"
+    if key in record.scalars:
+        sup = float(np.max(record.scalars[key]))
+    else:
+        sup = max(estimates.weighted_velocity_norm(s, p) for s in record.states)
+    return sup / math.sqrt(p + 2.0)
 
 
 def growth_law_audit(record) -> AuditReport:
     """Spread of sup_t (weighted norm) / sqrt(p+2) across the exponent ladder."""
-    consts = _growth_constants(record)
-    values = list(consts.values())
+    values = [growth_constant(record, p) for p in GROWTH_EXPONENTS]
     top, bottom = max(values), min(values)
     spread = top / bottom - 1.0 if bottom > 0 else (0.0 if top == 0.0 else math.inf)
     return bound_report(

@@ -54,6 +54,7 @@ __all__ = [
     "PRESET_NAMES",
     "far_field_defect",
     "theorem_range_warnings",
+    "veff_max",
 ]
 
 FAR_FIELD_TOL = 1e-8
@@ -107,7 +108,6 @@ class SolverConfig:
     gamma: float
     dt: float
     t_end: float
-    scheme: str = "semi-implicit-spectral"
     dealias: bool = True
     cfl_safety: float = 0.5
 
@@ -123,8 +123,6 @@ class SolverConfig:
             raise FieldError(f"horizon {self.t_end:g} is not a whole number of steps dt={self.dt:g}")
         if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
             raise FieldError(f"cfl_safety must be positive and finite, got {self.cfl_safety}")
-        if self.scheme != "semi-implicit-spectral":
-            raise FieldError(f"unknown scheme {self.scheme!r}")
 
 
 def theorem_range_warnings(gamma: float, dim: int) -> list[str]:
@@ -330,7 +328,8 @@ class TrajectoryRecord:
     abort_time: float | None = None
 
 
-def _veff_max(state: FlowState) -> float:
+def veff_max(state: FlowState) -> float:
+    """Maximum of the effective velocity |u + grad log rho| over the grid."""
     if state.formulation == "effective":
         return float(np.max(state.vel.magnitude()))
     shift = _log_density(state)[1]
@@ -396,7 +395,7 @@ def run(
         times.append(state.t)
         series["density.min"].append(float(np.min(state.rho.values)))
         series["density.max"].append(float(np.max(state.rho.values)))
-        series["veff.max"].append(_veff_max(state))
+        series["veff.max"].append(veff_max(state))
         for name, fn in probes.items():
             series[name].append(float(fn(state)))
 

@@ -77,6 +77,18 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"line \d+: unknown key 'wavelength'"):
             parse_config(bad)
 
+    def test_removed_solver_key_is_unknown(self, tmp_path, capsys):
+        # the solver had one time-stepping scheme, and its key is gone with it
+        line = "scheme = semi-implicit-spectral"
+        text = MINIMAL.format(outdir="out").replace("t_end = 0.005", "t_end = 0.005\n" + line)
+        lineno = text.splitlines().index(line) + 1
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key 'scheme' in \[solver\]$"):
+            parse_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert f"line {lineno}: unknown key 'scheme'" in capsys.readouterr().err
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section"):
             parse_config("[turbulence]\nx = 1\n")
@@ -244,10 +256,21 @@ class TestSweep:
 
 
 class TestReport:
-    def test_single_run_summary(self, tmp_path):
+    def test_single_run_summary(self, tmp_path, monkeypatch):
+        import nsklab.degiorgi as degiorgi
+
+        certificates = []
+        certify = degiorgi.lower_bound_certificate
+
+        def recording_certify(*args, **kwargs):
+            certificates.append(certify(*args, **kwargs))
+            return certificates[-1]
+
+        monkeypatch.setattr(degiorgi, "lower_bound_certificate", recording_certify)
         cfg = parse_config(FULL.format(outdir="runR"))
         manifest = run_experiment(cfg, tmp_path)
-        out = report([Path(manifest.directory) / "manifest.json"], tmp_path / "summary.csv")
+        manifest_path = Path(manifest.directory) / "manifest.json"
+        out = report([manifest_path], tmp_path / "summary.csv")
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         header = lines[0].split(",")
@@ -256,6 +279,12 @@ class TestReport:
         assert float(row["audit_pass_rate"]) == 1.0
         assert row["growth.p2"] != ""
         assert float(row["c_v"]) >= 0.0
+        assert len(certificates) == 1 and float(row["certified_bound"]) == certificates[0].bound
+        # the summary comes from the manifest alone
+        for name in ("series.csv", "certificate.csv", "certificate.txt"):
+            (Path(manifest.directory) / name).unlink()
+        bare = report([manifest_path], tmp_path / "bare.csv")
+        assert bare.read_text() == out.read_text()
 
     def test_c_v_is_the_runs_log_law_constant(self, tmp_path):
         from nsklab.estimates import log_law_constant
@@ -362,6 +391,20 @@ class TestCli:
         assert err.startswith("report error: ") and match in err
         assert str(path) in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_selftest_verb(self, capsys):
+        assert cli_main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and all(line.startswith("[ok] ") for line in lines)
+
+    def test_selftest_verb_reports_a_failed_check(self, capsys, monkeypatch):
+        import nsklab.selftest as selftest
+
+        monkeypatch.setattr(selftest, "steady_state_deviation", lambda grid: 1.0)
+        assert cli_main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("[FAIL] constant state exactly steady") == 1
+        assert sum(line.startswith("[ok] ") for line in lines) == 6
 
     def test_sweep_verb_directory(self, tmp_path):
         for i in range(2):

@@ -225,8 +225,8 @@ def _const_state(grid, rho_val, t, formulation="effective"):
 
 class TestTruncationEnergy:
     def test_level_above_sup_gives_zero(self, grid64):
-        traj = _traj([_const_state(grid64, 1.0, 0.0), _const_state(grid64, 1.0, 1.0)])
-        assert truncation_energy(traj, 2.0) == 0.0
+        states = [_const_state(grid64, 1.0, 0.0), _const_state(grid64, 1.0, 1.0)]
+        assert truncation_energy(states, 2.0) == 0.0
 
     def test_static_field_time_scaling(self):
         g, h, slope, m = _tent_field()
@@ -239,7 +239,7 @@ class TestTruncationEnergy:
         grad_sq = float(np.sum(flat_aware_gradient(w) ** 2) * g.cell_volume)
         l2_sq = float(np.sum(w.values**2) * g.cell_volume)
         expected = l2_sq + 1.0 * grad_sq
-        assert truncation_energy(_traj(states), 1.0) == pytest.approx(expected, rel=1e-12)
+        assert truncation_energy(states, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestCertificate:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nsklab.audits import bound_report
 from nsklab.calibration import DRIFT_FACTOR, calibrated
 from nsklab.estimates import (
     HOLDER_EXPONENT,
@@ -38,6 +39,7 @@ from nsklab.fields import (
     random_band_limited,
     sqrt_field,
 )
+from nsklab.probes import _merge_worst
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -357,6 +359,19 @@ class TestJungel:
     def test_3d_rows_are_asserted(self, grid3d):
         f = random_band_limited(grid3d, np.random.default_rng(79), max_mode=5, amplitude=0.5)
         assert [r.kind for r in jungel_audit(ScalarField(grid3d, 1.0 + f.values))] == ["asserted"] * 2
+
+
+class TestMergeWorst:
+    def test_measured_rows_keep_the_largest_value(self):
+        # one row per stored state, as the 2D jungel audit gives: the value
+        # grows over the run, and a measured row's ratio is always 0
+        measured = [
+            bound_report("jungel.A.measured", lhs, math.inf, 0.0, "", kind="measured")
+            for lhs in (1.0, 2.0, 3.0)
+        ]
+        asserted = [bound_report("pi.lower", lhs, 4.0, 0.0, "") for lhs in (1.0, 5.0, 3.0, 2.0)]
+        merged = _merge_worst(measured + asserted)
+        assert [(r.inequality_id, r.lhs) for r in merged] == [("jungel.A.measured", 3.0), ("pi.lower", 5.0)]
 
 
 class TestWeightedNorm:

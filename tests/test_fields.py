@@ -32,6 +32,7 @@ from nsklab.fields import (
     sup_norm,
     write_snapshot,
 )
+from nsklab.selftest import div_grad_deviation, snapshot_round_trip_deviation
 
 
 class TestGrid:
@@ -115,12 +116,7 @@ class TestOperators:
         assert np.all(laplacian(constant_field(grid64, 2.0)).values == 0.0)
 
     def test_div_grad_equals_laplacian(self, grid64):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            f = random_band_limited(grid64, rng)
-            resid = divergence(gradient(f)).values - laplacian(f).values
-            scale = max(1.0, np.max(np.abs(laplacian(f).values)))
-            assert np.max(np.abs(resid)) <= 1e-12 * scale
+        assert div_grad_deviation([grid64], 10, seed=7) <= 1e-12
 
     def test_roundtrip(self, grid64, grid3d):
         rng = np.random.default_rng(8)
@@ -241,13 +237,8 @@ class TestRandomFields:
 
 class TestSnapshots:
     def test_roundtrip(self, tmp_path, grid64):
-        f = random_band_limited(grid64, np.random.default_rng(3))
-        path = tmp_path / "field.nskf"
-        write_snapshot(f, 1.5, path)
-        back, t = read_snapshot(path)
-        assert t == 1.5
-        assert back.grid == f.grid
-        assert np.array_equal(back.values, f.values)
+        # values bit for bit, time and grid exactly
+        assert snapshot_round_trip_deviation(grid64, 3, 1.5, tmp_path / "field.nskf") == 0.0
 
     def test_header_contents(self, tmp_path):
         g = make_grid(3, 8, 2.5, 0.75)

@@ -152,7 +152,7 @@ class TestRunLoop:
         fresh_probes = resolve_probes(DEMO_PROBES, 2.0)
         for i, s in enumerate(rec.states):
             f = _fresh(s)
-            assert rec.scalars["veff.max"][i] == solver._veff_max(f)
+            assert rec.scalars["veff.max"][i] == solver.veff_max(f)
             for name, fn in fresh_probes.items():
                 assert rec.scalars[name][i] == fn(f), (name, i)
 
