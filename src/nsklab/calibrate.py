@@ -11,31 +11,20 @@ import math
 
 import numpy as np
 
-from .degiorgi import truncate
+from .calibration import DRIFT_FACTOR, calibrated
+from .degiorgi import flat_aware_gradient, truncate
 from .dyadic import (
     BesovIndex,
     TimeSeriesField,
+    bernstein_ratios,
     besov_norm,
     build_dyadic_family,
     dyadic_block,
+    heat_regularity_audit,
     select_frequency_cut,
 )
-from .estimates import (
-    HOLDER_EXPONENT,
-    LOG_FLOOR,
-    energy,
-    log_law_constant,
-    psi,
-    v_energy,
-)
-from .fields import (
-    ScalarField,
-    hs_norm,
-    lp_norm,
-    make_grid,
-    random_band_limited,
-    sup_norm,
-)
+from .estimates import energy, log_law_constant, reverse_holder_terms, v_energy
+from .fields import ScalarField, hs_norm, make_grid, random_band_limited
 from .solver import SolverConfig, make_preset, run, to_effective
 
 
@@ -69,17 +58,13 @@ def _block_corpus(fam, count, seed):
     for i in range(count):
         j = int(rng.integers(1, fam.j_max + 1))
         f = random_band_limited(grid, rng, max_mode=grid.n // 2 - 1)
-        w = dyadic_block(fam, f, j)
-        mask = fam.multiplier(j) > 0
-        hat = w.spectrum()
-        hat[~mask] = 0.0
-        out.append((j, ScalarField(grid, np.fft.ifftn(hat).real)))
+        hat = grid.rfft(dyadic_block(fam, f, j).values)
+        hat[~(fam.multiplier(j) > 0)] = 0.0
+        out.append((j, ScalarField(grid, grid.irfft(hat))))
     return out
 
 
 def calibrate_bernstein(out):
-    from .dyadic import _derivative_lp, _multi_indices
-
     grid = make_grid(2, 64, 2 * np.pi, 1.0)
     fam = build_dyadic_family(grid)
     corpus = _block_corpus(fam, 40, seed=202)
@@ -87,22 +72,11 @@ def calibrate_bernstein(out):
     for k in (1, 2, 3):
         ball = ann = mult = 1.0
         for j, w in corpus:
-            hat = w.spectrum()
-            total = float(np.sum(np.abs(hat) ** 2))
-            lam = float(np.sqrt(np.sum(grid.k2 * np.abs(hat) ** 2) / total))
-            deriv = {
-                p: max(_derivative_lp(grid, hat, alpha, p) for alpha in _multi_indices(2, k))
-                for p in (1.0, 2.0, math.inf)
-            }
-            sig = ScalarField(grid, np.fft.ifftn(grid.k2 ** (k / 2) * hat).real)
             for a, b in combos:
-                na = sup_norm(w) if a == math.inf else lp_norm(w, a)
-                gain = lam ** (k + 2 * (1.0 / a - 1.0 / b))
-                ball = max(ball, deriv[b] / (gain * na))
-                r2 = deriv[a] / (lam**k * na)
-                ann = max(ann, r2, 1.0 / r2)
-                nb_sig = sup_norm(sig) if b == math.inf else lp_norm(sig, b)
-                mult = max(mult, nb_sig / (gain * na))
+                ratios = bernstein_ratios(fam, w, j, k, a, b)
+                ball = max(ball, ratios["ball"])
+                ann = max(ann, ratios["annulus"], 1.0 / ratios["annulus"])
+                mult = max(mult, ratios["multiplier"])
         out[f"bernstein.ball.k{k}"] = ball
         out[f"bernstein.annulus.k{k}"] = ann
         out[f"bernstein.multiplier.k{k}"] = mult
@@ -129,8 +103,6 @@ def calibrate_interpolation(out):
 
 
 def calibrate_heat(out):
-    from .dyadic import heat_regularity_audit
-
     grid = make_grid(2, 64, 2 * np.pi, 1.0)
     fam = build_dyadic_family(grid)
     rng = np.random.default_rng(404)
@@ -147,8 +119,6 @@ def calibrate_heat(out):
                 for idx in (BesovIndex(0, 2, 2), BesovIndex(1, 2, 1), BesovIndex(0, math.inf, math.inf)):
                     rep = heat_regularity_audit(fam, u0, forcing, mu, q1, q2, idx)
                     # rep.rhs includes the allowed constant; recover the raw ratio
-                    from .calibration import DRIFT_FACTOR, calibrated
-
                     raw_rhs = rep.rhs / (DRIFT_FACTOR * calibrated("heat.C"))
                     if raw_rhs > 0:
                         worst = max(worst, rep.lhs / raw_rhs)
@@ -173,8 +143,7 @@ def _preset_runs():
     return runs
 
 
-def calibrate_trajectories(out):
-    runs = _preset_runs()
+def calibrate_trajectories(out, runs):
     for key, record in runs.items():
         preset = key[0] if isinstance(key, tuple) else key
         e0 = energy(record.states[0], 2.0).total
@@ -184,28 +153,17 @@ def calibrate_trajectories(out):
         out[name_v] = max(out.get(name_v, 0.0), sup_v / (1.0 + e0))
         out[name_cv] = max(out.get(name_cv, 0.0), log_law_constant(record))
 
-        vt = 1.0 / float(np.min(record.scalars["density.min"])) + LOG_FLOOR
-        first = record.states[0]
-        c4 = (
-            math.sqrt(v_energy(first))
-            + float(np.max(first.vel.magnitude()))
-            + 1.0
-        )
-        r = HOLDER_EXPONENT
         worst = 0.0
         for p in (1, 2, 3):
-            q = p + 2.0
-            lhs = psi(record, r * q)
-            body = q ** (2 * r) * psi(record, q) ** r + q ** (2 * r) + c4 ** (r * q)
+            lhs, vt, body = reverse_holder_terms(record, p)
             worst = max(worst, lhs / (vt * body))
         name_c3 = f"psi.C3.{preset}"
         out[name_c3] = max(out.get(name_c3, 0.0), worst)
 
 
-def calibrate_certificate(out):
+def calibrate_certificate(out, runs):
     # chain the measured space-time interpolation constant through the
     # iteration algebra: C_cert = 2^(25/2) * C_gn^(3/2)
-    runs = _preset_runs()
     c_gn = 0.0
     for record in runs.values():
         inv = [1.0 / s.rho.values for s in record.states]
@@ -219,8 +177,6 @@ def calibrate_certificate(out):
                 w = truncate(ScalarField(s.grid, 1.0 / s.rho.values), level)
                 cell = s.grid.cell_volume
                 sup_l2_sq = max(sup_l2_sq, float(np.sum(w.values**2) * cell))
-                from .degiorgi import flat_aware_gradient
-
                 grad_sq.append(float(np.sum(flat_aware_gradient(w) ** 2) * cell))
                 w_sq.append(float(np.sum(np.abs(w.values) ** (10.0 / 3.0)) * cell))
                 times.append(s.t)
@@ -240,8 +196,9 @@ def main() -> None:
     calibrate_bernstein(out)
     calibrate_interpolation(out)
     calibrate_heat(out)
-    calibrate_trajectories(out)
-    calibrate_certificate(out)
+    runs = _preset_runs()
+    calibrate_trajectories(out, runs)
+    calibrate_certificate(out, runs)
     for key in sorted(out):
         print(f'    "{key}": {out[key]:.6g},')
 

@@ -73,7 +73,7 @@ class BesovIndex:
 
 @dataclass(frozen=True, eq=False)
 class DyadicFamily:
-    """Low-frequency cap plus annular multipliers on a grid's lattice."""
+    """Low-frequency cap plus annular multipliers on a grid's half lattice."""
 
     grid: Grid
     chi: np.ndarray
@@ -90,7 +90,7 @@ class DyadicFamily:
 
 
 def build_dyadic_family(grid: Grid) -> DyadicFamily:
-    kmag = np.sqrt(grid.k2)
+    kmag = np.sqrt(grid.rk2)
     ximax = float(np.max(kmag))
     j_max = int(math.floor(math.log2(ximax / 0.75)))
     while 0.75 * 2.0**j_max >= ximax:
@@ -121,13 +121,10 @@ def dyadic_block(family: DyadicFamily, u, j: int):
         if j < -1:
             return VectorField(grid, np.zeros_like(u.components))
         mult = family.multiplier(j)
-        comps = np.stack(
-            [np.fft.ifftn(mult * np.fft.fftn(c)).real for c in u.components]
-        )
-        return VectorField(grid, comps)
+        return VectorField(grid, np.stack([grid.irfft(mult * grid.rfft(c)) for c in u.components]))
     if j < -1:
         return ScalarField(grid, np.zeros(grid.shape))
-    return ScalarField(grid, np.fft.ifftn(family.multiplier(j) * u.spectrum()).real)
+    return ScalarField(grid, grid.irfft(family.multiplier(j) * grid.rfft(u.values)))
 
 
 def _snapshot_lp(snap, p: float) -> float:
@@ -241,20 +238,6 @@ def _multi_indices(dim: int, k: int):
             yield alpha
 
 
-def _derivative_lp(grid: Grid, hat: np.ndarray, alpha, p: float) -> float:
-    mult = np.ones(grid.shape)
-    for axis, power in enumerate(alpha):
-        if power:
-            mult = mult * grid.wavevectors[axis] ** power
-    vals = np.fft.ifftn((1j ** sum(alpha)) * mult * hat).real
-    f = ScalarField(grid, vals)
-    return sup_norm(f) if p == math.inf else lp_norm(f, p)
-
-
-def _support_mask(family: DyadicFamily, j: int) -> np.ndarray:
-    return family.multiplier(j) > 0.0
-
-
 def bernstein_ratios(
     family: DyadicFamily, u: ScalarField, j: int, k: int, a: float, b: float
 ) -> dict:
@@ -270,26 +253,26 @@ def bernstein_ratios(
     if k < 1:
         raise FieldError("derivative order k must be >= 1")
     grid = family.grid
-    hat = u.spectrum()
-    total = float(np.sum(np.abs(hat) ** 2))
+    hat = grid.rfft(u.values)
+    # full-lattice sums of |hat|^2 from the half lattice (Parseval weights)
+    power = grid.rweight * np.abs(hat) ** 2
+    total = float(np.sum(power))
     if total == 0.0:
         return {"ball": 0.0, "annulus": 0.0, "multiplier": 0.0, "scale": 0.0}
-    mask = _support_mask(family, j)
-    outside = float(np.sum(np.abs(hat[~mask]) ** 2))
+    outside = float(np.sum(power[~(family.multiplier(j) > 0.0)]))
     if outside > 1e-16 * total:
         raise FieldError(f"input not band-limited to block {j}")
 
-    lam = float(np.sqrt(np.sum(grid.k2 * np.abs(hat) ** 2) / total))
+    lam = float(np.sqrt(np.sum(grid.rk2 * power) / total))
     norm_a = _snapshot_lp(u, a)
-    deriv_b = max(_derivative_lp(grid, hat, alpha, b) for alpha in _multi_indices(grid.dim, k))
-    deriv_a = (
-        deriv_b
-        if a == b
-        else max(_derivative_lp(grid, hat, alpha, a) for alpha in _multi_indices(grid.dim, k))
-    )
+    derivs = [
+        ScalarField(grid, grid.irfft(1j ** sum(alpha) * grid.rmonomial(alpha) * hat))
+        for alpha in _multi_indices(grid.dim, k)
+    ]
+    deriv_a = max(_snapshot_lp(d, a) for d in derivs)
+    deriv_b = max(_snapshot_lp(d, b) for d in derivs)
     gain = lam ** (k + grid.dim * (1.0 / a - 1.0 / b))
-    sig = ScalarField(grid, np.fft.ifftn(grid.k2 ** (k / 2.0) * hat).real)
-    mult_b = sup_norm(sig) if b == math.inf else lp_norm(sig, b)
+    mult_b = _snapshot_lp(ScalarField(grid, grid.irfft(grid.rk2 ** (k / 2.0) * hat)), b)
     return {
         "ball": deriv_b / (gain * norm_a),
         "annulus": deriv_a / (lam**k * norm_a),
@@ -400,10 +383,10 @@ def heat_evolve(u0: ScalarField, forcing: TimeSeriesField, mu: float) -> TimeSer
     if forcing.grid != grid:
         raise FieldError("forcing grid does not match the initial state")
     times = forcing.times
-    f_hats = [np.fft.fftn(s.values) for s in forcing.snapshots]
-    a = mu * grid.k2
-    hat = np.fft.fftn(u0.values)
-    snaps = [ScalarField(grid, np.fft.ifftn(hat).real)]
+    f_hats = [grid.rfft(s.values) for s in forcing.snapshots]
+    a = mu * grid.rk2
+    hat = grid.rfft(u0.values)
+    snaps = [u0]
     for m in range(times.size - 1):
         h = times[m + 1] - times[m]
         x = a * h
@@ -413,7 +396,7 @@ def heat_evolve(u0: ScalarField, forcing: TimeSeriesField, mu: float) -> TimeSer
         df = f_hats[m + 1] - f_hats[m]
         # integral of the decaying propagator against a linear-in-time source
         hat = decay * hat + h * (f_hats[m] * p1 + df * (p1 - p2))
-        snaps.append(ScalarField(grid, np.fft.ifftn(hat).real))
+        snaps.append(ScalarField(grid, grid.irfft(hat)))
     return TimeSeriesField(times, snaps)
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "region_split",
     "psi",
     "rho_v_moment",
+    "reverse_holder_terms",
     "reverse_holder_audit",
     "log_law_constant",
     "log_law_audit",
@@ -446,21 +447,22 @@ def _vt_value(trajectory) -> float:
     return 1.0 / min_rho + LOG_FLOOR
 
 
-def reverse_holder_audit(trajectory, p: float, preset: str | None = None) -> AuditReport:
-    """Self-improvement of the space-time velocity functional from exponent
-    p+2 to (5/3)(p+2), with the calibrated constant as the alarm."""
+def reverse_holder_terms(trajectory, p: float) -> tuple[float, float, float]:
+    """The reverse-Hoelder bound psi((5/3)(p+2)) <= C3 * V_T * body as
+    ``(lhs, V_T, body)``; the calibrated C3 is the largest lhs / (V_T * body)."""
     states, _ = _states_and_times(trajectory)
     r = HOLDER_EXPONENT
     q = p + 2.0
-    lhs = psi(trajectory, r * q)
-    vt = _vt_value(trajectory)
     first = _as_effective(states[0])
-    c4 = (
-        float(np.sqrt(np.sum(first.rho.values * np.sum(first.vel.components**2, axis=0)) * first.grid.cell_volume))
-        + float(np.max(first.vel.magnitude()))
-        + 1.0
-    )
+    c4 = math.sqrt(v_energy(first)) + float(np.max(first.vel.magnitude())) + 1.0
     body = q ** (2.0 * r) * psi(trajectory, q) ** r + q ** (2.0 * r) + c4 ** (r * q)
+    return psi(trajectory, r * q), _vt_value(trajectory), body
+
+
+def reverse_holder_audit(trajectory, p: float, preset: str | None = None) -> AuditReport:
+    """Self-improvement of the space-time velocity functional from exponent
+    p+2 to (5/3)(p+2), with the calibrated constant as the alarm."""
+    lhs, vt, body = reverse_holder_terms(trajectory, p)
     key = f"psi.C3.{preset}" if preset else None
     c3 = CONSTANTS.get(key, 1.0) if key else 1.0
     return bound_report(

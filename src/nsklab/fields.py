@@ -7,18 +7,18 @@ Fourier space and are exact for band-limited inputs; all norms use the flat
 quadrature weight ``(L/n)**dim`` per sample, which is spectrally accurate
 for periodic integrands.
 
-Fields are real, so the spectral layer shared by the steppers, the
-differential operators and the Sobolev norms uses numpy's real transforms
-(``Grid.rfft``/``Grid.irfft``) on the half lattice whose last axis keeps
-only the modes ``0..n/2``.  The dyadic and calibration layer keeps the full
-complex lattice (``Grid.wavevectors``, ``Grid.k2``, ``ScalarField.spectrum``),
-built on first use; no run workload builds it.
+Fields are real, so every spectral computation (the steppers, the
+differential operators, the Sobolev norms, the dyadic blocks and the
+calibration corpora) uses numpy's real transforms (``Grid.rfft``/
+``Grid.irfft``) on the half lattice whose last axis keeps only the modes
+``0..n/2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -82,13 +82,15 @@ class Grid:
 
     Carries the frequencies ``xi = (2*pi/L) * m``, ``m in {-n/2, ..., n/2-1}``
     per axis, the quadrature cell volume, and the symbols on the half lattice
-    of the real transforms, chosen so that ``irfft(symbol * rfft(f))`` equals
-    ``ifftn(symbol * fftn(f)).real`` on the full lattice to round-off:
+    of the real transforms, chosen so that ``irfft(symbol * rfft(f))`` equals,
+    to round-off, the real part of the same symbol applied on the full complex
+    lattice:
     ``rwavevectors`` (``xi_i``, zero on the Nyquist mode ``m_i = -n/2``),
     ``rsecond[i][j]`` (``xi_i xi_j``, zero where exactly one axis sits at its
-    Nyquist mode), ``rk2``, the 2/3-rule ``rdealias_mask`` shared by all
-    nonlinear products, and the Parseval weights ``rweight`` (1 on the zero
-    and Nyquist columns of the last axis, 2 on the conjugate-pair columns).
+    Nyquist mode), both special cases of ``rmonomial``, then ``rk2``, the
+    2/3-rule ``rdealias_mask`` shared by all nonlinear products, and the
+    Parseval weights ``rweight`` (1 on the zero and Nyquist columns of the
+    last axis, 2 on the conjugate-pair columns).
     """
 
     dim: int
@@ -122,17 +124,16 @@ class Grid:
             zeroed.append(_on_axis(kz, i, dim))
             nyquist.append(_on_axis(kn, i, dim))
             mask = mask & _on_axis(keep[cut], i, dim)
-        # zeroed and nyquist have disjoint supports, so the diagonal is xi_i^2
-        second = tuple(
-            tuple(zeroed[i] * zeroed[j] + nyquist[i] * nyquist[j] for j in range(dim)) for i in range(dim)
-        )
+        object.__setattr__(self, "rwavevectors", tuple(zeroed))
+        object.__setattr__(self, "_rnyquist", tuple(nyquist))
+        unit = np.eye(dim, dtype=int)
+        second = tuple(tuple(self.rmonomial(unit[i] + unit[j]) for j in range(dim)) for i in range(dim))
         weight = np.full(nyq + 1, 2.0)
         weight[0] = weight[nyq] = 1.0
 
         x1 = np.arange(n) * (L / n)
         object.__setattr__(self, "shape", (n,) * dim)
         object.__setattr__(self, "frequencies", k1)
-        object.__setattr__(self, "rwavevectors", tuple(zeroed))
         object.__setattr__(self, "rsecond", second)
         object.__setattr__(self, "rk2", sum(second[i][i] for i in range(dim)))
         object.__setattr__(self, "rdealias_mask", mask)
@@ -150,15 +151,30 @@ class Grid:
         """Real samples of a half-lattice spectrum."""
         return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dim)))
 
-    # full complex lattice, for the dyadic and calibration layer
+    def rmonomial(self, alpha) -> np.ndarray:
+        """``xi^alpha`` on the half lattice, for a multi-index with ``|alpha| >= 1``.
 
-    @cached_property
-    def wavevectors(self) -> tuple:
-        return tuple(_on_axis(self.frequencies, i, self.dim) for i in range(self.dim))
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        return sum(k * k for k in self.wavevectors)
+        With it, ``irfft(1j**|alpha| * rmonomial(alpha) * rfft(f))`` is the
+        real part of ``1j**|alpha| * xi^alpha`` applied on the full complex
+        lattice.  A Nyquist mode is its own mirror image, so that real part
+        averages the symbol with its conjugate at the mirrored mode: the
+        monomial survives where the orders ``alpha_a`` of the axes sitting at
+        their Nyquist mode have an even sum, and cancels elsewhere.  Zeroing
+        the Nyquist mode of each axis with odd ``alpha_a`` on its own is wrong
+        for mixed indices such as (1, 1).
+        """
+        axes = [a for a in range(self.dim) if alpha[a]]
+        terms = []
+        # the zeroed and Nyquist parts of an axis have disjoint supports
+        for at_nyquist in product((False, True), repeat=len(axes)):
+            if sum(alpha[a] for a, nyq in zip(axes, at_nyquist) if nyq) % 2:
+                continue
+            factors = [
+                (self._rnyquist if nyq else self.rwavevectors)[a] ** alpha[a]
+                for a, nyq in zip(axes, at_nyquist)
+            ]
+            terms.append(reduce(np.multiply, factors))
+        return reduce(np.add, terms)
 
     def meshgrid(self):
         """Real-space coordinate arrays, one per axis, 'ij' indexed."""
@@ -183,9 +199,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise FieldError("field contains non-finite values")
         object.__setattr__(self, "values", v)
-
-    def spectrum(self) -> np.ndarray:
-        return np.fft.fftn(self.values)
 
 
 @dataclass(frozen=True, eq=False)

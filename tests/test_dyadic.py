@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nsklab.calibration import DRIFT_FACTOR, calibrated
+from nsklab.calibrate import calibrate_bernstein, calibrate_hs_equivalence
+from nsklab.calibration import CONSTANTS, DRIFT_FACTOR, calibrated
 from nsklab.dyadic import (
     BesovIndex,
     TimeSeriesField,
@@ -58,7 +59,7 @@ class TestFamily:
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_supports(self, family, halfgrid):
-        kmag = np.sqrt(halfgrid.k2)
+        kmag = np.sqrt(halfgrid.rk2)
         assert np.all(family.chi[kmag >= 4.0 / 3.0] == 0.0)
         for j, phi in enumerate(family.phis):
             lo, hi = 0.75 * 2.0**j, 8.0 / 3.0 * 2.0**j
@@ -66,7 +67,7 @@ class TestFamily:
 
     def test_annulus_multiplier_vanishes_at_half(self, family, halfgrid):
         # |xi| = 1/2 lies below the first annulus
-        kmag = np.sqrt(halfgrid.k2)
+        kmag = np.sqrt(halfgrid.rk2)
         pts = np.isclose(kmag, 0.5)
         assert np.any(pts)
         assert np.all(family.phis[0][pts] == 0.0)
@@ -257,12 +258,24 @@ class TestBernstein:
             j = int(rng.integers(1, fam64.j_max + 1))
             f = random_band_limited(grid64, rng, max_mode=31)
             w = dyadic_block(fam64, f, j)
-            hat = w.spectrum()
+            hat = grid64.rfft(w.values)
             hat[~(fam64.multiplier(j) > 0)] = 0.0
-            w = ScalarField(grid64, np.fft.ifftn(hat).real)
+            w = ScalarField(grid64, grid64.irfft(hat))
             for k in (1, 2):
                 for rep in bernstein_audit(fam64, w, j, k, 2.0, 2.0):
                     assert rep.passed, rep
+
+
+class TestFrozenTable:
+    def test_dyadic_constants_at_or_below_frozen(self):
+        # the frozen table is the re-measured value rounded upward, so a
+        # re-measurement above it means the table no longer describes the code
+        out = {}
+        calibrate_hs_equivalence(out)
+        calibrate_bernstein(out)
+        assert len(out) == 13
+        over = {key: (value, CONSTANTS[key]) for key, value in out.items() if value > CONSTANTS[key]}
+        assert not over
 
 
 class TestInterpolation:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsklab.dyadic import TimeSeriesField, build_dyadic_family, dyadic_block, heat_evolve
 from nsklab.fields import (
     FieldError,
     PositivityError,
@@ -278,20 +280,47 @@ class TestRealTransformLayer:
         for axis in range(dim):  # white noise carries every Nyquist plane
             plane = np.take(hat, n // 2, axis=axis)
             assert np.max(np.abs(plane)) > 1.0
-        ks = g.wavevectors
+        # the full-lattice reference is built here from the frequencies alone
+        ks = [g.frequencies.reshape([-1 if a == i else 1 for a in range(dim)]) for i in range(dim)]
+        k2 = sum(k * k for k in ks)
+
+        def full(symbol, spectrum=hat):
+            return np.fft.ifftn(symbol * spectrum).real
+
         cases = [
-            (gradient(f).components, [np.fft.ifftn(1j * k * hat).real for k in ks]),
-            (hessian(f), [[np.fft.ifftn(-(ki * kj) * hat).real for kj in ks] for ki in ks]),
-            (
-                jacobian(F),
-                [[np.fft.ifftn(1j * kj * np.fft.fftn(c)).real for kj in ks] for c in F.components],
-            ),
+            (gradient(f).components, [full(1j * k) for k in ks]),
+            (hessian(f), [[full(-(ki * kj)) for kj in ks] for ki in ks]),
+            (jacobian(F), [[full(1j * kj, np.fft.fftn(c)) for kj in ks] for c in F.components]),
             (
                 divergence(F).values,
                 np.fft.ifftn(sum(1j * k * np.fft.fftn(c) for k, c in zip(ks, F.components))).real,
             ),
-            (laplacian(f).values, np.fft.ifftn(-g.k2 * hat).real),
+            (laplacian(f).values, full(-k2)),
         ]
+        # every derivative up to third order, mixed ones included
+        rhat = g.rfft(f.values)
+        for alpha in itertools.product(range(4), repeat=dim):
+            order = sum(alpha)
+            if 1 <= order <= 3:
+                new = g.irfft(1j**order * g.rmonomial(alpha) * rhat)
+                cases.append((new, full(1j**order * math.prod(k**a for k, a in zip(ks, alpha)))))
+        # dyadic blocks: the multipliers are radial, so mirroring the last axis
+        # of the half lattice gives the full lattice
+        fam = build_dyadic_family(g)
+        for j in fam.blocks():
+            m = fam.multiplier(j)
+            m_full = np.concatenate([m, m[..., n // 2 - 1 : 0 : -1]], axis=-1)
+            cases.append((dyadic_block(fam, f, j).values, full(m_full)))
+        # one heat step with forcing linear in time, exact per mode
+        mu, h = 0.7, 0.05
+        forcing = TimeSeriesField(np.array([0.0, h]), (F.component(0), F.component(1)))
+        f0, f1 = (np.fft.fftn(c) for c in F.components[:2])
+        x = mu * h * k2
+        xs = np.where(x > 0, x, 1.0)  # the lattice keeps x >= 0.02 off the origin
+        p1 = np.where(x > 0, -np.expm1(-x) / xs, 1.0)
+        p2 = np.where(x > 0, (1.0 - np.exp(-x) * (1.0 + x)) / xs**2, 0.5)
+        stepped = np.exp(-x) * hat + h * (f0 * p1 + (f1 - f0) * (p1 - p2))
+        cases.append((heat_evolve(f, forcing, mu).snapshots[1].values, full(1.0, stepped)))
         for new, old in cases:
             old = np.asarray(old)
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
