@@ -11,16 +11,17 @@ import math
 
 import numpy as np
 
-from .calibration import DRIFT_FACTOR, calibrated
 from .degiorgi import flat_aware_gradient, truncate
 from .dyadic import (
     BesovIndex,
     TimeSeriesField,
     bernstein_ratios,
     besov_norm,
+    block_norms,
     build_dyadic_family,
     dyadic_block,
-    heat_regularity_audit,
+    heat_regularity_terms,
+    interpolation_terms,
     select_frequency_cut,
 )
 from .estimates import energy, log_law_constant, reverse_holder_terms, v_energy
@@ -88,16 +89,12 @@ def calibrate_interpolation(out):
     corpus = _field_corpus(grid, 30, seed=303)
     worst = 0.0
     for f in corpus:
-        for s1, s2 in ((0.0, 2.0), (-1.0, 1.0), (0.5, 1.5)):
-            for theta in (0.25, 0.5, 0.75):
-                for p in (2.0, math.inf):
-                    s_mid = theta * s1 + (1 - theta) * s2
-                    lhs = besov_norm(fam, f, BesovIndex(s_mid, p, 1))
-                    m1 = besov_norm(fam, f, BesovIndex(s1, p, math.inf))
-                    m2 = besov_norm(fam, f, BesovIndex(s2, p, math.inf))
-                    shape = (1.0 / (s2 - s1)) * (1.0 / theta + 1.0 / (1.0 - theta))
-                    need = lhs / (shape * m1**theta * m2 ** (1 - theta))
-                    worst = max(worst, need)
+        for p in (2.0, math.inf):
+            norms = block_norms(fam, f, p)
+            for s1, s2 in ((0.0, 2.0), (-1.0, 1.0), (0.5, 1.5)):
+                for theta in (0.25, 0.5, 0.75):
+                    lhs, m1, m2, rhs = interpolation_terms(fam, norms, s1, s2, theta)
+                    worst = max(worst, lhs / rhs)
                     select_frequency_cut(m1, m2, s2 - s1)
     out["interpolation.C"] = worst
 
@@ -117,11 +114,9 @@ def calibrate_heat(out):
         for mu in (0.5, 1.0, 2.0):
             for q1, q2 in ((math.inf, math.inf), (math.inf, 2.0), (2.0, 2.0), (4.0, 2.0)):
                 for idx in (BesovIndex(0, 2, 2), BesovIndex(1, 2, 1), BesovIndex(0, math.inf, math.inf)):
-                    rep = heat_regularity_audit(fam, u0, forcing, mu, q1, q2, idx)
-                    # rep.rhs includes the allowed constant; recover the raw ratio
-                    raw_rhs = rep.rhs / (DRIFT_FACTOR * calibrated("heat.C"))
-                    if raw_rhs > 0:
-                        worst = max(worst, rep.lhs / raw_rhs)
+                    lhs, rhs = heat_regularity_terms(fam, u0, forcing, mu, q1, q2, idx)
+                    if rhs > 0:
+                        worst = max(worst, lhs / rhs)
     out["heat.C"] = worst
 
 

@@ -31,7 +31,7 @@ _PRESET_PARAMS = {
 _SCHEMA = {
     "grid": ("dim", "n", "box_length", "far_field_density"),
     "preset": ("name", "amplitude", "width", "velocity_amplitude", "max_mode"),
-    "solver": ("gamma", "dt", "t_end", "formulation", "dealias", "cfl_safety"),
+    "solver": ("gamma", "dt", "t_end", "formulation", "cfl_safety"),
     "probes": ("names",),
     "audits": ("names",),
     "output": ("directory", "state_stride", "snapshots"),
@@ -171,7 +171,6 @@ def parse_config(text: str) -> ExperimentConfig:
             gamma=_take(sections, "solver", "gamma", float),
             dt=_take(sections, "solver", "dt", float),
             t_end=_take(sections, "solver", "t_end", float),
-            dealias=_take(sections, "solver", "dealias", bool, required=False, default=True),
             cfl_safety=_take(sections, "solver", "cfl_safety", float, required=False, default=0.5),
         )
     except FieldError as err:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .audits import AuditReport, bound_report
 from .calibration import DRIFT_FACTOR, calibrated
-from .fields import FieldError, Grid, ScalarField, VectorField, lp_norm, sup_norm
+from .fields import FieldError, Grid, ScalarField, lp_norm
 
 __all__ = [
     "BesovIndex",
@@ -29,13 +29,16 @@ __all__ = [
     "TimeSeriesField",
     "build_dyadic_family",
     "dyadic_block",
+    "block_norms",
     "besov_norm",
     "chemin_lerner_norm",
     "lq_besov_norm",
     "bernstein_ratios",
     "bernstein_audit",
     "select_frequency_cut",
+    "interpolation_terms",
     "optimal_interpolation_audit",
+    "heat_regularity_terms",
     "heat_regularity_audit",
     "heat_evolve",
 ]
@@ -112,46 +115,34 @@ def build_dyadic_family(grid: Grid) -> DyadicFamily:
     return DyadicFamily(grid, chi, phis, j_max)
 
 
-def dyadic_block(family: DyadicFamily, u, j: int):
+def dyadic_block(family: DyadicFamily, u: ScalarField, j: int) -> ScalarField:
     """Frequency-localized piece of u; zero for j < -1, error past the lattice."""
     if j > family.j_max:
         raise FieldError(f"block {j} beyond grid resolution (max {family.j_max})")
     grid = family.grid
-    if isinstance(u, VectorField):
-        if j < -1:
-            return VectorField(grid, np.zeros_like(u.components))
-        mult = family.multiplier(j)
-        return VectorField(grid, np.stack([grid.irfft(mult * grid.rfft(c)) for c in u.components]))
     if j < -1:
         return ScalarField(grid, np.zeros(grid.shape))
     return ScalarField(grid, grid.irfft(family.multiplier(j) * grid.rfft(u.values)))
 
 
-def _snapshot_lp(snap, p: float) -> float:
-    if isinstance(snap, VectorField):
-        mag = ScalarField(snap.grid, snap.magnitude())
-        return sup_norm(mag) if p == math.inf else lp_norm(mag, p)
-    return sup_norm(snap) if p == math.inf else lp_norm(snap, p)
+def block_norms(family: DyadicFamily, u: ScalarField, p: float) -> np.ndarray:
+    """L^p norm of every block of u (low cap first), all from one forward transform."""
+    grid = family.grid
+    hat = grid.rfft(u.values)
+    blocks = (ScalarField(grid, grid.irfft(family.multiplier(j) * hat)) for j in family.blocks())
+    return np.array([lp_norm(b, p) for b in blocks])
 
 
-def _block_weight(j: int, s: float) -> float:
-    return 2.0 ** (j * s) if j >= 0 else 1.0
-
-
-def _aggregate(values: np.ndarray, r: float) -> float:
+def _besov_sum(family: DyadicFamily, norms: np.ndarray, s: float, r: float) -> float:
+    """l^r sum of per-block values, block j >= 0 weighted 2^(j*s), the low cap 1."""
+    terms = np.array([2.0 ** (j * s) if j >= 0 else 1.0 for j in family.blocks()]) * norms
     if r == math.inf:
-        return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values**r) ** (1.0 / r))
+        return float(np.max(terms))
+    return float(np.sum(terms**r) ** (1.0 / r))
 
 
-def besov_norm(family: DyadicFamily, u, idx: BesovIndex) -> float:
-    terms = np.array(
-        [
-            _block_weight(j, idx.s) * _snapshot_lp(dyadic_block(family, u, j), idx.p)
-            for j in family.blocks()
-        ]
-    )
-    return _aggregate(terms, idx.r)
+def besov_norm(family: DyadicFamily, u: ScalarField, idx: BesovIndex) -> float:
+    return _besov_sum(family, block_norms(family, u, idx.p), idx.s, idx.r)
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +185,7 @@ def _time_lq(values: np.ndarray, times: np.ndarray, q: float) -> float:
 
 def _block_norm_table(family, series: TimeSeriesField, p: float) -> np.ndarray:
     """Rows indexed by block (low cap first), columns by sample time."""
-    table = np.empty((family.j_max + 2, series.times.size))
-    for row, j in enumerate(family.blocks()):
-        table[row] = [
-            _snapshot_lp(dyadic_block(family, snap, j), p) for snap in series.snapshots
-        ]
-    return table
+    return np.column_stack([block_norms(family, snap, p) for snap in series.snapshots])
 
 
 def chemin_lerner_norm(family, series: TimeSeriesField, q: float, idx: BesovIndex) -> float:
@@ -207,13 +193,8 @@ def chemin_lerner_norm(family, series: TimeSeriesField, q: float, idx: BesovInde
     if not (1 <= q <= math.inf):
         raise FieldError(f"q must lie in [1, inf], got {q}")
     table = _block_norm_table(family, series, idx.p)
-    terms = np.array(
-        [
-            _block_weight(j, idx.s) * _time_lq(table[row], series.times, q)
-            for row, j in enumerate(family.blocks())
-        ]
-    )
-    return _aggregate(terms, idx.r)
+    in_time = np.array([_time_lq(row, series.times, q) for row in table])
+    return _besov_sum(family, in_time, idx.s, idx.r)
 
 
 def lq_besov_norm(family, series: TimeSeriesField, q: float, idx: BesovIndex) -> float:
@@ -221,10 +202,7 @@ def lq_besov_norm(family, series: TimeSeriesField, q: float, idx: BesovIndex) ->
     if not (1 <= q <= math.inf):
         raise FieldError(f"q must lie in [1, inf], got {q}")
     table = _block_norm_table(family, series, idx.p)
-    weights = np.array([_block_weight(j, idx.s) for j in family.blocks()])
-    per_time = np.array(
-        [_aggregate(weights * table[:, m], idx.r) for m in range(series.times.size)]
-    )
+    per_time = np.array([_besov_sum(family, col, idx.s, idx.r) for col in table.T])
     return _time_lq(per_time, series.times, q)
 
 
@@ -264,15 +242,15 @@ def bernstein_ratios(
         raise FieldError(f"input not band-limited to block {j}")
 
     lam = float(np.sqrt(np.sum(grid.rk2 * power) / total))
-    norm_a = _snapshot_lp(u, a)
+    norm_a = lp_norm(u, a)
     derivs = [
         ScalarField(grid, grid.irfft(1j ** sum(alpha) * grid.rmonomial(alpha) * hat))
         for alpha in _multi_indices(grid.dim, k)
     ]
-    deriv_a = max(_snapshot_lp(d, a) for d in derivs)
-    deriv_b = max(_snapshot_lp(d, b) for d in derivs)
+    deriv_a = max(lp_norm(d, a) for d in derivs)
+    deriv_b = max(lp_norm(d, b) for d in derivs)
     gain = lam ** (k + grid.dim * (1.0 / a - 1.0 / b))
-    mult_b = _snapshot_lp(ScalarField(grid, grid.irfft(grid.rk2 ** (k / 2.0) * hat)), b)
+    mult_b = lp_norm(ScalarField(grid, grid.irfft(grid.rk2 ** (k / 2.0) * hat)), b)
     return {
         "ball": deriv_b / (gain * norm_a),
         "annulus": deriv_a / (lam**k * norm_a),
@@ -317,22 +295,28 @@ def select_frequency_cut(m1: float, m2: float, gap: float) -> int:
     return n
 
 
-def optimal_interpolation_audit(family, u, s1: float, s2: float, theta: float, p: float):
-    """Check the two-norm interpolation bound with explicit theta dependence."""
+def interpolation_terms(family, norms: np.ndarray, s1: float, s2: float, theta: float):
+    """``(lhs, m1, m2, rhs)`` of the two-norm interpolation bound from one
+    ``block_norms`` vector; rhs is the shape factor times m1^theta m2^(1-theta),
+    before the calibrated constant."""
     if not s1 < s2:
         raise FieldError("need s1 < s2")
     if not 0.0 < theta < 1.0:
         raise FieldError(f"degenerate interpolation weight theta={theta}")
+    lhs = _besov_sum(family, norms, theta * s1 + (1.0 - theta) * s2, 1)
+    m1 = _besov_sum(family, norms, s1, math.inf)
+    m2 = _besov_sum(family, norms, s2, math.inf)
+    shape = (1.0 / (s2 - s1)) * (1.0 / theta + 1.0 / (1.0 - theta))
+    return lhs, m1, m2, shape * m1**theta * m2 ** (1.0 - theta)
+
+
+def optimal_interpolation_audit(family, u, s1: float, s2: float, theta: float, p: float):
+    """Check the two-norm interpolation bound with explicit theta dependence."""
+    lhs, m1, m2, rhs = interpolation_terms(family, block_norms(family, u, p), s1, s2, theta)
     gap = s2 - s1
-    s_mid = theta * s1 + (1.0 - theta) * s2
     cite = "sharp interpolation between regularity exponents"
-    lhs = besov_norm(family, u, BesovIndex(s_mid, p, 1))
-    m1 = besov_norm(family, u, BesovIndex(s1, p, math.inf))
-    m2 = besov_norm(family, u, BesovIndex(s2, p, math.inf))
     c_allowed = DRIFT_FACTOR * calibrated("interpolation.C")
-    shape = (1.0 / gap) * (1.0 / theta + 1.0 / (1.0 - theta))
-    rhs = c_allowed * shape * m1**theta * m2 ** (1.0 - theta)
-    main = bound_report("interpolation.two_norm", lhs, rhs, 0.0, cite)
+    main = bound_report("interpolation.two_norm", lhs, c_allowed * rhs, 0.0, cite)
 
     if m1 == 0.0 or m2 == 0.0:
         cut = bound_report("interpolation.frequency_cut", 0.0, 0.0, 0.0, cite)
@@ -400,7 +384,7 @@ def heat_evolve(u0: ScalarField, forcing: TimeSeriesField, mu: float) -> TimeSer
     return TimeSeriesField(times, snaps)
 
 
-def heat_regularity_audit(
+def heat_regularity_terms(
     family: DyadicFamily,
     u0: ScalarField,
     forcing: TimeSeriesField,
@@ -408,8 +392,9 @@ def heat_regularity_audit(
     q1: float,
     q2: float,
     idx: BesovIndex,
-) -> AuditReport:
-    """Smoothing gain of the heat flow against initial data plus source."""
+) -> tuple[float, float]:
+    """``(lhs, rhs)`` of the heat-flow smoothing bound; rhs is the data norm
+    plus the source norm, before the calibrated constant."""
     if not (1 <= q2 <= q1 <= math.inf):
         raise FieldError(f"need 1 <= q2 <= q1 <= inf, got q1={q1}, q2={q2}")
     sol = heat_evolve(u0, forcing, mu)
@@ -420,11 +405,21 @@ def heat_regularity_audit(
     rhs_force = chemin_lerner_norm(
         family, forcing, q2, BesovIndex(idx.s - 2.0 + gain2, idx.p, idx.r)
     )
+    return lhs, rhs_data + rhs_force
+
+
+def heat_regularity_audit(
+    family: DyadicFamily,
+    u0: ScalarField,
+    forcing: TimeSeriesField,
+    mu: float,
+    q1: float,
+    q2: float,
+    idx: BesovIndex,
+) -> AuditReport:
+    """Smoothing gain of the heat flow against initial data plus source."""
+    lhs, rhs = heat_regularity_terms(family, u0, forcing, mu, q1, q2, idx)
     c_allowed = DRIFT_FACTOR * calibrated("heat.C")
     return bound_report(
-        "heat.maximal_regularity",
-        lhs,
-        c_allowed * (rhs_data + rhs_force),
-        0.0,
-        "heat-flow maximal smoothing bound",
+        "heat.maximal_regularity", lhs, c_allowed * rhs, 0.0, "heat-flow maximal smoothing bound"
     )

@@ -439,11 +439,14 @@ def write_snapshot(f: ScalarField, t: float, path) -> None:
 
 def read_snapshot(path) -> tuple[ScalarField, float]:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 6 or header[0] != _MAGIC:
-            raise FieldError(f"not a {_MAGIC} snapshot: {path}")
-        dim, n = int(header[1]), int(header[2])
-        box_length, rho_bar, t = (float(x) for x in header[3:6])
+        try:
+            header = fh.readline().decode("ascii").split()
+            if len(header) != 6 or header[0] != _MAGIC:
+                raise ValueError("bad header")
+            dim, n = int(header[1]), int(header[2])
+            box_length, rho_bar, t = (float(x) for x in header[3:6])
+        except ValueError as err:  # UnicodeDecodeError included
+            raise FieldError(f"not a {_MAGIC} snapshot: {path} ({err})") from None
         grid = Grid(dim, n, box_length, rho_bar)
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != n**dim:

@@ -92,6 +92,19 @@ def _parse_exponent(token: str) -> float:
         raise ProbeError(f"cannot parse exponent {token!r}") from None
 
 
+def _parse_power(token: str) -> float:
+    p = _parse_exponent(token)
+    if not (math.isfinite(p) and p >= 0.0):
+        raise ProbeError(f"exponent must be a finite number >= 0, got {token!r}")
+    return p
+
+
+def _parse_order(token: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ProbeError(f"Sobolev order must be an integer >= 0, got {token!r}")
+    return int(token)
+
+
 def _besov_probe(spec: str):
     tokens = spec.split(".")
     if len(tokens) != 3:
@@ -116,18 +129,18 @@ def _resolve_probe(name: str, simple: dict):
     if name in ALWAYS_RECORDED:
         return None  # recorded by the runner regardless
     if name.startswith("norm.weighted.p"):
-        p = _parse_exponent(name[len("norm.weighted.p") :])
+        p = _parse_power(name[len("norm.weighted.p") :])
         return lambda s: estimates.weighted_velocity_norm(s, p)
     if name.startswith("psi.p"):
-        p = _parse_exponent(name[len("psi.p") :])
+        p = _parse_power(name[len("psi.p") :])
         return lambda s: estimates.rho_v_moment(s, p)
     if name.startswith("sobolev.rho.H"):
-        k = int(name[len("sobolev.rho.H") :])
+        k = _parse_order(name[len("sobolev.rho.H") :])
         return lambda s: sobolev_norm(
             ScalarField(s.grid, s.rho.values - s.grid.far_field_density), k
         )
     if name.startswith("sobolev.v.H"):
-        k = int(name[len("sobolev.v.H") :])
+        k = _parse_order(name[len("sobolev.v.H") :])
         return lambda s: vector_sobolev_norm(estimates._as_effective(s).vel, k)
     if name.startswith("besov.rho."):
         return _besov_probe(name[len("besov.rho.") :])

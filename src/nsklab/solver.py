@@ -108,7 +108,6 @@ class SolverConfig:
     gamma: float
     dt: float
     t_end: float
-    dealias: bool = True
     cfl_safety: float = 0.5
 
     def __post_init__(self):
@@ -227,7 +226,7 @@ def step_effective(s: FlowState, cfg: SolverConfig) -> FlowState:
     if s.formulation != "effective":
         raise FieldError("step_effective needs an effective-form state")
     grid = s.grid
-    mask = grid.rdealias_mask if cfg.dealias else True
+    mask = grid.rdealias_mask
     ks = grid.rwavevectors
     r = s.rho.values
     v = s.vel.components
@@ -266,7 +265,7 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
     if s.formulation != "primitive":
         raise FieldError("step_primitive needs a primitive-form state")
     grid = s.grid
-    mask = grid.rdealias_mask if cfg.dealias else True
+    mask = grid.rdealias_mask
     d = grid.dim
     ks, kk = grid.rwavevectors, grid.rsecond
     r = s.rho.values

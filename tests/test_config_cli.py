@@ -68,7 +68,6 @@ class TestParse:
         assert cfg.preset_name == "constant"
         assert cfg.state_stride == 1
         assert cfg.seed == 0
-        assert cfg.solver.dealias is True
         assert cfg.formulation == "primitive"
         assert cfg.probe_names == ()
 
@@ -78,16 +77,17 @@ class TestParse:
             parse_config(bad)
 
     def test_removed_solver_key_is_unknown(self, tmp_path, capsys):
-        # the solver had one time-stepping scheme, and its key is gone with it
-        line = "scheme = semi-implicit-spectral"
-        text = MINIMAL.format(outdir="out").replace("t_end = 0.005", "t_end = 0.005\n" + line)
-        lineno = text.splitlines().index(line) + 1
-        with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key 'scheme' in \[solver\]$"):
-            parse_config(text)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
-        assert f"line {lineno}: unknown key 'scheme'" in capsys.readouterr().err
+        # keys with a single legal value went with their alternatives: the one
+        # time-stepping scheme, and dealiasing, which both steppers always do
+        for key, line in (("scheme", "scheme = semi-implicit-spectral"), ("dealias", "dealias = false")):
+            text = MINIMAL.format(outdir="out").replace("t_end = 0.005", "t_end = 0.005\n" + line)
+            lineno = text.splitlines().index(line) + 1
+            with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key '{key}' in \[solver\]$"):
+                parse_config(text)
+            cfg_path = tmp_path / "c.cfg"
+            cfg_path.write_text(text)
+            assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+            assert f"line {lineno}: unknown key '{key}'" in capsys.readouterr().err
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section"):
@@ -349,6 +349,39 @@ class TestCli:
         cfg_path.write_text(MINIMAL.format(outdir="env_run"))
         assert cli_main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "env_run" / "series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "sobolev.rho.Hx",
+            "sobolev.rho.H1.5",
+            "sobolev.v.H-1",
+            "norm.weighted.p-1",
+            "norm.weighted.pinf",
+            "psi.pinf",
+            "psi.p-3",
+            "psi.pnan",
+        ],
+    )
+    def test_bad_probe_parameter_is_config_error(self, tmp_path, capsys, name):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(MINIMAL.format(outdir="bad_probe") + f"\n[probes]\nnames = {name}\n")
+        root = tmp_path / "root"
+        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not root.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"NSKF1 2 x 1.0 1.0 0.0\n" + b"\x00" * 64, b"\xff" + b"\x00" * 64],
+        ids=["non-integer-n", "non-ascii"],
+    )
+    def test_bad_snapshot_header_is_audit_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.nskf"
+        path.write_bytes(content)
+        assert cli_main(["audit", str(path), "--gamma", "2.0"]) == 2
+        assert capsys.readouterr().err.startswith(f"audit error: not a NSKF1 snapshot: {path}")
 
     def test_audit_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

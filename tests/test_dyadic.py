@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from nsklab.dyadic import (
     bernstein_audit,
     bernstein_ratios,
     besov_norm,
+    block_norms,
     build_dyadic_family,
     chemin_lerner_norm,
     dyadic_block,
     heat_evolve,
     heat_regularity_audit,
+    heat_regularity_terms,
+    interpolation_terms,
     lq_besov_norm,
     optimal_interpolation_audit,
     select_frequency_cut,
@@ -26,6 +30,7 @@ from nsklab.fields import (
     constant_field,
     hs_norm,
     l2_norm,
+    lp_norm,
     make_grid,
     random_band_limited,
 )
@@ -116,6 +121,78 @@ class TestBlocks:
                 if abs(j - jp) >= 2:
                     twice = dyadic_block(family, dyadic_block(family, f, j), jp)
                     assert np.max(np.abs(twice.values)) <= 1e-12 * scale
+
+
+class TestBlockNorms:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    def test_equal_to_one_block_at_a_time(self, fam64, corpus64, p):
+        for f in corpus64[:4]:
+            by_hand = [lp_norm(dyadic_block(fam64, f, j), p) for j in fam64.blocks()]
+            assert block_norms(fam64, f, p).tolist() == by_hand
+
+
+class TestTransformBudget:
+    """numpy.fft calls per dyadic norm or audit on 2D 128^2, L = 2*pi (8 blocks):
+    one forward transform per field, one inverse per block."""
+
+    FFT_NAMES = (
+        "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+        "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+    )
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        grid = make_grid(2, 128, 2 * np.pi, 1.0)
+        fam = build_dyadic_family(grid)
+        assert len(fam.blocks()) == 8
+        rng = np.random.default_rng(90)
+        f = random_band_limited(grid, rng, max_mode=20)
+        base = random_band_limited(grid, rng, max_mode=20)
+        times = np.linspace(0.0, 0.4, 5)
+        series = TimeSeriesField(
+            times, [ScalarField(grid, math.cos(t) * base.values) for t in times]
+        )
+        return fam, f, series
+
+    def _count(self, monkeypatch, call):
+        calls = []
+        for name in self.FFT_NAMES:
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+            )
+        call()
+        return Counter(calls)
+
+    def test_besov_norm(self, monkeypatch, setup):
+        fam, f, _ = setup
+        counts = self._count(monkeypatch, lambda: besov_norm(fam, f, BesovIndex(1, 2, 2)))
+        assert counts == {"rfftn": 1, "irfftn": 8}
+
+    def test_interpolation_audit(self, monkeypatch, setup):
+        fam, f, _ = setup
+        counts = self._count(
+            monkeypatch, lambda: optimal_interpolation_audit(fam, f, 0.0, 2.0, 0.5, 2.0)
+        )
+        assert counts == {"rfftn": 1, "irfftn": 8}
+
+    def test_chemin_lerner_norm(self, monkeypatch, setup):
+        fam, _, series = setup
+        counts = self._count(
+            monkeypatch, lambda: chemin_lerner_norm(fam, series, 2.0, BesovIndex(1, 2, 2))
+        )
+        assert counts == {"rfftn": 5, "irfftn": 40}
+
+    def test_heat_regularity_audit(self, monkeypatch, setup):
+        # heat_evolve: 5 forcing + 1 data forward, 4 inverse; then two
+        # Chemin-Lerner norms over 5 snapshots and one Besov norm
+        fam, f, series = setup
+        counts = self._count(
+            monkeypatch,
+            lambda: heat_regularity_audit(fam, f, series, 1.0, 4.0, 2.0, BesovIndex(0, 2, 2)),
+        )
+        assert sum(counts.values()) == 109
+        assert counts == {"rfftn": 6 + 5 + 1 + 5, "irfftn": 4 + 40 + 8 + 40}
 
 
 class TestBesovNorm:
@@ -305,6 +382,17 @@ class TestInterpolation:
             with pytest.raises(FieldError, match="degenerate|theta"):
                 optimal_interpolation_audit(fam64, f, 0.0, 2.0, theta, 2.0)
 
+    def test_audit_scales_the_shared_terms(self, fam64, corpus64):
+        f = corpus64[0]
+        lhs, m1, m2, rhs = interpolation_terms(fam64, block_norms(fam64, f, 2.0), -1.0, 1.0, 0.25)
+        assert (m1, m2) == (
+            besov_norm(fam64, f, BesovIndex(-1.0, 2.0, math.inf)),
+            besov_norm(fam64, f, BesovIndex(1.0, 2.0, math.inf)),
+        )
+        main, _ = optimal_interpolation_audit(fam64, f, -1.0, 1.0, 0.25, 2.0)
+        assert main.lhs == lhs
+        assert main.rhs == DRIFT_FACTOR * calibrated("interpolation.C") * rhs
+
     def test_corpus_passes_with_frozen_constant(self, fam64, corpus64):
         for f in corpus64[:10]:
             for theta in (0.25, 0.5, 0.75):
@@ -360,6 +448,15 @@ class TestHeat:
         forcing = TimeSeriesField(times, [zero] * 4)
         with pytest.raises(FieldError, match="q2"):
             heat_regularity_audit(fam64, zero, forcing, 1.0, 2.0, 4.0, BesovIndex(0, 2, 2))
+
+    def test_audit_scales_the_shared_terms(self, fam64, corpus64):
+        times = np.linspace(0.0, 0.5, 4)
+        forcing = TimeSeriesField(times, [corpus64[1]] * 4)
+        args = (fam64, corpus64[0], forcing, 1.0, 4.0, 2.0, BesovIndex(0.5, 2, 2))
+        lhs, rhs = heat_regularity_terms(*args)
+        rep = heat_regularity_audit(*args)
+        assert rep.lhs == lhs
+        assert rep.rhs == DRIFT_FACTOR * calibrated("heat.C") * rhs
 
     def test_random_corpus_within_envelope(self, fam64, grid64):
         rng = np.random.default_rng(80)
