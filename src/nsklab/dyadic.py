@@ -30,6 +30,7 @@ __all__ = [
     "build_dyadic_family",
     "dyadic_block",
     "block_norms",
+    "block_norm_table",
     "besov_norm",
     "chemin_lerner_norm",
     "lq_besov_norm",
@@ -39,6 +40,7 @@ __all__ = [
     "interpolation_terms",
     "optimal_interpolation_audit",
     "heat_regularity_terms",
+    "heat_terms",
     "heat_regularity_audit",
     "heat_evolve",
 ]
@@ -183,25 +185,30 @@ def _time_lq(values: np.ndarray, times: np.ndarray, q: float) -> float:
     return float(np.trapezoid(values**q, times) ** (1.0 / q))
 
 
-def _block_norm_table(family, series: TimeSeriesField, p: float) -> np.ndarray:
-    """Rows indexed by block (low cap first), columns by sample time."""
+def block_norm_table(family, series: TimeSeriesField, p: float) -> np.ndarray:
+    """L^p block norms of every snapshot: rows indexed by block (low cap
+    first), columns by sample time."""
     return np.column_stack([block_norms(family, snap, p) for snap in series.snapshots])
+
+
+def _chemin_lerner_sum(family, table: np.ndarray, times: np.ndarray, q: float, s: float, r: float):
+    in_time = np.array([_time_lq(row, times, q) for row in table])
+    return _besov_sum(family, in_time, s, r)
 
 
 def chemin_lerner_norm(family, series: TimeSeriesField, q: float, idx: BesovIndex) -> float:
     """Time integral taken inside the block summation (trapezoid in time)."""
     if not (1 <= q <= math.inf):
         raise FieldError(f"q must lie in [1, inf], got {q}")
-    table = _block_norm_table(family, series, idx.p)
-    in_time = np.array([_time_lq(row, series.times, q) for row in table])
-    return _besov_sum(family, in_time, idx.s, idx.r)
+    table = block_norm_table(family, series, idx.p)
+    return _chemin_lerner_sum(family, table, series.times, q, idx.s, idx.r)
 
 
 def lq_besov_norm(family, series: TimeSeriesField, q: float, idx: BesovIndex) -> float:
     """Time integral taken outside: L^q in time of the spatial dyadic norm."""
     if not (1 <= q <= math.inf):
         raise FieldError(f"q must lie in [1, inf], got {q}")
-    table = _block_norm_table(family, series, idx.p)
+    table = block_norm_table(family, series, idx.p)
     per_time = np.array([_besov_sum(family, col, idx.s, idx.r) for col in table.T])
     return _time_lq(per_time, series.times, q)
 
@@ -395,16 +402,31 @@ def heat_regularity_terms(
 ) -> tuple[float, float]:
     """``(lhs, rhs)`` of the heat-flow smoothing bound; rhs is the data norm
     plus the source norm, before the calibrated constant."""
+    sol = heat_evolve(u0, forcing, mu)
+    p = idx.p
+    tables = (
+        block_norm_table(family, sol, p),
+        block_norms(family, u0, p),
+        block_norm_table(family, forcing, p),
+    )
+    return heat_terms(family, forcing.times, tables, q1, q2, idx)
+
+
+def heat_terms(
+    family: DyadicFamily, times: np.ndarray, tables, q1: float, q2: float, idx: BesovIndex
+) -> tuple[float, float]:
+    """``heat_regularity_terms`` from block norms at exponent ``idx.p``:
+    ``tables`` is the solution's ``block_norm_table``, the initial data's
+    ``block_norms`` and the forcing's ``block_norm_table``.  A caller that
+    varies q1, q2, idx.s or idx.r over one solution computes them once."""
     if not (1 <= q2 <= q1 <= math.inf):
         raise FieldError(f"need 1 <= q2 <= q1 <= inf, got q1={q1}, q2={q2}")
-    sol = heat_evolve(u0, forcing, mu)
+    sol_table, u0_norms, forcing_table = tables
     gain1 = 0.0 if q1 == math.inf else 2.0 / q1
     gain2 = 0.0 if q2 == math.inf else 2.0 / q2
-    lhs = chemin_lerner_norm(family, sol, q1, BesovIndex(idx.s + gain1, idx.p, idx.r))
-    rhs_data = besov_norm(family, u0, idx)
-    rhs_force = chemin_lerner_norm(
-        family, forcing, q2, BesovIndex(idx.s - 2.0 + gain2, idx.p, idx.r)
-    )
+    lhs = _chemin_lerner_sum(family, sol_table, times, q1, idx.s + gain1, idx.r)
+    rhs_data = _besov_sum(family, u0_norms, idx.s, idx.r)
+    rhs_force = _chemin_lerner_sum(family, forcing_table, times, q2, idx.s - 2.0 + gain2, idx.r)
     return lhs, rhs_data + rhs_force
 
 

@@ -27,7 +27,6 @@ from .fields import (
     VectorField,
     divergence,
     gradient,
-    hessian,
     hessian_energy,
     integral,
     jacobian,
@@ -49,6 +48,7 @@ __all__ = [
     "dissipation_rate",
     "v_energy",
     "v_energy_dissipations",
+    "velocity_moments",
     "second_order_terms",
     "bd_identity_audit",
     "jungel_terms",
@@ -204,10 +204,25 @@ def dissipation_rate(s: FlowState) -> float:
     return 2.0 * float(np.sum(dens) * s.grid.cell_volume)
 
 
+def velocity_moments(s: FlowState, powers=()) -> tuple[float, dict]:
+    """``(v_energy(s), {p: weighted_velocity_norm(s, p) for p in powers})``,
+    all from one |v|^2 field."""
+    s = _as_effective(s)
+    rho, cell = s.rho.values, s.grid.cell_volume
+    v2 = np.sum(s.vel.components**2, axis=0)
+    energy_v = float(np.sum(rho * v2) * cell)
+    norms = {}
+    if powers:
+        mag = np.sqrt(v2)
+        for p in powers:
+            q = p + 2.0
+            norms[p] = float((np.sum(rho * mag**q) * cell) ** (1.0 / q))
+    return energy_v, norms
+
+
 def v_energy(s: FlowState) -> float:
     """integral of rho |v|^2 in effective form."""
-    s = _as_effective(s)
-    return float(np.sum(s.rho.values * np.sum(s.vel.components**2, axis=0)) * s.grid.cell_volume)
+    return velocity_moments(s)[0]
 
 
 def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:
@@ -221,39 +236,52 @@ def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:
     return a, b
 
 
-def _weighted(rho: ScalarField, tensor: np.ndarray) -> float:
-    """integral of rho |tensor|^2 for a (dim, dim, n, ...) array."""
-    return float(np.sum(rho.values * np.sum(tensor**2, axis=(0, 1))) * rho.grid.cell_volume)
-
-
 def _second_order(rho: ScalarField, u: VectorField | None, convexity: bool) -> dict[str, float]:
     grid = rho.grid
     cell = grid.cell_volume
-    hess_log = hessian(log_field(rho))
-    out = {"D": _weighted(rho, hess_log)}
+    r = rho.values
+    ks, kk = grid.rwavevectors, grid.rsecond
+    # rho-weighted squares of hess log rho ("D"), grad u ("u") and grad v =
+    # grad u + hess log rho ("lhs"), summed one entry at a time in row-major
+    # order: the order in which numpy sums a d x d tensor over both axes, so
+    # the floats are those of the full tensors.  An off-diagonal H_ij is held
+    # only until row j reads it as H_ji.
+    log_hat = grid.rfft(log_field(rho).values)
+    squares = {"D": 0.0} if u is None else {"D": 0.0, "u": 0.0, "lhs": 0.0}
+    held = {}
+    for i in range(grid.dim):
+        u_hat = None if u is None else grid.rfft(u.components[i])
+        for j in range(grid.dim):
+            h = held.pop((j, i)) if j < i else grid.irfft(-kk[i][j] * log_hat)
+            if j > i:
+                held[i, j] = h
+            squares["D"] += h**2
+            if u is not None:
+                jac = grid.irfft(1j * ks[j] * u_hat)
+                squares["u"] += jac**2
+                jac += h
+                squares["lhs"] += jac**2
+    out = {name: float(np.sum(r * total) * cell) for name, total in squares.items()}
+    del squares, log_hat, u_hat, h
+
     srho = sqrt_field(rho)
     s_hat = grid.rfft(srho.values)
     if convexity:
         out["A"] = hessian_energy(grid, s_hat)
-        gq = gradient(power_field(rho, 0.25))
-        out["Bp"] = float(np.sum(np.sum(gq.components**2, axis=0) ** 2) * cell)
+        gq = gradient(power_field(rho, 0.25)).components
+        out["Bp"] = float(np.sum(sum(c * c for c in gq) ** 2) * cell)
     if u is not None:
-        ju = jacobian(u)
-        out["u"] = _weighted(rho, ju)
-        ju += hess_log  # grad v = grad u + hess log rho
-        out["lhs"] = _weighted(rho, ju)
-        del ju, hess_log  # both tensors go before the divergence allocates
         # 4 d/dt of the gradient-of-sqrt energy, with the time derivative expressed
         # through the mass equation: 4 * integral of div(rho u) * lap(sqrt rho)/sqrt rho
-        div_m = divergence(VectorField(grid, rho.values * u.components))
+        div_m = grid.irfft(sum(1j * k * grid.rfft(r * c) for k, c in zip(ks, u.components)))
         lap_s = grid.irfft(-grid.rk2 * s_hat)
-        out["dt"] = 4.0 * float(np.sum(div_m.values * lap_s / srho.values) * cell)
+        out["dt"] = 4.0 * float(np.sum(div_m * lap_s / srho.values) * cell)
     return out
 
 
 def second_order_terms(s: FlowState, identity: bool = True, convexity: bool = True) -> dict[str, float]:
     """The integrals of one state that the bd-identity and jungel audits read,
-    derived from one Hessian of log rho.
+    derived from one spectrum of log rho, with no d x d field tensor.
 
     Always "D" = int rho |hess log rho|^2.  With ``identity``: "lhs" =
     int rho |grad v|^2, "u" = int rho |grad u|^2 and "dt" = 4 int div(rho u)
@@ -263,9 +291,10 @@ def second_order_terms(s: FlowState, identity: bool = True, convexity: bool = Tr
 
     grad v is formed as grad u + hess log rho, not by differentiating
     v = u + grad log rho.  The two differ only through the Nyquist-plane
-    content of log rho: ``hessian`` keeps the products n_i n_j there, while
-    two first derivatives (each with its Nyquist entry zeroed) drop them.  On
-    run states that is round-off (at most 1.8e-15 relative).
+    content of log rho: the second-derivative symbol ``Grid.rsecond`` keeps
+    the products n_i n_j there, while two first derivatives (each with its
+    Nyquist entry zeroed) drop them.  On run states that is round-off (at most
+    1.8e-15 relative).
     """
     u = _as_primitive(s).vel if identity else None
     return _second_order(s.rho, u, convexity)
@@ -336,10 +365,7 @@ def weighted_velocity_norm(s: FlowState, p: float) -> float:
     """(integral of rho |v|^(p+2))^(1/(p+2)) in effective form."""
     if p < 0:
         raise FieldError("exponent offset p must be >= 0")
-    s = _as_effective(s)
-    mag = s.vel.magnitude()
-    q = p + 2.0
-    return float((np.sum(s.rho.values * mag**q) * s.grid.cell_volume) ** (1.0 / q))
+    return velocity_moments(s, (p,))[1][p]
 
 
 def gamma_q_admissible(gamma: float, step: float = 1e-3):

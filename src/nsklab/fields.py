@@ -185,6 +185,15 @@ def make_grid(dim: int, n: int, box_length: float, far_field_density: float) -> 
     return Grid(dim, n, box_length, far_field_density)
 
 
+def _trusted(cls, **attrs):
+    """An instance of the frozen dataclass ``cls`` with exactly ``attrs``, built
+    without ``__post_init__``: for values the caller has already checked as the
+    constructor would (dtype float64, shape, finiteness, positivity)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real-space samples of a scalar on a grid; finite by construction."""

@@ -51,23 +51,33 @@ def _once_per_state(fn):
     return get
 
 
-def _simple_probes(gamma: float) -> dict:
+_WEIGHTED = "norm.weighted.p"
+
+
+def _simple_probes(gamma: float, weighted=()) -> dict:
+    """The fixed-name probes, plus the ``norm.weighted.p<P>`` probes named in
+    ``weighted``, which share one |v|^2 per state with ``venergy``."""
     energy = _once_per_state(lambda s: estimates.energy(s, gamma))
     vdiss = _once_per_state(lambda s: estimates.v_energy_dissipations(s, gamma))
     jungel = _once_per_state(lambda s: estimates.jungel_terms(s.rho))
-    return {
+    powers = {name: _parse_power(name[len(_WEIGHTED) :]) for name in weighted}
+    moments = _once_per_state(lambda s: estimates.velocity_moments(s, tuple(powers.values())))
+    simple = {
         "energy.total": lambda s: energy(s).total,
         "energy.kinetic": lambda s: energy(s).kinetic,
         "energy.potential": lambda s: energy(s).potential,
         "energy.fisher": lambda s: energy(s).fisher,
         "energy.dissipation": estimates.dissipation_rate,
-        "venergy": estimates.v_energy,
+        "venergy": lambda s: moments(s)[0],
         "venergy.pressure_dissipation": lambda s: vdiss(s)[0],
         "venergy.velocity_dissipation": lambda s: vdiss(s)[1],
         "jungel.D": lambda s: jungel(s)[0],
         "jungel.A": lambda s: jungel(s)[1],
         "jungel.Bp": lambda s: jungel(s)[2],
     }
+    for name, p in powers.items():
+        simple[name] = lambda s, p=p: moments(s)[1][p]
+    return simple
 
 
 _TEMPLATES = (
@@ -128,9 +138,6 @@ def _resolve_probe(name: str, simple: dict):
         return simple[name]
     if name in ALWAYS_RECORDED:
         return None  # recorded by the runner regardless
-    if name.startswith("norm.weighted.p"):
-        p = _parse_power(name[len("norm.weighted.p") :])
-        return lambda s: estimates.weighted_velocity_norm(s, p)
     if name.startswith("psi.p"):
         p = _parse_power(name[len("psi.p") :])
         return lambda s: estimates.rho_v_moment(s, p)
@@ -151,7 +158,8 @@ def _resolve_probe(name: str, simple: dict):
 
 def resolve_probes(names, gamma: float) -> dict:
     """Probe callables by name; probes reading one underlying evaluation share it."""
-    simple = _simple_probes(gamma)
+    names = list(names)
+    simple = _simple_probes(gamma, [name for name in names if name.startswith(_WEIGHTED)])
     out = {}
     for name in names:
         fn = _resolve_probe(name, simple)

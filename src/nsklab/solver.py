@@ -19,7 +19,7 @@ round-off per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .fields import (
     PositivityError,
     ScalarField,
     VectorField,
+    _trusted,
     gradient,
-    hessian,
     log_field,
     power_field,
     random_band_limited,
@@ -151,17 +151,27 @@ def _log_density(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _carrying(s: FlowState, **changes) -> FlowState:
-    """A copy with the log-density pair attached; effective states only."""
+    """A copy with the log-density pair attached; effective states only.
+
+    The copy shares s's validated fields, so it is built without re-checking them.
+    """
     if s.formulation == "effective":
         changes["log_rho_hat"], changes["grad_log_rho"] = _log_density(s)
-    return replace(s, **changes) if changes else s
+    return _trusted(FlowState, **{**vars(s), **changes}) if changes else s
 
 
 def _bare(s: FlowState) -> FlowState:
     """A copy without carried arrays, for keeping beyond the current step."""
     if s.log_rho_hat is None and s.grad_log_rho is None:
         return s
-    return replace(s, log_rho_hat=None, grad_log_rho=None)
+    return _trusted(FlowState, **{**vars(s), "log_rho_hat": None, "grad_log_rho": None})
+
+
+def _spectra(s: FlowState) -> tuple[np.ndarray, list]:
+    """The half-lattice spectra of rho and of each velocity component, as
+    ``run()`` carries them across effective steps."""
+    grid = s.grid
+    return grid.rfft(s.rho.values), [grid.rfft(c) for c in s.vel.components]
 
 
 def to_effective(s: FlowState) -> FlowState:
@@ -209,8 +219,21 @@ def _check_cfl(state: FlowState, cfg: SolverConfig, transport_speed: float) -> N
         )
 
 
+def _max_norm(components) -> float:
+    """Maximum over the grid of the Euclidean norm of a vector field's components.
+
+    Taken as sqrt(max |F|^2): sqrt is monotone and correctly rounded, so this
+    equals max sqrt(|F|^2) bit for bit without a square root per grid point.
+    """
+    return math.sqrt(float(np.max(sum(c * c for c in components))))
+
+
 def _new_state(s: FlowState, cfg: SolverConfig, rho: np.ndarray, vel: np.ndarray) -> FlowState:
-    """The stepped state, after the step's one positivity and one finiteness check."""
+    """The stepped state, after the step's one positivity and one finiteness check.
+
+    Those are the checks the field and state constructors would repeat, so the
+    state is built without them.
+    """
     t_new = s.t + cfg.dt
     m = float(np.min(rho))
     if m <= 0.0:
@@ -219,10 +242,26 @@ def _new_state(s: FlowState, cfg: SolverConfig, rho: np.ndarray, vel: np.ndarray
         )
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(vel))):
         raise NonFiniteError(f"non-finite field at t={t_new:.6g}; try halving the time step")
-    return FlowState(t_new, ScalarField(s.grid, rho), VectorField(s.grid, vel), s.formulation)
+    grid = s.grid
+    return _trusted(
+        FlowState,
+        t=t_new,
+        rho=_trusted(ScalarField, grid=grid, values=rho),
+        vel=_trusted(VectorField, grid=grid, components=vel),
+        formulation=s.formulation,
+        log_rho_hat=None,
+        grad_log_rho=None,
+    )
 
 
-def step_effective(s: FlowState, cfg: SolverConfig) -> FlowState:
+def step_effective(s: FlowState, cfg: SolverConfig, spectra=None) -> FlowState:
+    """One IMEX step of the effective system.
+
+    ``spectra`` is the pair ``_spectra(s)`` returns, carried by the caller:
+    the step reads it in place of transforming rho and v, and overwrites it
+    in place with the spectra the implicit solve produces, which are the new
+    state's.  Without it the step transforms rho and v itself.
+    """
     if s.formulation != "effective":
         raise FieldError("step_effective needs an effective-form state")
     grid = s.grid
@@ -233,30 +272,34 @@ def step_effective(s: FlowState, cfg: SolverConfig) -> FlowState:
     dt = cfg.dt
 
     log_r_hat, dlog = _log_density(s)
-    speed = float(np.max(np.sqrt(sum(c * c for c in v)))) + 2.0 * float(
-        np.max(np.sqrt(sum(c * c for c in dlog)))
-    )
-    _check_cfl(s, cfg, speed)
+    _check_cfl(s, cfg, _max_norm(v) + 2.0 * _max_norm(dlog))
+    r_hat, v_hat = _spectra(s) if spectra is None else spectra
 
-    # mass: implicit diffusion, explicit divergence-form transport
-    nr_hat = sum(-1j * k * (grid.rfft(r * v[i]) * mask) for i, k in enumerate(ks))
-    denom = 1.0 + dt * grid.rk2
-    new_r = grid.irfft((grid.rfft(r) + dt * nr_hat) / denom)
-
-    # velocity: implicit Laplacian, explicit transport + pressure; the
-    # pressure force is differentiated on the Fourier side
+    # the pressure force is differentiated on the Fourier side; at gamma = 2
+    # rho^(gamma-1) is rho, whose spectrum is at hand
     if cfg.gamma == 1.0:
         p_hat = log_r_hat
     else:
         g = cfg.gamma
-        p_hat = (g / (g - 1.0)) * (grid.rfft(r ** (g - 1.0)) * mask)
-    w = [v[j] - 2.0 * dlog[j] for j in range(grid.dim)]
+        base_hat = r_hat if g == 2.0 else grid.rfft(r ** (g - 1.0))
+        p_hat = (g / (g - 1.0)) * (base_hat * mask)
+
+    # mass: implicit diffusion, explicit divergence-form transport
+    denom = 1.0 + dt * grid.rk2
+    r_hat += dt * sum(-1j * k * (grid.rfft(r * v[i]) * mask) for i, k in enumerate(ks))
+    r_hat /= denom
+    new_r = grid.irfft(r_hat)
+
+    # velocity: implicit Laplacian, explicit pressure and transport by
+    # w = v - 2 grad log rho, each w_j formed where it is used
     new_v = np.empty_like(v)
     for i in range(grid.dim):
-        v_hat = grid.rfft(v[i])
-        conv = sum(w[j] * grid.irfft(1j * k * v_hat) for j, k in enumerate(ks))
-        nv_hat = -(grid.rfft(conv) * mask) - 1j * ks[i] * p_hat
-        new_v[i] = grid.irfft((v_hat + dt * nv_hat) / denom)
+        transport = (
+            grid.irfft(1j * k * v_hat[i]) * (v[j] - 2.0 * dlog[j]) for j, k in enumerate(ks)
+        )
+        v_hat[i] += dt * (-(grid.rfft(sum(transport)) * mask) - 1j * ks[i] * p_hat)
+        v_hat[i] /= denom
+        new_v[i] = grid.irfft(v_hat[i])
 
     return _new_state(s, cfg, new_r, new_v)
 
@@ -272,25 +315,34 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
     u = s.vel.components
     dt = cfg.dt
 
-    speed = float(np.max(np.sqrt(sum(c * c for c in u))))
-    _check_cfl(s, cfg, speed)
+    _check_cfl(s, cfg, _max_norm(u))
 
     m_hat = [grid.rfft(r * u[i]) * mask for i in range(d)]
     m_real = [grid.irfft(h) for h in m_hat]
 
     # explicit momentum right-hand side, every term in divergence form:
-    # -rho u_i u_j + 2 rho D(u)_ij + rho (hess log rho)_ij, one transform per (i, j)
-    du = [[grid.irfft(1j * k * h) for k in ks] for h in map(grid.rfft, u)]
-    log_hess = hessian(log_field(s.rho))
+    # -rho u_i u_j + 2 rho D(u)_ij + rho (hess log rho)_ij.  The symmetric part
+    # is formed once per pair i <= j from transient derivatives, each dropped as
+    # soon as it is used, so no d x d field tensor is held; each row still adds
+    # its columns in increasing j, one transform per (i, j).
+    u_hat = [grid.rfft(c) for c in u]
+    log_hat = grid.rfft(np.log(r))
     p_hat = grid.rfft(r**cfg.gamma) * mask
-    rhs_hat = []
+    rhs_hat = [-1j * k * p_hat for k in ks]
+    del p_hat
     for i in range(d):
-        acc = -1j * ks[i] * p_hat
-        for j in range(d):
-            stress = r * (du[i][j] + du[j][i] + log_hess[i, j]) - m_real[i] * u[j]
-            acc += 1j * ks[j] * (grid.rfft(stress) * mask)
+        for j in range(i, d):
+            du_ij = grid.irfft(1j * ks[j] * u_hat[i])
+            du_ji = du_ij if j == i else grid.irfft(1j * ks[i] * u_hat[j])
+            sym = r * (du_ij + du_ji + grid.irfft(-kk[i][j] * log_hat))
+            del du_ij, du_ji
+            rhs_hat[i] += 1j * ks[j] * (grid.rfft(sym - m_real[i] * u[j]) * mask)
+            if j > i:
+                rhs_hat[j] += 1j * ks[i] * (grid.rfft(sym - m_real[j] * u[i]) * mask)
+            del sym
         # subtract the linearized stress that the implicit solve adds back
-        rhs_hat.append(acc + grid.rk2 * m_hat[i] + sum(kk[i][j] * m_hat[j] for j in range(d)))
+        rhs_hat[i] = rhs_hat[i] + grid.rk2 * m_hat[i] + sum(kk[i][j] * m_hat[j] for j in range(d))
+    del u_hat, log_hat, m_real
 
     a = 1.0 + dt * grid.rk2
     a_full = a + dt * grid.rk2
@@ -305,8 +357,11 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
     return _new_state(s, cfg, new_r, new_m / new_r)
 
 
-def step(s: FlowState, cfg: SolverConfig) -> FlowState:
-    return step_effective(s, cfg) if s.formulation == "effective" else step_primitive(s, cfg)
+def step(s: FlowState, cfg: SolverConfig, spectra=None) -> FlowState:
+    """One step in s's formulation; ``spectra`` is step_effective's carried pair."""
+    if s.formulation == "effective":
+        return step_effective(s, cfg, spectra)
+    return step_primitive(s, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +385,8 @@ class TrajectoryRecord:
 def veff_max(state: FlowState) -> float:
     """Maximum of the effective velocity |u + grad log rho| over the grid."""
     if state.formulation == "effective":
-        return float(np.max(state.vel.magnitude()))
-    shift = _log_density(state)[1]
-    return float(np.max(np.sqrt(np.sum((state.vel.components + shift) ** 2, axis=0))))
+        return _max_norm(state.vel.components)
+    return _max_norm(state.vel.components + _log_density(state)[1])
 
 
 def far_field_defect(state: FlowState) -> float:
@@ -372,7 +426,9 @@ def run(
     the trajectory; other stepper failures propagate.  The minimum density is always monitored.
     The current effective state carries grad(log rho), computed once and
     shared by the far-field check, the probes and the next step; the stored
-    states do not.
+    states do not.  The run also keeps the spectra of the current effective
+    state's rho and v, which each step reads and replaces by the next state's,
+    so no step transforms the fields the previous one produced in spectral form.
     """
     if state_stride < 1:
         raise FieldError("state stride must be >= 1")
@@ -399,11 +455,12 @@ def run(
             series[name].append(float(fn(state)))
 
     n_steps = round(cfg.t_end / cfg.dt)
+    spectra = _spectra(state) if state.formulation == "effective" else None
     sample(state)
     record.states.append(_bare(initial))
     for k in range(n_steps):
         try:
-            state = step(state, cfg)
+            state = step(state, cfg, spectra)
         except (PositivityError, NonFiniteError) as err:
             record.aborted = True
             record.abort_reason = str(err)

@@ -4,9 +4,11 @@ The run loop attaches grad(log rho) and the log-density spectrum to the
 current effective state, and the stepper, the formulation changes and the
 probes read that copy; probe families that read one underlying evaluation
 share it.  None of this may change a single output bit, and none of the
-carried arrays may outlive the step they belong to.  The bd-identity and
-jungel audits share one derivation per stored state, in either order, and
-keep only its floats.
+carried arrays may outlive the step they belong to.  The run loop also
+carries the spectra of rho and v from one effective step to the next, which
+moves the trajectory by round-off only.  The bd-identity and jungel audits
+share one derivation per stored state, in either order, and keep only its
+floats.
 """
 
 import weakref
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from nsklab import estimates, solver
-from nsklab.fields import make_grid
+from nsklab.fields import hessian, jacobian, log_field, make_grid
 from nsklab.probes import resolve_audits, resolve_probes
 from nsklab.solver import (
     FlowState,
@@ -65,11 +67,12 @@ def _carries(s: FlowState) -> bool:
 
 
 class TestCarriedStep:
-    @pytest.mark.parametrize("dim,expected", [(2, 15), (3, 24)])
+    @pytest.mark.parametrize("dim,expected", [(2, 11), (3, 19)])
     def test_carried_state_steps_with_fewer_transforms(self, transforms, dim, expected):
         s = solver._carrying(_bump(dim))
+        spectra = solver._spectra(s)
         transforms.clear()
-        step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3))
+        step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), spectra)
         assert len(transforms) == expected
 
     @pytest.mark.parametrize("dim,expected", [(2, 17), (3, 27)])
@@ -93,9 +96,33 @@ class TestCarriedStep:
     def test_carried_step_is_bit_identical(self, dim, gamma):
         s = _bump(dim)
         cfg = SolverConfig(gamma=gamma, dt=1e-3, t_end=1e-3)
-        a, b = step(s, cfg), step(solver._carrying(s), cfg)
-        assert np.array_equal(a.rho.values, b.rho.values)
-        assert np.array_equal(a.vel.components, b.vel.components)
+        a = step(s, cfg)
+        for b in (step(solver._carrying(s), cfg), step(s, cfg, solver._spectra(s))):
+            assert np.array_equal(a.rho.values, b.rho.values)
+            assert np.array_equal(a.vel.components, b.vel.components)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_step_replaces_the_carried_spectra_by_the_new_states(self, dim):
+        s = _bump(dim)
+        spectra = solver._spectra(s)
+        new = step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), spectra)
+        fresh = solver._spectra(new)
+        for carried, recomputed in zip((spectra[0], *spectra[1]), (fresh[0], *fresh[1])):
+            scale = np.max(np.abs(recomputed))
+            assert np.max(np.abs(carried - recomputed)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("formulation", ["effective", "primitive"])
+    def test_step_builds_its_state_without_revalidating(self, monkeypatch, formulation):
+        # _new_state has checked positivity and finiteness once; the
+        # constructors' own checks must not run a second pass
+        s = _bump(3) if formulation == "effective" else from_effective(_bump(3))
+        checks = []
+        for cls in (solver.ScalarField, solver.VectorField, FlowState):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, _c=cls: checks.append(_c))
+        new = step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3))
+        assert checks == []
+        assert new.formulation == formulation and new.t == s.t + 1e-3
+        assert new.rho.values.dtype == new.vel.components.dtype == np.float64
 
     def test_formulation_changes_use_and_drop_the_carried_copy(self, transforms):
         s = _bump(2)
@@ -117,7 +144,7 @@ class TestCarriedStep:
 class TestRunLoop:
     CFG = SolverConfig(gamma=2.0, dt=1e-3, t_end=6e-3)
 
-    def test_demo_loop_costs_22_transforms_per_step(self, transforms):
+    def test_demo_loop_costs_18_transforms_per_step(self, transforms):
         # one more step costs the step, the next state's grad(log rho) and one sample
         s = _bump(2)
         counts = []
@@ -126,7 +153,7 @@ class TestRunLoop:
             cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=n_steps * 1e-3)
             run(s, cfg, probes=resolve_probes(DEMO_PROBES, 2.0))
             counts.append(len(transforms))
-        assert counts[1] - counts[0] == 22
+        assert counts[1] - counts[0] == 18
 
     def test_stored_states_carry_nothing(self):
         rec = run(_bump(2), self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
@@ -138,13 +165,28 @@ class TestRunLoop:
         assert not any(_carries(s) for s in rec.states)
 
     def test_trajectory_matches_bare_stepping(self):
+        # run() is stepping with carried spectra, bit for bit
         s = _bump(2)
         rec = run(s, self.CFG)
-        bare = s
+        carried, spectra = s, solver._spectra(s)
         for k in range(6):
-            bare = step(bare, self.CFG)
-            assert np.array_equal(rec.states[k + 1].rho.values, bare.rho.values)
-            assert np.array_equal(rec.states[k + 1].vel.components, bare.vel.components)
+            carried = step(carried, self.CFG, spectra)
+            assert np.array_equal(rec.states[k + 1].rho.values, carried.rho.values)
+            assert np.array_equal(rec.states[k + 1].vel.components, carried.vel.components)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_carried_spectra_stay_within_round_off_of_bare_stepping(self, dim):
+        cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=20e-3)
+        s = _bump(dim)
+        # the 3D test bump on 16^3 sits above the far-field tolerance at the rim
+        rec = run(s, cfg, check_far_field=False)
+        bare = s
+        for _ in range(20):
+            bare = step(bare, cfg)
+        last = rec.states[-1]
+        pairs = ((last.rho.values, bare.rho.values), (last.vel.components, bare.vel.components))
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_series_match_probes_on_fresh_states(self):
         rec = run(_bump(2), self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
@@ -167,6 +209,7 @@ class TestProbeFamiliesEvaluateOnce:
                 "v_energy_dissipations",
                 ("venergy.pressure_dissipation", "venergy.velocity_dissipation"),
             ),
+            ("velocity_moments", ("venergy", "norm.weighted.p2", "norm.weighted.p6")),
         ],
     )
     def test_one_call_per_sampled_state(self, monkeypatch, attr, names):
@@ -275,6 +318,19 @@ class TestSecondOrderAudits:
         for _, out in seen:
             assert sorted(out) == ["A", "Bp", "D", "dt", "lhs", "u"]
             assert all(type(v) is float for v in out.values())
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_entrywise_sums_equal_the_full_tensors(self, dim):
+        # the reference builds the d x d tensors that the pass adds up one entry at a time
+        g = make_grid(dim, 32 if dim == 2 else 16, 4 * np.pi, 1.0)
+        s = make_preset("random-large", g, seed=3)
+        hess, jac = hessian(log_field(s.rho)), jacobian(s.vel)
+
+        def weighted(tensor):
+            return float(np.sum(s.rho.values * np.sum(tensor**2, axis=(0, 1))) * g.cell_volume)
+
+        t = estimates.second_order_terms(s)
+        assert (t["D"], t["u"], t["lhs"]) == (weighted(hess), weighted(jac), weighted(jac + hess))
 
     def test_memo_does_not_keep_states_alive(self):
         audits = resolve_audits(("bd-identity", "jungel"))

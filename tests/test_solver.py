@@ -235,7 +235,7 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize(
         "dim,formulation,expected",
-        [(2, "effective", 18), (3, "effective", 28), (2, "primitive", 23), (3, "primitive", 40)],
+        [(2, "effective", 17), (3, "effective", 27), (2, "primitive", 23), (3, "primitive", 40)],
     )
     def test_transforms_per_step(self, monkeypatch, dim, formulation, expected):
         g = make_grid(dim, 32 if dim == 2 else 16, 4 * np.pi, 1.0)
