@@ -157,8 +157,7 @@ def calibrate_trajectories(out, runs):
         out[name_cv] = max(out.get(name_cv, 0.0), log_law_constant(record))
 
         worst = 0.0
-        for p in (1, 2, 3):
-            lhs, vt, body = reverse_holder_terms(record, p)
+        for lhs, vt, body in reverse_holder_terms(record, (1, 2, 3)).values():
             worst = max(worst, lhs / (vt * body))
         name_c3 = f"psi.C3.{preset}"
         out[name_c3] = max(out.get(name_c3, 0.0), worst)

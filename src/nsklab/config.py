@@ -12,8 +12,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .fields import FieldError, Grid
-from .probes import ProbeError, resolve_audits, resolve_probes
-from .solver import PRESET_NAMES, SolverConfig, theorem_range_warnings
+from .probes import GROWTH_PROBES, ProbeError, resolve_audits, resolve_probes
+from .solver import PRESET_NAMES, PRESET_PARAMS, SolverConfig, theorem_range_warnings
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
@@ -22,19 +22,13 @@ class ConfigError(ValueError):
     pass
 
 
-_PRESET_PARAMS = {
-    "constant": (),
-    "gaussian-bump": ("amplitude", "width"),
-    "random-large": ("amplitude", "velocity_amplitude", "max_mode"),
-}
-
 _SCHEMA = {
     "grid": ("dim", "n", "box_length", "far_field_density"),
-    "preset": ("name", "amplitude", "width", "velocity_amplitude", "max_mode"),
+    "preset": ("name", *dict.fromkeys(key for keys in PRESET_PARAMS.values() for key in keys)),
     "solver": ("gamma", "dt", "t_end", "formulation", "cfl_safety"),
     "probes": ("names",),
     "audits": ("names",),
-    "output": ("directory", "state_stride", "snapshots"),
+    "output": ("directory", "state_stride"),
     "rng": ("seed",),
 }
 
@@ -57,7 +51,6 @@ class ExperimentConfig:
     audit_names: tuple
     directory: str
     state_stride: int
-    snapshots: bool
     seed: int
     warnings: list = field(default_factory=list)
     text: str = ""
@@ -162,7 +155,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, (value, lineno) in sections.get("preset", {}).items():
         if key == "name":
             continue
-        if key not in _PRESET_PARAMS[preset_name]:
+        if key not in PRESET_PARAMS[preset_name]:
             raise ConfigError(f"line {lineno}: preset {preset_name!r} takes no parameter {key!r}")
         preset_params[key] = value
 
@@ -187,6 +180,11 @@ def parse_config(text: str) -> ExperimentConfig:
         resolve_audits(audit_names)
     except ProbeError as err:
         raise ConfigError(str(err)) from err
+    missing = [name for name in GROWTH_PROBES if name not in probe_names]
+    if "growth-law" in audit_names and missing:
+        raise ConfigError(
+            f"audit 'growth-law' reads the probes {', '.join(missing)}; add them to [probes] names"
+        )
 
     state_stride = _take(sections, "output", "state_stride", int, required=False, default=1)
     if state_stride < 1:
@@ -202,7 +200,6 @@ def parse_config(text: str) -> ExperimentConfig:
         audit_names=audit_names,
         directory=_take(sections, "output", "directory", str),
         state_stride=state_stride,
-        snapshots=_take(sections, "output", "snapshots", bool, required=False, default=True),
         seed=_take(sections, "rng", "seed", int, required=False, default=0),
         warnings=theorem_range_warnings(
             _take(sections, "solver", "gamma", float), grid_params["dim"]

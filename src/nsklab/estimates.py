@@ -7,8 +7,7 @@ fields, the convexity inequalities controlling second derivatives of the
 density square root, weighted velocity norms and their growth in the
 integrability exponent, the domain splitting at four times the far-field
 density, the space-time velocity functional and its self-improvement bound,
-the logarithmic control of the velocity maximum, and spectral Sobolev
-diagnostics of stored trajectories.
+and the logarithmic control of the velocity maximum.
 """
 
 from __future__ import annotations
@@ -25,19 +24,15 @@ from .fields import (
     PositivityError,
     ScalarField,
     VectorField,
-    divergence,
     gradient,
     hessian_energy,
     integral,
     jacobian,
-    laplacian,
     log_field,
     power_field,
-    sobolev_norm,
     sqrt_field,
-    vector_sobolev_norm,
 )
-from .solver import FlowState, from_effective, to_effective, veff_max
+from .solver import FlowState, from_effective, to_effective
 
 __all__ = [
     "EnergyBreakdown",
@@ -58,12 +53,10 @@ __all__ = [
     "RegionSplit",
     "region_split",
     "psi",
-    "rho_v_moment",
     "reverse_holder_terms",
     "reverse_holder_audit",
     "log_law_constant",
     "log_law_audit",
-    "sobolev_diagnostics",
     "HOLDER_EXPONENT",
     "LOG_FLOOR",
 ]
@@ -204,20 +197,19 @@ def dissipation_rate(s: FlowState) -> float:
     return 2.0 * float(np.sum(dens) * s.grid.cell_volume)
 
 
-def velocity_moments(s: FlowState, powers=()) -> tuple[float, dict]:
-    """``(v_energy(s), {p: weighted_velocity_norm(s, p) for p in powers})``,
-    all from one |v|^2 field."""
+def velocity_moments(s: FlowState, exponents=()) -> tuple[float, dict]:
+    """``(int rho |v|^2, {q: int rho |v|^q for q in exponents})`` in effective
+    form, all from one |v|^2 field: the one source of every rho |v|^q integral."""
     s = _as_effective(s)
     rho, cell = s.rho.values, s.grid.cell_volume
     v2 = np.sum(s.vel.components**2, axis=0)
     energy_v = float(np.sum(rho * v2) * cell)
-    norms = {}
-    if powers:
+    moments = {}
+    if exponents:
         mag = np.sqrt(v2)
-        for p in powers:
-            q = p + 2.0
-            norms[p] = float((np.sum(rho * mag**q) * cell) ** (1.0 / q))
-    return energy_v, norms
+        for q in exponents:
+            moments[q] = float(np.sum(rho * mag**q) * cell)
+    return energy_v, moments
 
 
 def v_energy(s: FlowState) -> float:
@@ -304,29 +296,28 @@ def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditR
     """Pointwise-in-time identity: rho|grad v|^2 integrates to the rho|grad u|^2
     and rho|hess log rho|^2 pieces plus the exact rate of the gradient energy.
 
+    The row is the worst stored state's report: a failing one if there is
+    one, else the largest ratio, ranked as the report asserts it.
     ``terms(state)`` gives the state's integrals as ``second_order_terms``
     does; a caller passes its own to share them with the jungel audit.
     """
     states = trajectory.states
     if not states:
         raise FieldError("trajectory holds no states")
-    worst = (0.0, 0.0, 0.0)  # (relative residual, lhs, rhs)
+    worst = None
     for s in states:
         t = terms(s) if terms is not None else second_order_terms(s, convexity=False)
-        lhs, a, b, c = t["lhs"], t["u"], t["D"], t["dt"]
-        rhs = a + b + c
-        scale = max(abs(lhs), abs(a), abs(b), abs(c), 1e-300)
-        rel = abs(lhs - rhs) / scale
-        if rel >= worst[0]:
-            worst = (rel, lhs, rhs)
-    return identity_report(
-        "bd.identity",
-        worst[1],
-        worst[2],
-        tolerance,
-        "effective-velocity dissipation identity",
-        floor=1e-12,
-    )
+        rep = identity_report(
+            "bd.identity",
+            t["lhs"],
+            t["u"] + t["D"] + t["dt"],
+            tolerance,
+            "effective-velocity dissipation identity",
+            floor=1e-12,
+        )
+        if worst is None or (not rep.passed, rep.ratio) >= (not worst.passed, worst.ratio):
+            worst = rep
+    return worst
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +356,8 @@ def weighted_velocity_norm(s: FlowState, p: float) -> float:
     """(integral of rho |v|^(p+2))^(1/(p+2)) in effective form."""
     if p < 0:
         raise FieldError("exponent offset p must be >= 0")
-    return velocity_moments(s, (p,))[1][p]
+    q = p + 2.0
+    return velocity_moments(s, (q,))[1][q] ** (1.0 / q)
 
 
 def gamma_q_admissible(gamma: float, step: float = 1e-3):
@@ -433,82 +425,70 @@ def region_split(s: FlowState, gamma: float) -> RegionSplit:
 # space-time functionals of trajectories
 
 
-def _states_and_times(trajectory):
+def psi(trajectory, exponents) -> dict:
+    """``{q: time-trapezoid of int rho |v|^q}`` over the stored states, every
+    exponent from one ``velocity_moments`` call per state."""
     states = trajectory.states
     if not states:
         raise FieldError("trajectory holds no states")
-    return states, np.array([s.t for s in states])
-
-
-def rho_v_moment(s: FlowState, p: float) -> float:
-    """Spatial integral of rho |v|^p at one state."""
-    e = _as_effective(s)
-    return float(np.sum(e.rho.values * e.vel.magnitude() ** p) * e.grid.cell_volume)
-
-
-def psi(trajectory, p: float) -> float:
-    """Time-trapezoid of the spatial integral of rho |v|^p over stored states."""
-    states, times = _states_and_times(trajectory)
-    vals = [rho_v_moment(s, p) for s in states]
-    if len(vals) == 1:
-        return 0.0
-    return float(np.trapezoid(np.array(vals), times))
-
-
-def _v_sup_series(trajectory) -> np.ndarray:
-    if "veff.max" in trajectory.scalars:
-        return trajectory.scalars["veff.max"]
-    states, _ = _states_and_times(trajectory)
-    return np.array([veff_max(s) for s in states])
+    exponents = tuple(dict.fromkeys(exponents))
+    rows = [velocity_moments(s, exponents)[1] for s in states]
+    if len(rows) == 1:
+        return dict.fromkeys(exponents, 0.0)
+    times = np.array([s.t for s in states])
+    return {q: float(np.trapezoid(np.array([row[q] for row in rows]), times)) for q in exponents}
 
 
 def _vt_value(trajectory) -> float:
-    if "density.min" in trajectory.scalars:
-        min_rho = float(np.min(trajectory.scalars["density.min"]))
-    else:
-        states, _ = _states_and_times(trajectory)
-        min_rho = min(float(np.min(s.rho.values)) for s in states)
+    """V_T = 1 / (the per-step density minimum) + the log floor."""
+    min_rho = float(np.min(trajectory.scalars["density.min"]))
     if min_rho <= 0:
         raise PositivityError("trajectory loses density positivity")
     return 1.0 / min_rho + LOG_FLOOR
 
 
-def reverse_holder_terms(trajectory, p: float) -> tuple[float, float, float]:
-    """The reverse-Hoelder bound psi((5/3)(p+2)) <= C3 * V_T * body as
-    ``(lhs, V_T, body)``; the calibrated C3 is the largest lhs / (V_T * body)."""
-    states, _ = _states_and_times(trajectory)
+def reverse_holder_terms(trajectory, ps) -> dict:
+    """For each p, the reverse-Hoelder bound psi((5/3)(p+2)) <= C3 * V_T * body
+    as ``{p: (lhs, V_T, body)}``; the calibrated C3 is the largest
+    lhs / (V_T * body).  All six psi exponents come from one pass over the
+    stored states, and c4 reads the initial state's ``veff.max``."""
     r = HOLDER_EXPONENT
-    q = p + 2.0
-    first = _as_effective(states[0])
-    c4 = math.sqrt(v_energy(first)) + float(np.max(first.vel.magnitude())) + 1.0
-    body = q ** (2.0 * r) * psi(trajectory, q) ** r + q ** (2.0 * r) + c4 ** (r * q)
-    return psi(trajectory, r * q), _vt_value(trajectory), body
+    qs = {p: p + 2.0 for p in ps}
+    integrals = psi(trajectory, [e for q in qs.values() for e in (q, r * q)])
+    vt = _vt_value(trajectory)
+    c4 = math.sqrt(v_energy(trajectory.states[0])) + float(trajectory.scalars["veff.max"][0]) + 1.0
+    return {
+        p: (integrals[r * q], vt, q ** (2.0 * r) * integrals[q] ** r + q ** (2.0 * r) + c4 ** (r * q))
+        for p, q in qs.items()
+    }
 
 
-def reverse_holder_audit(trajectory, p: float, preset: str | None = None) -> AuditReport:
+def reverse_holder_audit(trajectory, ps, preset: str | None = None) -> list[AuditReport]:
     """Self-improvement of the space-time velocity functional from exponent
-    p+2 to (5/3)(p+2), with the calibrated constant as the alarm."""
-    lhs, vt, body = reverse_holder_terms(trajectory, p)
+    p+2 to (5/3)(p+2), one row per p, with the calibrated constant as the alarm."""
     key = f"psi.C3.{preset}" if preset else None
     c3 = CONSTANTS.get(key, 1.0) if key else 1.0
-    return bound_report(
-        "psi.reverse_holder",
-        lhs,
-        DRIFT_FACTOR * c3 * vt * body,
-        0.0,
-        "space-time velocity functional self-improvement",
-    )
+    return [
+        bound_report(
+            "psi.reverse_holder",
+            lhs,
+            DRIFT_FACTOR * c3 * vt * body,
+            0.0,
+            "space-time velocity functional self-improvement",
+        )
+        for lhs, vt, body in reverse_holder_terms(trajectory, ps).values()
+    ]
 
 
 def log_law_constant(trajectory) -> float:
-    """Empirical ratio sup_t |v|_inf / sqrt(log V_T)."""
-    v_sup = float(np.max(_v_sup_series(trajectory)))
+    """Empirical ratio sup_t |v|_inf / sqrt(log V_T), from the per-step columns."""
+    v_sup = float(np.max(trajectory.scalars["veff.max"]))
     return v_sup / math.sqrt(math.log(_vt_value(trajectory)))
 
 
 def log_law_audit(trajectory, preset: str | None = None) -> AuditReport:
     """Velocity maximum against the square root of the logarithm of V_T."""
-    v_sup = float(np.max(_v_sup_series(trajectory)))
+    v_sup = float(np.max(trajectory.scalars["veff.max"]))
     vt = _vt_value(trajectory)
     key = f"loglaw.cv.{preset}" if preset else None
     cv = CONSTANTS.get(key, math.inf) if key else math.inf
@@ -521,51 +501,3 @@ def log_law_audit(trajectory, preset: str | None = None) -> AuditReport:
         "logarithmic control of the velocity maximum",
         kind="asserted" if math.isfinite(cv) else "measured",
     )
-
-
-# ----------------------------------------------------------------------
-# spectral Sobolev diagnostics
-
-
-def sobolev_diagnostics(trajectory, gamma: float, rho_orders=(1, 2, 3), v_orders=(1, 2)) -> dict:
-    """Time series of H^k norms of the density deviation and the effective
-    velocity, plus exact time-derivative norms read off the dynamics."""
-    states, times = _states_and_times(trajectory)
-    out: dict[str, np.ndarray] = {"t": times}
-    rho_series: dict[int, list] = {k: [] for k in rho_orders}
-    v_series: dict[int, list] = {k: [] for k in v_orders}
-    dt_rho, dt_v = [], []
-    for s in states:
-        e = _as_effective(s)
-        grid = e.grid
-        dev = ScalarField(grid, e.rho.values - grid.far_field_density)
-        for k in rho_orders:
-            rho_series[k].append(sobolev_norm(dev, k))
-        for k in v_orders:
-            v_series[k].append(vector_sobolev_norm(e.vel, k))
-
-        # time derivatives from the dynamics, not finite differences
-        m = VectorField(grid, e.rho.values * e.vel.components)
-        rho_t = laplacian(e.rho).values - divergence(m).values
-        dt_rho.append(float(np.sqrt(np.sum(rho_t**2) * grid.cell_volume)))
-
-        dlog = gradient(log_field(e.rho))
-        jv = jacobian(e.vel)
-        if gamma == 1.0:
-            pg = dlog.components
-        else:
-            pg = (gamma / (gamma - 1.0)) * gradient(power_field(e.rho, gamma - 1.0)).components
-        w = e.vel.components - 2.0 * dlog.components
-        v_t = np.empty_like(e.vel.components)
-        for i in range(grid.dim):
-            conv = sum(w[j] * jv[i, j] for j in range(grid.dim))
-            v_t[i] = -conv + laplacian(e.vel.component(i)).values - pg[i]
-        dt_v.append(float(np.sqrt(np.sum(v_t**2) * grid.cell_volume)))
-
-    for k in rho_orders:
-        out[f"rho.H{k}"] = np.array(rho_series[k])
-    for k in v_orders:
-        out[f"v.H{k}"] = np.array(v_series[k])
-    out["dt_rho.L2"] = np.array(dt_rho)
-    out["dt_v.L2"] = np.array(dt_v)
-    return out

@@ -114,15 +114,14 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
     _write_series_csv(series_path, record)
     files.append(series_path.name)
 
-    if config.snapshots and record.states:
-        for tag, st in (("initial", record.states[0]), ("final", record.states[-1])):
-            rho_path = outdir / f"{tag}.rho.nskf"
-            write_snapshot(st.rho, st.t, rho_path)
-            files.append(rho_path.name)
-            for i in range(grid.dim):
-                vel_path = outdir / f"{tag}.vel{i}.nskf"
-                write_snapshot(st.vel.component(i), st.t, vel_path)
-                files.append(vel_path.name)
+    for tag, st in (("initial", record.states[0]), ("final", record.states[-1])):
+        rho_path = outdir / f"{tag}.rho.nskf"
+        write_snapshot(st.rho, st.t, rho_path)
+        files.append(rho_path.name)
+        for i in range(grid.dim):
+            vel_path = outdir / f"{tag}.vel{i}.nskf"
+            write_snapshot(st.vel.component(i), st.t, vel_path)
+            files.append(vel_path.name)
 
     extra = _derived_numbers(record)
     ctx = {

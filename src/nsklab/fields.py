@@ -238,7 +238,8 @@ class VectorField:
         return cls(grid, np.stack([p.values for p in parts]))
 
     def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.components[i])
+        # a view of components that the constructor has already checked
+        return _trusted(ScalarField, grid=self.grid, values=self.components[i])
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.components**2, axis=0))

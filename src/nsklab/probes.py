@@ -19,10 +19,9 @@ from . import degiorgi, estimates
 from .audits import AuditReport, bound_report
 from .dyadic import BesovIndex, besov_norm, build_dyadic_family
 from .fields import ScalarField, sobolev_norm, vector_sobolev_norm
+from .solver import ALWAYS_RECORDED
 
 __all__ = ["ProbeError", "resolve_probes", "resolve_audits", "known_probe_names", "known_audit_names"]
-
-ALWAYS_RECORDED = ("density.min", "density.max", "veff.max")
 
 
 class ProbeError(ValueError):
@@ -52,16 +51,25 @@ def _once_per_state(fn):
 
 
 _WEIGHTED = "norm.weighted.p"
+_PSI = "psi.p"
 
 
-def _simple_probes(gamma: float, weighted=()) -> dict:
-    """The fixed-name probes, plus the ``norm.weighted.p<P>`` probes named in
-    ``weighted``, which share one |v|^2 per state with ``venergy``."""
+def _moment_exponent(name: str) -> float:
+    """The exponent q of the rho |v|^q integral a moment probe reads."""
+    if name.startswith(_WEIGHTED):
+        return _parse_power(name[len(_WEIGHTED) :]) + 2.0
+    return _parse_power(name[len(_PSI) :])
+
+
+def _simple_probes(gamma: float, moment_names=()) -> dict:
+    """The fixed-name probes, plus the ``norm.weighted.p<P>`` and ``psi.p<P>``
+    probes named in ``moment_names``, which share one |v|^2 per state with
+    ``venergy``."""
     energy = _once_per_state(lambda s: estimates.energy(s, gamma))
     vdiss = _once_per_state(lambda s: estimates.v_energy_dissipations(s, gamma))
     jungel = _once_per_state(lambda s: estimates.jungel_terms(s.rho))
-    powers = {name: _parse_power(name[len(_WEIGHTED) :]) for name in weighted}
-    moments = _once_per_state(lambda s: estimates.velocity_moments(s, tuple(powers.values())))
+    exponents = {name: _moment_exponent(name) for name in moment_names}
+    moments = _once_per_state(lambda s: estimates.velocity_moments(s, tuple(exponents.values())))
     simple = {
         "energy.total": lambda s: energy(s).total,
         "energy.kinetic": lambda s: energy(s).kinetic,
@@ -75,8 +83,11 @@ def _simple_probes(gamma: float, weighted=()) -> dict:
         "jungel.A": lambda s: jungel(s)[1],
         "jungel.Bp": lambda s: jungel(s)[2],
     }
-    for name, p in powers.items():
-        simple[name] = lambda s, p=p: moments(s)[1][p]
+    for name, q in exponents.items():
+        if name.startswith(_WEIGHTED):
+            simple[name] = lambda s, q=q: moments(s)[1][q] ** (1.0 / q)
+        else:
+            simple[name] = lambda s, q=q: moments(s)[1][q]
     return simple
 
 
@@ -138,9 +149,6 @@ def _resolve_probe(name: str, simple: dict):
         return simple[name]
     if name in ALWAYS_RECORDED:
         return None  # recorded by the runner regardless
-    if name.startswith("psi.p"):
-        p = _parse_power(name[len("psi.p") :])
-        return lambda s: estimates.rho_v_moment(s, p)
     if name.startswith("sobolev.rho.H"):
         k = _parse_order(name[len("sobolev.rho.H") :])
         return lambda s: sobolev_norm(
@@ -159,7 +167,7 @@ def _resolve_probe(name: str, simple: dict):
 def resolve_probes(names, gamma: float) -> dict:
     """Probe callables by name; probes reading one underlying evaluation share it."""
     names = list(names)
-    simple = _simple_probes(gamma, [name for name in names if name.startswith(_WEIGHTED)])
+    simple = _simple_probes(gamma, [name for name in names if name.startswith((_WEIGHTED, _PSI))])
     out = {}
     for name in names:
         fn = _resolve_probe(name, simple)
@@ -188,18 +196,14 @@ def _merge_worst(reports: list[AuditReport]) -> list[AuditReport]:
 
 
 GROWTH_EXPONENTS = (2, 6, 14, 30)
+# the per-step columns the growth-law audit reads; a config must record them
+GROWTH_PROBES = tuple(f"{_WEIGHTED}{p}" for p in GROWTH_EXPONENTS)
 GROWTH_SPREAD_LIMIT = 0.20
 
 
 def growth_constant(record, p: int) -> float:
-    """sup_t of the weighted velocity norm of exponent p, over sqrt(p+2): from
-    the recorded per-step column when there is one, else the stored states."""
-    key = f"norm.weighted.p{p}"
-    if key in record.scalars:
-        sup = float(np.max(record.scalars[key]))
-    else:
-        sup = max(estimates.weighted_velocity_norm(s, p) for s in record.states)
-    return sup / math.sqrt(p + 2.0)
+    """sup_t of the recorded weighted velocity norm of exponent p, over sqrt(p+2)."""
+    return float(np.max(record.scalars[f"{_WEIGHTED}{p}"])) / math.sqrt(p + 2.0)
 
 
 def growth_law_audit(record) -> AuditReport:
@@ -246,9 +250,7 @@ def _audit_loglaw(record, ctx):
 
 
 def _audit_reverse_holder(record, ctx):
-    return _merge_worst(
-        [estimates.reverse_holder_audit(record, p, preset=ctx.get("preset")) for p in (1, 2, 3)]
-    )
+    return _merge_worst(estimates.reverse_holder_audit(record, (1, 2, 3), preset=ctx.get("preset")))
 
 
 def _audit_growth(record, ctx):

@@ -30,9 +30,6 @@ from .fields import (
     ScalarField,
     VectorField,
     _trusted,
-    gradient,
-    log_field,
-    power_field,
     random_band_limited,
 )
 
@@ -45,13 +42,14 @@ __all__ = [
     "TrajectoryRecord",
     "to_effective",
     "from_effective",
-    "pressure_gradient",
     "step_effective",
     "step_primitive",
     "step",
     "run",
     "make_preset",
     "PRESET_NAMES",
+    "PRESET_PARAMS",
+    "ALWAYS_RECORDED",
     "far_field_defect",
     "theorem_range_warnings",
     "veff_max",
@@ -59,6 +57,9 @@ __all__ = [
 
 FAR_FIELD_TOL = 1e-8
 _RIM_CELLS = 2
+
+# the per-step columns run() records for every run, whatever the probes
+ALWAYS_RECORDED = ("density.min", "density.max", "veff.max")
 
 
 class SolverError(RuntimeError):
@@ -186,19 +187,6 @@ def from_effective(s: FlowState) -> FlowState:
         raise FieldError("state is not in effective form")
     shift = _log_density(s)[1]
     return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - shift), "primitive")
-
-
-def pressure_gradient(rho: ScalarField, gamma: float) -> VectorField:
-    """Specific pressure force grad(P)/rho for the power pressure law.
-
-    For gamma > 1 this is gamma/(gamma-1) * grad(rho^(gamma-1)); the
-    gamma = 1 limit is grad(log rho).
-    """
-    if gamma == 1.0:
-        return gradient(log_field(rho))
-    g = float(gamma)
-    pg = gradient(power_field(rho, g - 1.0))
-    return VectorField(rho.grid, (g / (g - 1.0)) * pg.components)
 
 
 # ----------------------------------------------------------------------
@@ -442,15 +430,14 @@ def run(
             )
     probes = dict(probes or {})
     record = TrajectoryRecord(initial.grid, initial.formulation)
-    names = ["density.min", "density.max", "veff.max", *probes.keys()]
-    series: dict[str, list] = {name: [] for name in names}
+    series: dict[str, list] = {name: [] for name in (*ALWAYS_RECORDED, *probes)}
     times: list[float] = []
 
     def sample(state: FlowState) -> None:
         times.append(state.t)
-        series["density.min"].append(float(np.min(state.rho.values)))
-        series["density.max"].append(float(np.max(state.rho.values)))
-        series["veff.max"].append(veff_max(state))
+        r = state.rho.values
+        for name, value in zip(ALWAYS_RECORDED, (np.min(r), np.max(r), veff_max(state))):
+            series[name].append(float(value))
         for name, fn in probes.items():
             series[name].append(float(fn(state)))
 
@@ -478,7 +465,13 @@ def run(
 # ----------------------------------------------------------------------
 # presets
 
-PRESET_NAMES = ("constant", "gaussian-bump", "random-large")
+# each preset's parameters, all optional
+PRESET_PARAMS = {
+    "constant": (),
+    "gaussian-bump": ("amplitude", "width"),
+    "random-large": ("amplitude", "velocity_amplitude", "max_mode"),
+}
+PRESET_NAMES = tuple(PRESET_PARAMS)
 
 
 def _bump(grid: Grid, amplitude: float, width: float) -> np.ndarray:

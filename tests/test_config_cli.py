@@ -89,6 +89,40 @@ class TestParse:
             assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
             assert f"line {lineno}: unknown key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_removed_snapshots_key_is_unknown(self, tmp_path, capsys, value):
+        # every run writes its initial and final snapshots, so the key had one legal value
+        line = f"snapshots = {value}"
+        text = MINIMAL.format(outdir="snap") + line + "\n"
+        lineno = text.splitlines().index(line) + 1
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key 'snapshots' in \[output\]$"):
+            parse_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert f"line {lineno}: unknown key 'snapshots'" in capsys.readouterr().err
+        assert not (tmp_path / "snap").exists()
+
+    @pytest.mark.parametrize(
+        "names,missing",
+        [
+            ("venergy", "norm.weighted.p2, norm.weighted.p6, norm.weighted.p14, norm.weighted.p30"),
+            ("norm.weighted.p2, norm.weighted.p6, norm.weighted.p14", "norm.weighted.p30"),
+        ],
+    )
+    def test_growth_law_needs_its_four_probes(self, tmp_path, capsys, names, missing):
+        text = MINIMAL.format(outdir="growth") + f"\n[probes]\nnames = {names}\n\n[audits]\nnames = growth-law\n"
+        with pytest.raises(ConfigError, match=f"audit 'growth-law' reads the probes {missing};"):
+            parse_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "growth").exists()
+        # with the four probes recorded the audit is accepted
+        complete = text.replace(names, "norm.weighted.p2, norm.weighted.p6, norm.weighted.p14, norm.weighted.p30")
+        assert parse_config(complete).audit_names == ("growth-law",)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section"):
             parse_config("[turbulence]\nx = 1\n")
@@ -477,8 +511,7 @@ class TestSolverValueExits:
 
         monkeypatch.setattr(experiment, "make_preset", poisoned_preset)
         cfg_path = tmp_path / "c.cfg"
-        # snapshots off: the poisoned initial state could not be written as a field
-        cfg_path.write_text(MINIMAL.format(outdir="nan_run") + "snapshots = false\n")
+        cfg_path.write_text(MINIMAL.format(outdir="nan_run"))
         code = cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)])
         assert code == 3
         assert "non-finite" in capsys.readouterr().out

@@ -210,6 +210,8 @@ class TestProbeFamiliesEvaluateOnce:
                 ("venergy.pressure_dissipation", "venergy.velocity_dissipation"),
             ),
             ("velocity_moments", ("venergy", "norm.weighted.p2", "norm.weighted.p6")),
+            ("velocity_moments", ("psi.p3", "psi.p5.5")),
+            ("velocity_moments", ("venergy", "psi.p3", "norm.weighted.p2", "psi.p4")),
         ],
     )
     def test_one_call_per_sampled_state(self, monkeypatch, attr, names):
@@ -246,6 +248,30 @@ class TestProbeFamiliesEvaluateOnce:
         ref = weakref.ref(s)
         del s
         assert ref() is None
+
+
+class TestVelocityFunctionalsReadOnePass:
+    """The reverse-Hoelder audit reads its six psi exponents in one pass."""
+
+    def test_one_velocity_moments_call_per_stored_state_plus_one(self, monkeypatch):
+        original = estimates.velocity_moments
+        seen = []
+
+        def counted(s, exponents=()):
+            seen.append((s, tuple(exponents)))
+            return original(s, exponents)
+
+        monkeypatch.setattr(estimates, "velocity_moments", counted)
+        rec = run(_bump(2), SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02))
+        assert len(rec.states) == 21
+        audit = resolve_audits(("reverse-holder",))["reverse-holder"]
+        rows = audit(rec, {"preset": "gaussian-bump"})
+        assert [row.inequality_id for row in rows] == ["psi.reverse_holder"]
+        # one pass over the stored states, plus the initial v-energy for c4
+        assert len(seen) == 22
+        assert [s for s, exps in seen if exps] == rec.states
+        assert all(len(exps) == 5 for s, exps in seen if exps)  # q = 5/3 * 3 = 5 is shared
+
 
 
 def _record(dim: int, formulation: str, n_steps: int = 2) -> TrajectoryRecord:

@@ -21,7 +21,6 @@ from nsklab.solver import (
     far_field_defect,
     from_effective,
     make_preset,
-    pressure_gradient,
     run,
     step,
     step_effective,
@@ -121,24 +120,6 @@ class TestTransform:
         e = to_effective(s)
         with pytest.raises(FieldError):
             to_effective(e)
-
-
-class TestPressureGradient:
-    def test_constant_density(self, grid64_wide):
-        pg = pressure_gradient(constant_field(grid64_wide, 1.7), 2.0)
-        assert np.all(pg.components == 0.0)
-
-    def test_gamma_two_linearized(self, grid64):
-        x, _ = grid64.meshgrid()
-        rho = ScalarField(grid64, 1.0 + 0.1 * np.sin(x))
-        pg = pressure_gradient(rho, 2.0)
-        assert np.max(np.abs(pg.components[0] - 0.2 * np.cos(x))) <= 1e-12
-
-    def test_gamma_one_logarithmic(self, grid64):
-        x, _ = grid64.meshgrid()
-        rho = ScalarField(grid64, np.exp(np.sin(x)))
-        pg = pressure_gradient(rho, 1.0)
-        assert np.max(np.abs(pg.components[0] - np.cos(x))) <= 1e-12
 
 
 def _draining_state():
