@@ -25,7 +25,7 @@ from .fields import (
     gradient,
     laplacian,
 )
-from .solver import to_effective, veff_max
+from .solver import Workspace, to_effective, veff_max
 
 __all__ = [
     "IterationSpec",
@@ -336,7 +336,7 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
     bound = base
     for w_index, (lo, hi, idx) in enumerate(spans):
         u0 = truncation_energy([states[i] for i in idx], base)
-        v_max = max(veff_max(states[i]) for i in idx)
+        v_max = max(veff_max(Workspace(states[i])) for i in idx)
         m_needed = math.sqrt(constant * v_max**3 * u0)
         M = max(m_needed, 2.0 * base)
         bound = M + base

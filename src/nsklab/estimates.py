@@ -32,7 +32,7 @@ from .fields import (
     power_field,
     sqrt_field,
 )
-from .solver import FlowState, from_effective, to_effective
+from .solver import FlowState, Workspace, from_effective
 
 __all__ = [
     "EnergyBreakdown",
@@ -67,10 +67,6 @@ LOG_FLOOR = math.exp(HOLDER_EXPONENT**2)  # e^(25/9), additive floor of V_T
 
 def _as_primitive(s: FlowState) -> FlowState:
     return s if s.formulation == "primitive" else from_effective(s)
-
-
-def _as_effective(s: FlowState) -> FlowState:
-    return s if s.formulation == "effective" else to_effective(s)
 
 
 # ----------------------------------------------------------------------
@@ -197,30 +193,24 @@ def dissipation_rate(s: FlowState) -> float:
     return 2.0 * float(np.sum(dens) * s.grid.cell_volume)
 
 
-def velocity_moments(s: FlowState, exponents=()) -> tuple[float, dict]:
+def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
     """``(int rho |v|^2, {q: int rho |v|^q for q in exponents})`` in effective
-    form, all from one |v|^2 field: the one source of every rho |v|^q integral."""
-    s = _as_effective(s)
-    rho, cell = s.rho.values, s.grid.cell_volume
-    v2 = np.sum(s.vel.components**2, axis=0)
-    energy_v = float(np.sum(rho * v2) * cell)
-    moments = {}
-    if exponents:
-        mag = np.sqrt(v2)
-        for q in exponents:
-            moments[q] = float(np.sum(rho * mag**q) * cell)
-    return energy_v, moments
+    form, all from the workspace's |v|^2: the one source of every rho |v|^q
+    integral."""
+    rho, cell = ws.state.rho.values, ws.state.grid.cell_volume
+    mag = np.sqrt(ws.v2) if exponents else None
+    return float(np.sum(rho * ws.v2) * cell), {q: float(np.sum(rho * mag**q) * cell) for q in exponents}
 
 
 def v_energy(s: FlowState) -> float:
     """integral of rho |v|^2 in effective form."""
-    return velocity_moments(s)[0]
+    return velocity_moments(Workspace(s))[0]
 
 
 def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:
     """The two dissipation integrands paired with the v-energy:
     |grad rho^(gamma/2)|^2 and rho |grad v|^2."""
-    s = _as_effective(s)
+    s = Workspace(s).effective
     gp = gradient(power_field(s.rho, gamma / 2.0))
     a = float(np.sum(gp.components**2) * s.grid.cell_volume)
     jv = jacobian(s.vel)
@@ -298,15 +288,16 @@ def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditR
 
     The row is the worst stored state's report: a failing one if there is
     one, else the largest ratio, ranked as the report asserts it.
-    ``terms(state)`` gives the state's integrals as ``second_order_terms``
-    does; a caller passes its own to share them with the jungel audit.
+    ``terms`` is each stored state's integrals as ``second_order_terms`` gives
+    them; a caller passes its own to share them with the jungel audit.
     """
     states = trajectory.states
     if not states:
         raise FieldError("trajectory holds no states")
+    if terms is None:
+        terms = [second_order_terms(s, convexity=False) for s in states]
     worst = None
-    for s in states:
-        t = terms(s) if terms is not None else second_order_terms(s, convexity=False)
+    for t in terms:
         rep = identity_report(
             "bd.identity",
             t["lhs"],
@@ -357,7 +348,7 @@ def weighted_velocity_norm(s: FlowState, p: float) -> float:
     if p < 0:
         raise FieldError("exponent offset p must be >= 0")
     q = p + 2.0
-    return velocity_moments(s, (q,))[1][q] ** (1.0 / q)
+    return velocity_moments(Workspace(s), (q,))[1][q] ** (1.0 / q)
 
 
 def gamma_q_admissible(gamma: float, step: float = 1e-3):
@@ -426,17 +417,21 @@ def region_split(s: FlowState, gamma: float) -> RegionSplit:
 
 
 def psi(trajectory, exponents) -> dict:
-    """``{q: time-trapezoid of int rho |v|^q}`` over the stored states, every
-    exponent from one ``velocity_moments`` call per state."""
+    """``{q: time-trapezoid of int rho |v|^q}`` over the stored states."""
+    return _moment_pass(trajectory, exponents)[0]
+
+
+def _moment_pass(trajectory, exponents) -> tuple[dict, float]:
+    """``psi`` and the first stored state's v-energy, every exponent from one
+    ``velocity_moments`` call per stored state."""
     states = trajectory.states
     if not states:
         raise FieldError("trajectory holds no states")
     exponents = tuple(dict.fromkeys(exponents))
-    rows = [velocity_moments(s, exponents)[1] for s in states]
-    if len(rows) == 1:
-        return dict.fromkeys(exponents, 0.0)
-    times = np.array([s.t for s in states])
-    return {q: float(np.trapezoid(np.array([row[q] for row in rows]), times)) for q in exponents}
+    rows = [velocity_moments(Workspace(s), exponents) for s in states]
+    times = np.array([s.t for s in states])  # one state integrates to 0
+    psi_q = {q: float(np.trapezoid(np.array([m[q] for _, m in rows]), times)) for q in exponents}
+    return psi_q, rows[0][0]
 
 
 def _vt_value(trajectory) -> float:
@@ -450,13 +445,14 @@ def _vt_value(trajectory) -> float:
 def reverse_holder_terms(trajectory, ps) -> dict:
     """For each p, the reverse-Hoelder bound psi((5/3)(p+2)) <= C3 * V_T * body
     as ``{p: (lhs, V_T, body)}``; the calibrated C3 is the largest
-    lhs / (V_T * body).  All six psi exponents come from one pass over the
-    stored states, and c4 reads the initial state's ``veff.max``."""
+    lhs / (V_T * body).  All six psi exponents and c4's initial v-energy come
+    from one pass over the stored states, and c4 reads the initial state's
+    ``veff.max``."""
     r = HOLDER_EXPONENT
     qs = {p: p + 2.0 for p in ps}
-    integrals = psi(trajectory, [e for q in qs.values() for e in (q, r * q)])
+    integrals, energy_v0 = _moment_pass(trajectory, [e for q in qs.values() for e in (q, r * q)])
     vt = _vt_value(trajectory)
-    c4 = math.sqrt(v_energy(trajectory.states[0])) + float(trajectory.scalars["veff.max"][0]) + 1.0
+    c4 = math.sqrt(energy_v0) + float(trajectory.scalars["veff.max"][0]) + 1.0
     return {
         p: (integrals[r * q], vt, q ** (2.0 * r) * integrals[q] ** r + q ** (2.0 * r) + c4 ** (r * q))
         for p, q in qs.items()

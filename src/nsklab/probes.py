@@ -11,7 +11,6 @@ from __future__ import annotations
 import difflib
 import functools
 import math
-import weakref
 
 import numpy as np
 
@@ -28,24 +27,13 @@ class ProbeError(ValueError):
     pass
 
 
-def _once_per_state(fn):
-    """fn(state), evaluated once per state object.
+def _shared(key, fn):
+    """fn(ws), evaluated once per workspace and kept in its ``floats`` under key."""
 
-    The memo is keyed on the state's identity and holds each state only
-    weakly: an entry goes when its state does, so the memo never keeps a state
-    alive and holds nothing but fn's results.  It keeps one entry per live
-    state, so callers that visit the stored states several times over, like
-    the audits, still evaluate each state once.
-    """
-    memo: dict = {}
-
-    def get(s):
-        key = id(s)
-        hit = memo.get(key)
-        if hit is None or hit[0]() is not s:
-            ref = weakref.ref(s, lambda _, key=key: memo.pop(key, None))
-            hit = memo[key] = (ref, fn(s))
-        return hit[1]
+    def get(ws):
+        if key not in ws.floats:
+            ws.floats[key] = fn(ws)
+        return ws.floats[key]
 
     return get
 
@@ -65,29 +53,30 @@ def _simple_probes(gamma: float, moment_names=()) -> dict:
     """The fixed-name probes, plus the ``norm.weighted.p<P>`` and ``psi.p<P>``
     probes named in ``moment_names``, which share one |v|^2 per state with
     ``venergy``."""
-    energy = _once_per_state(lambda s: estimates.energy(s, gamma))
-    vdiss = _once_per_state(lambda s: estimates.v_energy_dissipations(s, gamma))
-    jungel = _once_per_state(lambda s: estimates.jungel_terms(s.rho))
     exponents = {name: _moment_exponent(name) for name in moment_names}
-    moments = _once_per_state(lambda s: estimates.velocity_moments(s, tuple(exponents.values())))
+    qs = tuple(exponents.values())
+    energy = _shared(("energy", gamma), lambda ws: estimates.energy(ws.primitive, gamma))
+    vdiss = _shared(("vdiss", gamma), lambda ws: estimates.v_energy_dissipations(ws.effective, gamma))
+    jungel = _shared("jungel", lambda ws: estimates.jungel_terms(ws.state.rho))
+    moments = _shared(("moments", qs), lambda ws: estimates.velocity_moments(ws, qs))
     simple = {
-        "energy.total": lambda s: energy(s).total,
-        "energy.kinetic": lambda s: energy(s).kinetic,
-        "energy.potential": lambda s: energy(s).potential,
-        "energy.fisher": lambda s: energy(s).fisher,
-        "energy.dissipation": estimates.dissipation_rate,
-        "venergy": lambda s: moments(s)[0],
-        "venergy.pressure_dissipation": lambda s: vdiss(s)[0],
-        "venergy.velocity_dissipation": lambda s: vdiss(s)[1],
-        "jungel.D": lambda s: jungel(s)[0],
-        "jungel.A": lambda s: jungel(s)[1],
-        "jungel.Bp": lambda s: jungel(s)[2],
+        "energy.total": lambda ws: energy(ws).total,
+        "energy.kinetic": lambda ws: energy(ws).kinetic,
+        "energy.potential": lambda ws: energy(ws).potential,
+        "energy.fisher": lambda ws: energy(ws).fisher,
+        "energy.dissipation": lambda ws: estimates.dissipation_rate(ws.primitive),
+        "venergy": lambda ws: moments(ws)[0],
+        "venergy.pressure_dissipation": lambda ws: vdiss(ws)[0],
+        "venergy.velocity_dissipation": lambda ws: vdiss(ws)[1],
+        "jungel.D": lambda ws: jungel(ws)[0],
+        "jungel.A": lambda ws: jungel(ws)[1],
+        "jungel.Bp": lambda ws: jungel(ws)[2],
     }
     for name, q in exponents.items():
         if name.startswith(_WEIGHTED):
-            simple[name] = lambda s, q=q: moments(s)[1][q] ** (1.0 / q)
+            simple[name] = lambda ws, q=q: moments(ws)[1][q] ** (1.0 / q)
         else:
-            simple[name] = lambda s, q=q: moments(s)[1][q]
+            simple[name] = lambda ws, q=q: moments(ws)[1][q]
     return simple
 
 
@@ -134,11 +123,12 @@ def _besov_probe(spec: str):
     idx = BesovIndex(s, _parse_exponent(tokens[1]), _parse_exponent(tokens[2]))
     cache: dict = {}
 
-    def probe(state):
-        fam = cache.get(state.grid)
+    def probe(ws):
+        grid = ws.state.grid
+        fam = cache.get(grid)
         if fam is None:
-            fam = cache[state.grid] = build_dyadic_family(state.grid)
-        dev = ScalarField(state.grid, state.rho.values - state.grid.far_field_density)
+            fam = cache[grid] = build_dyadic_family(grid)
+        dev = ScalarField(grid, ws.state.rho.values - grid.far_field_density)
         return besov_norm(fam, dev, idx)
 
     return probe
@@ -151,12 +141,12 @@ def _resolve_probe(name: str, simple: dict):
         return None  # recorded by the runner regardless
     if name.startswith("sobolev.rho.H"):
         k = _parse_order(name[len("sobolev.rho.H") :])
-        return lambda s: sobolev_norm(
-            ScalarField(s.grid, s.rho.values - s.grid.far_field_density), k
+        return lambda ws: sobolev_norm(
+            ScalarField(ws.state.grid, ws.state.rho.values - ws.state.grid.far_field_density), k
         )
     if name.startswith("sobolev.v.H"):
         k = _parse_order(name[len("sobolev.v.H") :])
-        return lambda s: vector_sobolev_norm(estimates._as_effective(s).vel, k)
+        return lambda ws: vector_sobolev_norm(ws.effective.vel, k)
     if name.startswith("besov.rho."):
         return _besov_probe(name[len("besov.rho.") :])
     near = difflib.get_close_matches(name, known_probe_names(), n=3)
@@ -165,7 +155,8 @@ def _resolve_probe(name: str, simple: dict):
 
 
 def resolve_probes(names, gamma: float) -> dict:
-    """Probe callables by name; probes reading one underlying evaluation share it."""
+    """Probe callables ``fn(ws)`` by name, each reading the sampled state's
+    ``Workspace``; probes reading one underlying evaluation share it."""
     names = list(names)
     simple = _simple_probes(gamma, [name for name in names if name.startswith((_WEIGHTED, _PSI))])
     out = {}
@@ -229,10 +220,16 @@ def _audit_pi(record, ctx):
     return _merge_worst(reports)
 
 
-def _audit_jungel(record, ctx, terms):
+def _second_order(record, ctx, flags) -> list:
+    """Each stored state's ``second_order_terms``, derived once per run and kept in its ctx."""
+    if "second_order_terms" not in ctx:
+        ctx["second_order_terms"] = [estimates.second_order_terms(s, **flags) for s in record.states]
+    return ctx["second_order_terms"]
+
+
+def _audit_jungel(record, ctx, flags):
     reports = []
-    for s in record.states:
-        t = terms(s)
+    for s, t in zip(record.states, _second_order(record, ctx, flags)):
         reports.extend(estimates.jungel_audit(s.rho, terms=(t["D"], t["A"], t["Bp"])))
     return _merge_worst(reports)
 
@@ -241,8 +238,8 @@ def _audit_region(record, ctx):
     return _merge_worst([estimates.region_split(s, ctx["gamma"]).chebyshev for s in record.states])
 
 
-def _audit_bd(record, ctx, terms):
-    return [estimates.bd_identity_audit(record, terms=terms)]
+def _audit_bd(record, ctx, flags):
+    return [estimates.bd_identity_audit(record, terms=_second_order(record, ctx, flags))]
 
 
 def _audit_loglaw(record, ctx):
@@ -296,10 +293,10 @@ SECOND_ORDER = {"bd-identity": "identity", "jungel": "convexity"}
 
 
 def resolve_audits(names) -> dict:
-    """Audit callables by name.
+    """Audit callables ``fn(record, ctx)`` by name.
 
-    The second-order audits share one derivation per stored state: it computes
-    what each of them configured here reads, and only its floats are kept.
+    The second-order audits share one derivation per stored state through the
+    run's ``ctx``: it computes what each of them configured here reads.
     """
     names = list(names)
     for name in names:
@@ -308,8 +305,7 @@ def resolve_audits(names) -> dict:
             hint = f"; nearest valid names: {', '.join(near)}" if near else ""
             raise ProbeError(f"unknown audit {name!r}{hint}")
     flags = {flag: name in names for name, flag in SECOND_ORDER.items()}
-    terms = _once_per_state(lambda s: estimates.second_order_terms(s, **flags))
     return {
-        name: functools.partial(AUDITS[name], terms=terms) if name in SECOND_ORDER else AUDITS[name]
+        name: functools.partial(AUDITS[name], flags=flags) if name in SECOND_ORDER else AUDITS[name]
         for name in names
     }

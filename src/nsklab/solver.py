@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "CflError",
     "NonFiniteError",
     "FlowState",
+    "Workspace",
     "SolverConfig",
     "TrajectoryRecord",
     "to_effective",
@@ -77,18 +79,12 @@ class NonFiniteError(SolverError):
 @dataclass(frozen=True, eq=False)
 class FlowState:
     """A (rho, velocity) snapshot; vel is u in primitive form, v in effective form.
-
-    ``log_rho_hat`` and ``grad_log_rho`` optionally carry the half-lattice
-    spectrum of log rho and grad(log rho), set together by ``run()`` on the
-    state it is about to sample and step; everything else leaves them None.
-    """
+    What is derived from the fields lives on the state's ``Workspace``."""
 
     t: float
     rho: ScalarField
     vel: VectorField
     formulation: str = "primitive"
-    log_rho_hat: np.ndarray | None = field(default=None, repr=False)
-    grad_log_rho: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.formulation not in ("primitive", "effective"):
@@ -136,57 +132,79 @@ def theorem_range_warnings(gamma: float, dim: int) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# formulation changes
+# the workspace of a state, and formulation changes
 
 
-def _log_density(s: FlowState) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum of log rho and grad(log rho): the carried pair, or computed."""
-    if s.log_rho_hat is not None and s.grad_log_rho is not None:
-        return s.log_rho_hat, s.grad_log_rho
-    grid = s.grid
-    hat = grid.rfft(np.log(s.rho.values))
-    grad = np.empty((grid.dim,) + grid.shape)
-    for i, k in enumerate(grid.rwavevectors):
-        grad[i] = grid.irfft(1j * k * hat)
-    return hat, grad
+class Workspace:
+    """A state and the data derived from it, each computed at most once, on first use:
+    the half-lattice ``spectra`` of rho and of each velocity component,
+    ``log_rho_hat``, ``grad_log_rho``, ``v2`` (|v|^2 of the effective velocity,
+    its squares added in component order) and ``floats``, the per-state results
+    of evaluations that probes share.  ``run()`` builds one per sampled state."""
 
+    def __init__(self, state: FlowState, carried=None):
+        self.state = state
+        self.floats: dict = {}
+        if carried is not None:  # the spectra the step to this state left behind
+            self.spectra = carried
 
-def _carrying(s: FlowState, **changes) -> FlowState:
-    """A copy with the log-density pair attached; effective states only.
+    @cached_property
+    def spectra(self) -> tuple:
+        grid = self.state.grid
+        return grid.rfft(self.state.rho.values), [grid.rfft(c) for c in self.state.vel.components]
 
-    The copy shares s's validated fields, so it is built without re-checking them.
-    """
-    if s.formulation == "effective":
-        changes["log_rho_hat"], changes["grad_log_rho"] = _log_density(s)
-    return _trusted(FlowState, **{**vars(s), **changes}) if changes else s
+    @cached_property
+    def log_rho_hat(self) -> np.ndarray:
+        return self.state.grid.rfft(np.log(self.state.rho.values))
 
+    @cached_property
+    def grad_log_rho(self) -> np.ndarray:
+        grid = self.state.grid
+        grad = np.empty((grid.dim,) + grid.shape)
+        for i, k in enumerate(grid.rwavevectors):
+            grad[i] = grid.irfft(1j * k * self.log_rho_hat)
+        return grad
 
-def _bare(s: FlowState) -> FlowState:
-    """A copy without carried arrays, for keeping beyond the current step."""
-    if s.log_rho_hat is None and s.grad_log_rho is None:
-        return s
-    return _trusted(FlowState, **{**vars(s), "log_rho_hat": None, "grad_log_rho": None})
+    @cached_property
+    def v2(self) -> np.ndarray:
+        v = self.state.vel.components
+        if self.state.formulation == "primitive":
+            v = v + self.grad_log_rho
+        return sum(c * c for c in v)
 
+    @property
+    def effective(self) -> FlowState:
+        """The state in effective form: itself, or converted on each access, never kept."""
+        s = self.state
+        if s.formulation == "effective":
+            return s
+        return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components + self.grad_log_rho), "effective")
 
-def _spectra(s: FlowState) -> tuple[np.ndarray, list]:
-    """The half-lattice spectra of rho and of each velocity component, as
-    ``run()`` carries them across effective steps."""
-    grid = s.grid
-    return grid.rfft(s.rho.values), [grid.rfft(c) for c in s.vel.components]
+    @property
+    def primitive(self) -> FlowState:
+        """The state in primitive form: itself, or converted on each access, never kept."""
+        s = self.state
+        if s.formulation == "primitive":
+            return s
+        return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - self.grad_log_rho), "primitive")
+
+    def drop_sample_data(self) -> None:
+        """Forget |v|^2 and, for a primitive state, the log density: its step reads neither."""
+        effective = self.state.formulation == "effective"
+        for name in ("v2",) if effective else ("v2", "log_rho_hat", "grad_log_rho"):
+            self.__dict__.pop(name, None)
 
 
 def to_effective(s: FlowState) -> FlowState:
     if s.formulation != "primitive":
         raise FieldError("state is already in effective form")
-    shift = _log_density(s)[1]
-    return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components + shift), "effective")
+    return Workspace(s).effective
 
 
 def from_effective(s: FlowState) -> FlowState:
     if s.formulation != "effective":
         raise FieldError("state is not in effective form")
-    shift = _log_density(s)[1]
-    return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - shift), "primitive")
+    return Workspace(s).primitive
 
 
 # ----------------------------------------------------------------------
@@ -237,21 +255,19 @@ def _new_state(s: FlowState, cfg: SolverConfig, rho: np.ndarray, vel: np.ndarray
         rho=_trusted(ScalarField, grid=grid, values=rho),
         vel=_trusted(VectorField, grid=grid, components=vel),
         formulation=s.formulation,
-        log_rho_hat=None,
-        grad_log_rho=None,
     )
 
 
-def step_effective(s: FlowState, cfg: SolverConfig, spectra=None) -> FlowState:
+def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
     """One IMEX step of the effective system.
 
-    ``spectra`` is the pair ``_spectra(s)`` returns, carried by the caller:
-    the step reads it in place of transforming rho and v, and overwrites it
-    in place with the spectra the implicit solve produces, which are the new
-    state's.  Without it the step transforms rho and v itself.
+    The step reads the log-density pair and the spectra of s's workspace
+    ``ws`` (or of a fresh one), and overwrites the spectra in place with the
+    ones the implicit solve produces, which are the new state's.
     """
     if s.formulation != "effective":
         raise FieldError("step_effective needs an effective-form state")
+    ws = ws or Workspace(s)
     grid = s.grid
     mask = grid.rdealias_mask
     ks = grid.rwavevectors
@@ -259,9 +275,9 @@ def step_effective(s: FlowState, cfg: SolverConfig, spectra=None) -> FlowState:
     v = s.vel.components
     dt = cfg.dt
 
-    log_r_hat, dlog = _log_density(s)
+    log_r_hat, dlog = ws.log_rho_hat, ws.grad_log_rho
     _check_cfl(s, cfg, _max_norm(v) + 2.0 * _max_norm(dlog))
-    r_hat, v_hat = _spectra(s) if spectra is None else spectra
+    r_hat, v_hat = ws.spectra
 
     # the pressure force is differentiated on the Fourier side; at gamma = 2
     # rho^(gamma-1) is rho, whose spectrum is at hand
@@ -345,10 +361,10 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
     return _new_state(s, cfg, new_r, new_m / new_r)
 
 
-def step(s: FlowState, cfg: SolverConfig, spectra=None) -> FlowState:
-    """One step in s's formulation; ``spectra`` is step_effective's carried pair."""
+def step(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
+    """One step in s's formulation; only the effective step reads s's workspace ``ws``."""
     if s.formulation == "effective":
-        return step_effective(s, cfg, spectra)
+        return step_effective(s, cfg, ws)
     return step_primitive(s, cfg)
 
 
@@ -370,11 +386,9 @@ class TrajectoryRecord:
     abort_time: float | None = None
 
 
-def veff_max(state: FlowState) -> float:
-    """Maximum of the effective velocity |u + grad log rho| over the grid."""
-    if state.formulation == "effective":
-        return _max_norm(state.vel.components)
-    return _max_norm(state.vel.components + _log_density(state)[1])
+def veff_max(ws: Workspace) -> float:
+    """Maximum of the effective velocity |u + grad log rho| over the grid (see ``_max_norm``)."""
+    return math.sqrt(float(np.max(ws.v2)))
 
 
 def far_field_defect(state: FlowState) -> float:
@@ -384,18 +398,10 @@ def far_field_defect(state: FlowState) -> float:
     primitive velocity first, since the far-field condition constrains
     (rho, u) and the shift grad(log rho) is derived from rho.
     """
-    if state.formulation == "effective":
-        state = from_effective(state)
+    state = Workspace(state).primitive
     grid = state.grid
-    n = grid.n
-    rim = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[axis] = slice(0, _RIM_CELLS)
-        sl_hi[axis] = slice(n - _RIM_CELLS, n)
-        rim[tuple(sl_lo)] = True
-        rim[tuple(sl_hi)] = True
+    index = np.indices(grid.shape)
+    rim = np.any((index < _RIM_CELLS) | (index >= grid.n - _RIM_CELLS), axis=0)
     dev_rho = float(np.max(np.abs(state.rho.values[rim] - grid.far_field_density)))
     dev_vel = float(np.max(state.vel.magnitude()[rim]))
     return max(dev_rho, dev_vel)
@@ -410,19 +416,18 @@ def run(
 ) -> TrajectoryRecord:
     """Integrate to the horizon, sampling probes every step and states at a stride.
 
-    Positivity loss and non-finite fields abort cleanly and are recorded on
-    the trajectory; other stepper failures propagate.  The minimum density is always monitored.
-    The current effective state carries grad(log rho), computed once and
-    shared by the far-field check, the probes and the next step; the stored
-    states do not.  The run also keeps the spectra of the current effective
-    state's rho and v, which each step reads and replaces by the next state's,
-    so no step transforms the fields the previous one produced in spectral form.
+    Each sampled state gets one ``Workspace``, which the probes (``fn(ws)``)
+    read and which keeps after the sample only what the step reads.  An
+    effective step leaves the new state's spectra in it, and they pass to the
+    next workspace.  A step the guard refuses, positivity loss and non-finite
+    fields abort cleanly and are recorded on the trajectory; other stepper
+    failures propagate.  The minimum density is always monitored.
     """
     if state_stride < 1:
         raise FieldError("state stride must be >= 1")
-    state = _carrying(initial)
+    ws = Workspace(initial)
     if check_far_field and initial.t == 0.0:
-        defect = far_field_defect(state)
+        defect = far_field_defect(ws.primitive)
         if defect > FAR_FIELD_TOL:
             raise SolverError(
                 f"initial state violates the far-field proxy: boundary deviation "
@@ -433,30 +438,32 @@ def run(
     series: dict[str, list] = {name: [] for name in (*ALWAYS_RECORDED, *probes)}
     times: list[float] = []
 
-    def sample(state: FlowState) -> None:
-        times.append(state.t)
-        r = state.rho.values
-        for name, value in zip(ALWAYS_RECORDED, (np.min(r), np.max(r), veff_max(state))):
+    def sample(ws: Workspace) -> None:
+        times.append(ws.state.t)
+        r = ws.state.rho.values
+        for name, value in zip(ALWAYS_RECORDED, (np.min(r), np.max(r), veff_max(ws))):
             series[name].append(float(value))
         for name, fn in probes.items():
-            series[name].append(float(fn(state)))
+            series[name].append(float(fn(ws)))
+        ws.drop_sample_data()
 
     n_steps = round(cfg.t_end / cfg.dt)
-    spectra = _spectra(state) if state.formulation == "effective" else None
-    sample(state)
-    record.states.append(_bare(initial))
+    sample(ws)
+    record.states.append(initial)
     for k in range(n_steps):
         try:
-            state = step(state, cfg, spectra)
-        except (PositivityError, NonFiniteError) as err:
+            state = step(ws.state, cfg, ws)
+        except (CflError, PositivityError, NonFiniteError) as err:
             record.aborted = True
             record.abort_reason = str(err)
-            record.abort_time = (k + 1) * cfg.dt
+            # the guard refuses to step from the current state; the others fail on the new one
+            record.abort_time = ws.state.t if isinstance(err, CflError) else (k + 1) * cfg.dt
             break
-        state = _carrying(state, t=(k + 1) * cfg.dt)
-        sample(state)
+        state = _trusted(FlowState, **{**vars(state), "t": (k + 1) * cfg.dt})
+        ws = Workspace(state, ws.spectra if state.formulation == "effective" else None)
+        sample(ws)
         if (k + 1) % state_stride == 0 or k + 1 == n_steps:
-            record.states.append(_bare(state))
+            record.states.append(state)
     record.times = np.array(times)
     record.scalars = {name: np.array(vals) for name, vals in series.items()}
     return record

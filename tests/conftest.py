@@ -23,3 +23,21 @@ def grid3d():
 def corpus64(grid64):
     rng = np.random.default_rng(2024)
     return [random_band_limited(grid64, rng, max_mode=int(rng.integers(2, 20))) for _ in range(20)]
+
+
+FFT_NAMES = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """A list that records the name of every numpy.fft call made from now on."""
+    calls = []
+    for name in FFT_NAMES:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+        )
+    return calls

@@ -324,7 +324,7 @@ def test_criterion_08_solver():
             rec = run(
                 state,
                 SolverConfig(gamma=2.0, dt=dt, t_end=0.2),
-                probes={"E": lambda s: energy(s, 2.0).total},
+                probes={"E": lambda ws: energy(ws.state, 2.0).total},
                 state_stride=10**9,
             )
             incs[dt] = float(np.max(np.diff(rec.scalars["E"]), initial=-math.inf))
@@ -422,7 +422,7 @@ def growth_runs():
             )
         )
         probes = {
-            f"norm.weighted.p{p}": (lambda s, p=p: weighted_velocity_norm(s, p))
+            f"norm.weighted.p{p}": (lambda ws, p=p: weighted_velocity_norm(ws.state, p))
             for p in GROWTH_PS
         }
         out[n] = run(

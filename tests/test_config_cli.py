@@ -374,6 +374,26 @@ class TestCli:
         manifest = json.loads((tmp_path / "abort_run" / "manifest.json").read_text())
         assert manifest["aborted"] and manifest["abort_time"] == pytest.approx(0.05)
 
+    def test_run_verb_step_guard_abort_exit_three(self, tmp_path, capsys):
+        # the guard refuses the first step; the run still ends with its outputs and a manifest
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
+        text = demo.read_text().replace("dt = 1e-3", "dt = 1e-2").replace("out/demo", "guard_run")
+        cfg_path = tmp_path / "guard.cfg"
+        cfg_path.write_text(text)
+        code = cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "solver aborted at t=0.0: dt=0.01 exceeds the stability guard" in out
+        outdir = tmp_path / "guard_run"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["aborted"] and manifest["exit_code"] == 3
+        assert manifest["abort_time"] == 0.0
+        assert manifest["abort_reason"].startswith("dt=0.01 exceeds the stability guard")
+        written = sorted(p.name for p in outdir.iterdir())
+        assert sorted(manifest["files"] + ["manifest.json"]) == written
+        assert len((outdir / "series.csv").read_text().splitlines()) == 2  # header and t = 0
+        assert read_snapshot(outdir / "final.rho.nskf")[1] == 0.0
+
     def test_missing_subcommand_exit_two(self):
         assert cli_main([]) == 2
 

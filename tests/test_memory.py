@@ -4,7 +4,7 @@ The steppers and the second-order pass hold one spectrum per field and form
 each derivative as a transient; none builds a (d, d, n, ...) tensor of
 derivative fields.  The peak is what tracemalloc sees numpy allocate during
 one call at 3D 32^3, in units of one real field R, above what was live before
-the call (the inputs, and the carried spectra where a step reads them).
+the call (the inputs, and the workspace's carried spectra where a step reads them).
 """
 
 import tracemalloc
@@ -47,7 +47,10 @@ def test_second_order_pass(primitive):
 
 
 def test_effective_step_with_carried_spectra(primitive):
-    s = solver._carrying(to_effective(primitive))
-    spectra = [solver._spectra(s) for _ in range(2)]  # one per call: each call overwrites its pair
-    calls = iter(spectra)
+    s = to_effective(primitive)
+    # one workspace per call, each as the run loop hands it over: each call overwrites its spectra
+    workspaces = [solver.Workspace(s) for _ in range(2)]
+    for ws in workspaces:
+        ws.grad_log_rho, ws.spectra
+    calls = iter(workspaces)
     assert _peak_in_fields(lambda: solver.step_effective(s, CFG, next(calls)), s) <= 17.6

@@ -1,16 +1,18 @@
-"""Derived fields computed once per state and shared.
+"""Derived data computed once per state and shared.
 
-The run loop attaches grad(log rho) and the log-density spectrum to the
-current effective state, and the stepper, the formulation changes and the
-probes read that copy; probe families that read one underlying evaluation
-share it.  None of this may change a single output bit, and none of the
-carried arrays may outlive the step they belong to.  The run loop also
-carries the spectra of rho and v from one effective step to the next, which
-moves the trajectory by round-off only.  The bd-identity and jungel audits
-share one derivation per stored state, in either order, and keep only its
-floats.
+Each sampled state gets one ``Workspace`` that holds the log-density
+spectrum, grad(log rho), |v|^2 and, for an effective state, the spectra of
+rho and v; the step, the far-field check, the always-recorded columns and
+the probes read it, and probe families that read one underlying evaluation
+share it through the workspace's floats.  None of this may change a single
+output bit, and no derived array may outlive the step it belongs to.  The
+run loop carries the spectra of rho and v from one effective step to the
+next, which moves the trajectory by round-off only.  The bd-identity and
+jungel audits share one derivation per stored state through the run's audit
+context, in either order, and keep only its floats.
 """
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -23,6 +25,7 @@ from nsklab.solver import (
     FlowState,
     SolverConfig,
     TrajectoryRecord,
+    Workspace,
     far_field_defect,
     from_effective,
     make_preset,
@@ -35,22 +38,6 @@ DEMO_PROBES = (
     "energy.total", "energy.kinetic", "venergy",
     "norm.weighted.p2", "norm.weighted.p6", "sobolev.rho.H2",
 )
-FFT_NAMES = (
-    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
-)
-
-
-@pytest.fixture
-def transforms(monkeypatch):
-    """A list that records the name of every numpy.fft call made from now on."""
-    calls = []
-    for name in FFT_NAMES:
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(
-            np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
-        )
-    return calls
 
 
 def _bump(dim: int) -> FlowState:
@@ -58,21 +45,28 @@ def _bump(dim: int) -> FlowState:
     return to_effective(make_preset("gaussian-bump", g))
 
 
-def _fresh(s: FlowState) -> FlowState:
-    return FlowState(s.t, s.rho, s.vel, s.formulation)
+def _carried(s: FlowState, spectra: bool = True) -> Workspace:
+    """s's workspace as the run loop hands it to the step: the log-density
+    pair computed and, if asked, the spectra of rho and v."""
+    ws = Workspace(s)
+    ws.grad_log_rho
+    if spectra:
+        ws.spectra
+    return ws
 
 
-def _carries(s: FlowState) -> bool:
-    return s.log_rho_hat is not None or s.grad_log_rho is not None
+def _held(ws: Workspace) -> set:
+    """The names of the derived arrays ws holds."""
+    return set(vars(ws)) - {"state", "floats"}
 
 
 class TestCarriedStep:
     @pytest.mark.parametrize("dim,expected", [(2, 11), (3, 19)])
     def test_carried_state_steps_with_fewer_transforms(self, transforms, dim, expected):
-        s = solver._carrying(_bump(dim))
-        spectra = solver._spectra(s)
+        s = _bump(dim)
+        ws = _carried(s)
         transforms.clear()
-        step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), spectra)
+        step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), ws)
         assert len(transforms) == expected
 
     @pytest.mark.parametrize("dim,expected", [(2, 17), (3, 27)])
@@ -88,7 +82,7 @@ class TestCarriedStep:
         # the run loop's own derivation plus the step costs what one bare step does
         s = _bump(dim)
         transforms.clear()
-        step(solver._carrying(s), SolverConfig(gamma=1.0, dt=1e-3, t_end=1e-3))
+        step(s, SolverConfig(gamma=1.0, dt=1e-3, t_end=1e-3), _carried(s, spectra=False))
         assert len(transforms) == expected
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
@@ -97,17 +91,18 @@ class TestCarriedStep:
         s = _bump(dim)
         cfg = SolverConfig(gamma=gamma, dt=1e-3, t_end=1e-3)
         a = step(s, cfg)
-        for b in (step(solver._carrying(s), cfg), step(s, cfg, solver._spectra(s))):
+        for ws in (Workspace(s), _carried(s, spectra=False), _carried(s)):
+            b = step(s, cfg, ws)
             assert np.array_equal(a.rho.values, b.rho.values)
             assert np.array_equal(a.vel.components, b.vel.components)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_step_replaces_the_carried_spectra_by_the_new_states(self, dim):
         s = _bump(dim)
-        spectra = solver._spectra(s)
-        new = step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), spectra)
-        fresh = solver._spectra(new)
-        for carried, recomputed in zip((spectra[0], *spectra[1]), (fresh[0], *fresh[1])):
+        ws = _carried(s)
+        new = step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), ws)
+        (r_hat, v_hat), (fresh_r, fresh_v) = ws.spectra, Workspace(new).spectra
+        for carried, recomputed in zip((r_hat, *v_hat), (fresh_r, *fresh_v)):
             scale = np.max(np.abs(recomputed))
             assert np.max(np.abs(carried - recomputed)) <= 1e-13 * scale
 
@@ -125,20 +120,30 @@ class TestCarriedStep:
         assert new.rho.values.dtype == new.vel.components.dtype == np.float64
 
     def test_formulation_changes_use_and_drop_the_carried_copy(self, transforms):
+        # the workspace's views read its grad(log rho) and are never kept
         s = _bump(2)
-        carried = solver._carrying(s)
+        ws = _carried(s, spectra=False)
         transforms.clear()
-        prim = from_effective(carried)
+        prim = ws.primitive
         assert transforms == []
-        assert not _carries(prim)
+        assert _held(ws) == {"log_rho_hat", "grad_log_rho"}
+        assert ws.primitive is not prim
         assert np.array_equal(prim.vel.components, from_effective(s).vel.components)
-        assert far_field_defect(carried) == far_field_defect(s)
-        assert not _carries(to_effective(prim))
+        assert far_field_defect(prim) == far_field_defect(s)
+        assert Workspace(s).effective is s and Workspace(prim).primitive is prim
 
     def test_primitive_states_carry_nothing(self):
+        # the primitive step reads none of the sample's data, so none is held across it
         g = make_grid(2, 32, 4 * np.pi, 1.0)
-        s = make_preset("gaussian-bump", g)
-        assert solver._carrying(s) is s
+        ws = Workspace(make_preset("gaussian-bump", g))
+        resolve_probes(DEMO_PROBES, 2.0)["venergy"](ws)
+        assert _held(ws) == {"log_rho_hat", "grad_log_rho", "v2"}
+        ws.drop_sample_data()
+        assert _held(ws) == set()
+        effective = _carried(_bump(2))
+        effective.v2
+        effective.drop_sample_data()
+        assert _held(effective) == {"log_rho_hat", "grad_log_rho", "spectra"}
 
 
 class TestRunLoop:
@@ -156,23 +161,24 @@ class TestRunLoop:
         assert counts[1] - counts[0] == 18
 
     def test_stored_states_carry_nothing(self):
-        rec = run(_bump(2), self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
+        s = _bump(2)
+        rec = run(s, self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
         assert len(rec.states) == 7
-        assert not any(_carries(s) for s in rec.states)
-
-    def test_carrying_initial_state_is_stored_bare(self):
-        rec = run(solver._carrying(_bump(2)), self.CFG, state_stride=6)
-        assert not any(_carries(s) for s in rec.states)
+        assert rec.states[0] is s
+        fields = [f.name for f in dataclasses.fields(FlowState)]
+        assert fields == ["t", "rho", "vel", "formulation"]
+        assert all(sorted(vars(st)) == sorted(fields) for st in rec.states)
 
     def test_trajectory_matches_bare_stepping(self):
         # run() is stepping with carried spectra, bit for bit
         s = _bump(2)
         rec = run(s, self.CFG)
-        carried, spectra = s, solver._spectra(s)
+        ws = Workspace(s)
         for k in range(6):
-            carried = step(carried, self.CFG, spectra)
-            assert np.array_equal(rec.states[k + 1].rho.values, carried.rho.values)
-            assert np.array_equal(rec.states[k + 1].vel.components, carried.vel.components)
+            new = step(ws.state, self.CFG, ws)
+            assert np.array_equal(rec.states[k + 1].rho.values, new.rho.values)
+            assert np.array_equal(rec.states[k + 1].vel.components, new.vel.components)
+            ws = Workspace(new, ws.spectra)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_carried_spectra_stay_within_round_off_of_bare_stepping(self, dim):
@@ -193,10 +199,28 @@ class TestRunLoop:
         assert len(rec.states) == len(rec.times)
         fresh_probes = resolve_probes(DEMO_PROBES, 2.0)
         for i, s in enumerate(rec.states):
-            f = _fresh(s)
-            assert rec.scalars["veff.max"][i] == solver.veff_max(f)
+            assert rec.scalars["veff.max"][i] == solver.veff_max(Workspace(s))
             for name, fn in fresh_probes.items():
-                assert rec.scalars[name][i] == fn(f), (name, i)
+                assert rec.scalars[name][i] == fn(Workspace(s)), (name, i)
+
+    @pytest.mark.parametrize("formulation", ["effective", "primitive"])
+    def test_one_v2_gives_the_former_veff_max_and_moments(self, formulation):
+        # the former veff.max summed c * c per component and velocity_moments
+        # took np.sum(c**2, axis=0) of a converted state; one |v|^2 gives both
+        rng = np.random.default_rng(5)
+        for dim, n in ((2, 128), (3, 64)):
+            g = make_grid(dim, n, 4 * np.pi, 1.0)
+            s = make_preset("random-large", g, seed=int(rng.integers(100)))
+            if formulation == "effective":
+                s = to_effective(s)
+            ws = Workspace(s)
+            v = ws.effective.vel.components
+            assert solver.veff_max(ws) == np.sqrt(np.max(sum(c * c for c in v)))
+            rho, cell = s.rho.values, g.cell_volume
+            former = np.sum(v**2, axis=0)
+            energy_v, moments = estimates.velocity_moments(ws, (4.0,))
+            assert energy_v == float(np.sum(rho * former) * cell)
+            assert moments[4.0] == float(np.sum(rho * np.sqrt(former) ** 4.0) * cell)
 
 
 class TestProbeFamiliesEvaluateOnce:
@@ -230,36 +254,40 @@ class TestProbeFamiliesEvaluateOnce:
         monkeypatch.setattr(estimates, attr, original)
         fresh = resolve_probes(names, 2.0)
         for name in names:
-            assert rec.scalars[name][-1] == fresh[name](_fresh(rec.states[-1]))
+            assert rec.scalars[name][-1] == fresh[name](Workspace(rec.states[-1]))
 
     def test_memo_tells_states_apart(self):
         probes = resolve_probes(("energy.total",), 2.0)
         a = _bump(2)
         b = step(a, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3))
-        ea, eb = probes["energy.total"](a), probes["energy.total"](b)
+        ea, eb = probes["energy.total"](Workspace(a)), probes["energy.total"](Workspace(b))
         assert ea == estimates.energy(a, 2.0).total
         assert eb == estimates.energy(b, 2.0).total
         assert ea != eb
 
     def test_memo_does_not_keep_states_alive(self):
-        probes = resolve_probes(("energy.total",), 2.0)
+        # the shared evaluations live on the workspace as floats, never in the probes
+        probes = resolve_probes(("energy.total", "venergy", "norm.weighted.p2"), 2.0)
         s = _bump(2)
-        probes["energy.total"](s)
+        ws = Workspace(s)
+        for fn in probes.values():
+            fn(ws)
         ref = weakref.ref(s)
-        del s
+        del s, ws
         assert ref() is None
 
 
 class TestVelocityFunctionalsReadOnePass:
-    """The reverse-Hoelder audit reads its six psi exponents in one pass."""
+    """The reverse-Hoelder audit reads its six psi exponents and c4's initial
+    v-energy in one pass."""
 
-    def test_one_velocity_moments_call_per_stored_state_plus_one(self, monkeypatch):
+    def test_one_velocity_moments_call_per_stored_state(self, monkeypatch):
         original = estimates.velocity_moments
         seen = []
 
-        def counted(s, exponents=()):
-            seen.append((s, tuple(exponents)))
-            return original(s, exponents)
+        def counted(ws, exponents=()):
+            seen.append((ws.state, tuple(exponents)))
+            return original(ws, exponents)
 
         monkeypatch.setattr(estimates, "velocity_moments", counted)
         rec = run(_bump(2), SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02))
@@ -267,10 +295,10 @@ class TestVelocityFunctionalsReadOnePass:
         audit = resolve_audits(("reverse-holder",))["reverse-holder"]
         rows = audit(rec, {"preset": "gaussian-bump"})
         assert [row.inequality_id for row in rows] == ["psi.reverse_holder"]
-        # one pass over the stored states, plus the initial v-energy for c4
-        assert len(seen) == 22
-        assert [s for s, exps in seen if exps] == rec.states
-        assert all(len(exps) == 5 for s, exps in seen if exps)  # q = 5/3 * 3 = 5 is shared
+        # one pass over the stored states, which also gives c4 the initial v-energy
+        assert len(seen) == 21
+        assert [s for s, _ in seen] == rec.states
+        assert all(len(exps) == 5 for _, exps in seen)  # q = 5/3 * 3 = 5 is shared
 
 
 
@@ -285,13 +313,16 @@ def _record(dim: int, formulation: str, n_steps: int = 2) -> TrajectoryRecord:
     return rec
 
 
-def _audit_rows(names, record):
+def _audit_rows(names, record, ctx=None):
+    """The rows of the named audits, run as one run's audits: with one context."""
     audits = resolve_audits(names)
-    return [row for name in names for row in audits[name](record, {})]
+    ctx = {} if ctx is None else ctx
+    return [row for name in names for row in audits[name](record, ctx)]
 
 
 class TestSecondOrderAudits:
-    """bd-identity and jungel: one derivation per stored state, floats only."""
+    """bd-identity and jungel: one derivation per stored state through the
+    run's audit context, floats only."""
 
     # transforms per stored state (before sharing, 3D: 41, 18, 59 primitive
     # and 45, 18, 63 effective; 2D: 24, 11, 35 and 27, 11, 38)
@@ -359,10 +390,11 @@ class TestSecondOrderAudits:
         assert (t["D"], t["u"], t["lhs"]) == (weighted(hess), weighted(jac), weighted(jac + hess))
 
     def test_memo_does_not_keep_states_alive(self):
-        audits = resolve_audits(("bd-identity", "jungel"))
+        ctx = {}
         rec = _record(2, "primitive")
-        for name in ("bd-identity", "jungel"):
-            audits[name](rec, {})
+        _audit_rows(("bd-identity", "jungel"), rec, ctx)
+        assert len(ctx["second_order_terms"]) == len(rec.states)
+        assert all(type(v) is float for t in ctx["second_order_terms"] for v in t.values())
         refs = [weakref.ref(s) for s in rec.states]
         del rec
         assert all(r() is None for r in refs)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsklab.fields import (
     FieldError,
@@ -18,6 +20,7 @@ from nsklab.solver import (
     NonFiniteError,
     SolverConfig,
     SolverError,
+    Workspace,
     far_field_defect,
     from_effective,
     make_preset,
@@ -27,6 +30,7 @@ from nsklab.solver import (
     step_primitive,
     theorem_range_warnings,
     to_effective,
+    veff_max,
 )
 
 
@@ -218,22 +222,65 @@ class TestTransformBudget:
         "dim,formulation,expected",
         [(2, "effective", 17), (3, "effective", 27), (2, "primitive", 23), (3, "primitive", 40)],
     )
-    def test_transforms_per_step(self, monkeypatch, dim, formulation, expected):
+    def test_transforms_per_step(self, transforms, dim, formulation, expected):
         g = make_grid(dim, 32 if dim == 2 else 16, 4 * np.pi, 1.0)
         s = make_preset("gaussian-bump", g)
         if formulation == "effective":
             s = to_effective(s)
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3)
-        calls = []
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
-            fn = getattr(np.fft, name)
-            monkeypatch.setattr(
-                np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
-            )
+        transforms.clear()
         step(s, cfg)
-        assert len(calls) == expected
-        assert set(calls) == {"rfftn", "irfftn"}
+        assert len(transforms) == expected
+        assert set(transforms) == {"rfftn", "irfftn"}
+
+
+# small power-of-two grids: there the transform round trip of a constant is
+# exact, which the fixed-point property needs (on 24^2 it is off by one ulp)
+_GRIDS = st.sampled_from([(2, 16), (2, 32), (3, 8), (3, 16)])
+_GAMMAS = st.sampled_from([1.0, 1.4, 2.0])
+_FORMULATIONS = st.sampled_from(["primitive", "effective"])
+
+
+def _random_state(dim: int, n: int, formulation: str, seed: int) -> FlowState:
+    s = make_preset("random-large", make_grid(dim, n, 4 * np.pi, 1.0), seed=seed)
+    return to_effective(s) if formulation == "effective" else s
+
+
+class TestStepperProperties:
+    """Invariants of one step over random grids, exponents, formulations and seeds."""
+
+    @given(grid=_GRIDS, gamma=_GAMMAS, formulation=_FORMULATIONS, rho_bar=st.floats(0.25, 4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_constant_state_is_a_fixed_point(self, grid, gamma, formulation, rho_bar):
+        s = make_preset("constant", make_grid(*grid, 4 * np.pi, rho_bar))
+        if formulation == "effective":
+            s = to_effective(s)
+        new = step(s, SolverConfig(gamma=gamma, dt=1e-3, t_end=1e-3))
+        assert np.array_equal(new.rho.values, s.rho.values)
+        assert np.array_equal(new.vel.components, s.vel.components)
+
+    @given(grid=_GRIDS, gamma=_GAMMAS, formulation=_FORMULATIONS, seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_mass_is_conserved(self, grid, gamma, formulation, seed):
+        s = _random_state(*grid, formulation, seed)
+        rec = run(s, SolverConfig(gamma=gamma, dt=1e-3, t_end=3e-3), check_far_field=False)
+        mass = [float(np.sum(st.rho.values)) for st in rec.states]
+        assert len(mass) == 4 and not rec.aborted
+        assert max(abs(m - mass[0]) for m in mass) <= 1e-13 * mass[0]
+
+    @given(grid=_GRIDS, gamma=_GAMMAS, formulation=_FORMULATIONS, seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_step_through_a_workspace_is_the_bare_step(self, grid, gamma, formulation, seed):
+        s = _random_state(*grid, formulation, seed)
+        cfg = SolverConfig(gamma=gamma, dt=1e-3, t_end=1e-3)
+        bare = step(s, cfg)
+        sampled = Workspace(s)  # as run() hands it over after a sample
+        veff_max(sampled)
+        sampled.drop_sample_data()
+        for ws in (Workspace(s), sampled):
+            new = step(s, cfg, ws)
+            assert np.array_equal(new.rho.values, bare.rho.values)
+            assert np.array_equal(new.vel.components, bare.vel.components)
 
 
 class TestNonFinite:
@@ -270,7 +317,7 @@ class TestRun:
         rec = run(
             make_preset("constant", grid64_wide),
             cfg,
-            probes={"E": lambda s: energy(s, 2.0).total},
+            probes={"E": lambda ws: energy(ws.state, 2.0).total},
         )
         assert np.max(np.abs(rec.scalars["E"])) == 0.0
         assert np.all(rec.scalars["density.min"] == 1.0)
