@@ -65,5 +65,20 @@ def identity_report(inequality_id, lhs, rhs, tolerance, citation, floor=0.0) -> 
     return AuditReport(inequality_id, lhs, rhs, ratio, tolerance, passed, citation)
 
 
+def _severity(r: AuditReport) -> tuple:
+    # a measured row's ratio is 0 (its rhs is inf), so its value ranks it
+    return (not r.passed, r.lhs if r.kind == "measured" else r.ratio)
+
+
+def _merge_worst(reports: list[AuditReport]) -> list[AuditReport]:
+    """Per inequality id, a failing row if there is one, else the largest."""
+    worst: dict[str, AuditReport] = {}
+    for r in reports:
+        prev = worst.get(r.inequality_id)
+        if prev is None or _severity(r) > _severity(prev):
+            worst[r.inequality_id] = r
+    return [worst[k] for k in sorted(worst)]
+
+
 def audit_csv_lines(reports) -> list[str]:
     return [CSV_HEADER] + [r.csv_row() for r in reports]

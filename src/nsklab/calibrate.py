@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .degiorgi import flat_aware_gradient, truncate
+from .degiorgi import inverse_density, truncate, truncation_terms
 from .dyadic import (
     BesovIndex,
     TimeSeriesField,
@@ -168,23 +168,19 @@ def calibrate_certificate(out, runs):
     # iteration algebra: C_cert = 2^(25/2) * C_gn^(3/2)
     c_gn = 0.0
     for record in runs.values():
-        inv = [1.0 / s.rho.values for s in record.states]
-        lo = min(float(np.min(w)) for w in inv)
-        hi = max(float(np.max(w)) for w in inv)
-        levels = [lo + frac * (hi - lo) for frac in (0.2, 0.5, 0.8)]
-        for level in levels:
-            sup_l2_sq = 0.0
-            grad_sq, w_sq, times = [], [], []
-            for s in record.states:
-                w = truncate(ScalarField(s.grid, 1.0 / s.rho.values), level)
-                cell = s.grid.cell_volume
-                sup_l2_sq = max(sup_l2_sq, float(np.sum(w.values**2) * cell))
-                grad_sq.append(float(np.sum(flat_aware_gradient(w) ** 2) * cell))
-                w_sq.append(float(np.sum(np.abs(w.values) ** (10.0 / 3.0)) * cell))
-                times.append(s.t)
+        rows = record.stored_rows()
+        lo = 1.0 / float(np.max(record.scalars["density.max"][rows]))
+        hi = 1.0 / float(np.min(record.scalars["density.min"][rows]))
+        times = [s.t for s in record.states]
+        inverse = [inverse_density(s) for s in record.states]
+        for level in (lo + frac * (hi - lo) for frac in (0.2, 0.5, 0.8)):
+            sup_l2_sq, grad_int = truncation_terms(inverse, times, level)
+            w_sq = [
+                float(np.sum(truncate(w, level).values ** (10.0 / 3.0)) * w.grid.cell_volume)
+                for w in inverse
+            ]
             denom = sup_l2_sq ** (2.0 / 3.0) * (
-                np.trapezoid(np.array(grad_sq), np.array(times))
-                + np.trapezoid(np.array([x ** (3.0 / 5.0) for x in w_sq]), np.array(times))
+                grad_int + np.trapezoid(np.array([x ** (3.0 / 5.0) for x in w_sq]), np.array(times))
             )
             if denom > 0:
                 c_gn = max(c_gn, float(np.trapezoid(np.array(w_sq), np.array(times))) / denom)

@@ -86,24 +86,26 @@ def _cmd_report(args) -> int:
 def _cmd_audit(args) -> int:
     from .audits import audit_csv_lines
     from .estimates import jungel_audit, pi_equivalence_audit, region_split
-    from .fields import VectorField, read_snapshot
-    from .solver import FlowState
+    from .fields import PositivityError, VectorField, read_snapshot
+    from .solver import FlowState, check_gamma
     import numpy as np
 
     try:
+        check_gamma(args.gamma)
         rho, t = read_snapshot(args.snapshot)
     except (OSError, FieldError) as err:
         print(f"audit error: {err}", file=sys.stderr)
         return 2
     gamma = args.gamma
-    reports = []
-    reports.extend(jungel_audit(rho))
-    if gamma > 1.0:
-        reports.extend(pi_equivalence_audit(rho, rho.grid.far_field_density, gamma))
-        state = FlowState(
-            t, rho, VectorField(rho.grid, np.zeros((rho.grid.dim,) + rho.grid.shape))
-        )
-        reports.append(region_split(state, gamma).chebyshev)
+    try:
+        reports = jungel_audit(rho)
+        if gamma > 1.0:
+            reports.extend(pi_equivalence_audit(rho, rho.grid.far_field_density, gamma))
+            state = FlowState(t, rho, VectorField(rho.grid, np.zeros((rho.grid.dim,) + rho.grid.shape)))
+            reports.append(region_split(state, gamma).chebyshev)
+    except PositivityError as err:  # a snapshot that is not a density
+        print(f"audit error: {args.snapshot}: {err}", file=sys.stderr)
+        return 2
     for line in audit_csv_lines(reports):
         print(line)
     return 0 if all(r.passed for r in reports) else 1

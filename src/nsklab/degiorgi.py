@@ -10,6 +10,7 @@ checks its own soundness against the observed run.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,15 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import calibrated
-from .fields import (
-    FieldError,
-    PositivityError,
-    ScalarField,
-    divergence,
-    gradient,
-    laplacian,
-)
-from .solver import Workspace, to_effective, veff_max
+from .fields import FieldError, ScalarField, divergence, gradient, laplacian
+from .solver import to_effective
 
 __all__ = [
     "IterationSpec",
@@ -39,6 +33,8 @@ __all__ = [
     "level_set_measure",
     "ladder",
     "flat_aware_gradient",
+    "inverse_density",
+    "truncation_terms",
     "truncation_energy",
     "WindowCertificate",
     "CertificateReport",
@@ -183,17 +179,22 @@ def flat_aware_gradient(f: ScalarField) -> np.ndarray:
     return out
 
 
-def _dissipation_norm_sq(f: ScalarField) -> float:
-    grad = flat_aware_gradient(f)
-    return float(np.sum(grad**2) * f.grid.cell_volume)
+def inverse_density(s) -> ScalarField:
+    """1/rho of a state (a ``FlowState`` holds rho > 0)."""
+    return ScalarField(s.grid, 1.0 / s.rho.values)
 
 
-def _state_inverse_density(state) -> ScalarField:
-    rho = state.rho
-    m = float(np.min(rho.values))
-    if m <= 0.0:
-        raise PositivityError(f"density reaches {m:.3e}; inverse undefined")
-    return ScalarField(rho.grid, 1.0 / rho.values)
+def truncation_terms(inverse, times, k: float) -> tuple[float, float]:
+    """Over inverse densities w at ``times``: sup in time of the squared L2 norm
+    of (w - k)_+, and the time integral of its squared flat-aware gradient.
+    ``inverse`` is read once, in order, so it may form each w on demand."""
+    sup_l2_sq, grad_sq = 0.0, []
+    for w in inverse:
+        w = truncate(w, k)
+        cell = w.grid.cell_volume
+        sup_l2_sq = max(sup_l2_sq, float(np.sum(w.values**2) * cell))
+        grad_sq.append(float(np.sum(flat_aware_gradient(w) ** 2) * cell))
+    return sup_l2_sq, float(np.trapezoid(np.array(grad_sq), np.array(times)))
 
 
 def truncation_energy(states, k: float) -> float:
@@ -201,20 +202,7 @@ def truncation_energy(states, k: float) -> float:
     time-integrated squared gradient, over the given states."""
     if not states:
         raise FieldError("no states given")
-    sup_l2_sq = 0.0
-    grad_sq = []
-    times = []
-    for s in states:
-        w = truncate(_state_inverse_density(s), k)
-        l2_sq = float(np.sum(w.values**2) * w.grid.cell_volume)
-        sup_l2_sq = max(sup_l2_sq, l2_sq)
-        grad_sq.append(_dissipation_norm_sq(w))
-        times.append(s.t)
-    if len(times) > 1:
-        time_int = float(np.trapezoid(np.array(grad_sq), np.array(times)))
-    else:
-        time_int = 0.0
-    return sup_l2_sq + time_int
+    return sum(truncation_terms(map(inverse_density, states), [s.t for s in states], k))
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +285,10 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
     the smallest admissible ladder scale M; the certified bound M + base seeds
     the next window's truncation base.  Window length follows the iteration's
     time restriction min(horizon, 1/(2 c_v^2)).
+
+    The base, |v|_inf and the observed sup 1/rho come from the record's
+    per-step ``density.min`` and ``veff.max`` columns at the stored rows; U0
+    reads the stored states' inverse densities, each formed once.
     """
     if constant is None:
         constant = calibrated("certificate.C")
@@ -305,42 +297,34 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
         raise FieldError("trajectory holds no states")
     times = [s.t for s in states]
     horizon = times[-1] - times[0]
+    rows = trajectory.stored_rows()
+    # max(1/rho) is 1/min(rho) bit for bit: correctly rounded division is monotone
+    sup_inv = [1.0 / m for m in trajectory.scalars["density.min"][rows].tolist()]
+    v_inf = trajectory.scalars["veff.max"][rows].tolist()
 
-    for s in states:
-        if float(np.min(s.rho.values)) <= 0.0:
-            return CertificateReport(
-                False, "positivity lost along the trajectory", (), math.inf, math.inf, False, constant
-            )
-
-    first = states[0]
-    inv0 = _state_inverse_density(first)
-    base = 2.0 * float(np.max(inv0.values))
+    base = 2.0 * sup_inv[0]
     if c_v_estimate < 0 or not math.isfinite(c_v_estimate):
         return CertificateReport(
             False, f"invalid velocity-control estimate c_v={c_v_estimate}", (), math.inf, math.inf, False, constant
         )
-    if horizon <= 0:
-        window = 0.0
-    elif c_v_estimate == 0.0:
-        window = horizon
-    else:
-        window = min(horizon, 0.5 / c_v_estimate**2)
-
-    observed_overall = max(float(np.max(_state_inverse_density(s).values)) for s in states)
-    windows = []
-    if horizon == 0.0:
+    if horizon <= 0.0:
         spans = [(times[0], times[0], [0])]
     else:
+        window = horizon if c_v_estimate == 0.0 else min(horizon, 0.5 / c_v_estimate**2)
         spans = _window_slices(times, times[0] + horizon, window)
 
+    # formed on demand, one at a time; consecutive windows share at most their
+    # edge state, the last one formed
+    inverse = functools.lru_cache(maxsize=1)(lambda i: inverse_density(states[i]))
+    windows = []
     bound = base
     for w_index, (lo, hi, idx) in enumerate(spans):
-        u0 = truncation_energy([states[i] for i in idx], base)
-        v_max = max(veff_max(Workspace(states[i])) for i in idx)
+        u0 = sum(truncation_terms(map(inverse, idx), [times[i] for i in idx], base))
+        v_max = max(v_inf[i] for i in idx)
         m_needed = math.sqrt(constant * v_max**3 * u0)
         M = max(m_needed, 2.0 * base)
         bound = M + base
-        observed = max(float(np.max(_state_inverse_density(states[i]).values)) for i in idx)
+        observed = max(sup_inv[i] for i in idx)
         windows.append(
             WindowCertificate(
                 w_index, lo, hi, base, u0, v_max, M, bound, observed, observed <= bound * (1 + 1e-9)
@@ -349,7 +333,7 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
         base = bound
 
     sound = all(w.sound for w in windows)
-    return CertificateReport(True, "", tuple(windows), bound, observed_overall, sound, constant)
+    return CertificateReport(True, "", tuple(windows), bound, max(sup_inv), sound, constant)
 
 
 # ----------------------------------------------------------------------
@@ -366,16 +350,15 @@ def inverse_density_pde_residual(trajectory):
     states = trajectory.states
     if len(states) < 3:
         raise FieldError("need at least three stored states for the residual series")
+    inverse = [inverse_density(s) for s in states]
     res_times = []
     res_norms = []
     for i in range(1, len(states) - 1):
-        before = _state_inverse_density(states[i - 1]).values
-        after = _state_inverse_density(states[i + 1]).values
         dt2 = states[i + 1].t - states[i - 1].t
-        wdot = (after - before) / dt2
+        wdot = (inverse[i + 1].values - inverse[i - 1].values) / dt2
 
         mid = states[i] if states[i].formulation == "effective" else to_effective(states[i])
-        w = _state_inverse_density(mid)
+        w = inverse[i]
         grad_w = gradient(w)
         lap_w = laplacian(w)
         v = mid.vel

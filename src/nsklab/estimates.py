@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audits import AuditReport, bound_report, identity_report
+from .audits import AuditReport, _merge_worst, bound_report, identity_report
 from .calibration import DRIFT_FACTOR, CONSTANTS
 from .fields import (
     FieldError,
@@ -286,8 +286,9 @@ def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditR
     """Pointwise-in-time identity: rho|grad v|^2 integrates to the rho|grad u|^2
     and rho|hess log rho|^2 pieces plus the exact rate of the gradient energy.
 
-    The row is the worst stored state's report: a failing one if there is
-    one, else the largest ratio, ranked as the report asserts it.
+    The row is the worst stored state's report, picked as every audit picks
+    its row (``audits._merge_worst``): a failing one if there is one, else the
+    largest ratio.
     ``terms`` is each stored state's integrals as ``second_order_terms`` gives
     them; a caller passes its own to share them with the jungel audit.
     """
@@ -296,9 +297,8 @@ def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditR
         raise FieldError("trajectory holds no states")
     if terms is None:
         terms = [second_order_terms(s, convexity=False) for s in states]
-    worst = None
-    for t in terms:
-        rep = identity_report(
+    reports = [
+        identity_report(
             "bd.identity",
             t["lhs"],
             t["u"] + t["D"] + t["dt"],
@@ -306,9 +306,9 @@ def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditR
             "effective-velocity dissipation identity",
             floor=1e-12,
         )
-        if worst is None or (not rep.passed, rep.ratio) >= (not worst.passed, worst.ratio):
-            worst = rep
-    return worst
+        for t in terms
+    ]
+    return _merge_worst(reports)[0]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import degiorgi, estimates
-from .audits import AuditReport, bound_report
+from .audits import AuditReport, _merge_worst, bound_report
 from .dyadic import BesovIndex, besov_norm, build_dyadic_family
 from .fields import ScalarField, sobolev_norm, vector_sobolev_norm
 from .solver import ALWAYS_RECORDED
@@ -169,21 +169,6 @@ def resolve_probes(names, gamma: float) -> dict:
 
 # ----------------------------------------------------------------------
 # trajectory-level audits
-
-
-def _severity(r: AuditReport) -> tuple:
-    # a measured row's ratio is 0 (its rhs is inf), so its value ranks it
-    return (not r.passed, r.lhs if r.kind == "measured" else r.ratio)
-
-
-def _merge_worst(reports: list[AuditReport]) -> list[AuditReport]:
-    """Per inequality id, a failing row if there is one, else the largest."""
-    worst: dict[str, AuditReport] = {}
-    for r in reports:
-        prev = worst.get(r.inequality_id)
-        if prev is None or _severity(r) > _severity(prev):
-            worst[r.inequality_id] = r
-    return [worst[k] for k in sorted(worst)]
 
 
 GROWTH_EXPONENTS = (2, 6, 14, 30)

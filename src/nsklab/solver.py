@@ -41,6 +41,7 @@ __all__ = [
     "FlowState",
     "Workspace",
     "SolverConfig",
+    "check_gamma",
     "TrajectoryRecord",
     "to_effective",
     "from_effective",
@@ -100,6 +101,12 @@ class FlowState:
         return self.rho.grid
 
 
+def check_gamma(gamma: float) -> None:
+    """The adiabatic exponents the solver and the audits accept: finite and >= 1."""
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise FieldError(f"adiabatic exponent must be finite and >= 1, got {gamma}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     gamma: float
@@ -108,8 +115,7 @@ class SolverConfig:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
-            raise FieldError(f"adiabatic exponent must be finite and >= 1, got {self.gamma}")
+        check_gamma(self.gamma)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise FieldError("time step must be positive and finite")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
@@ -189,9 +195,9 @@ class Workspace:
         return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - self.grad_log_rho), "primitive")
 
     def drop_sample_data(self) -> None:
-        """Forget |v|^2 and, for a primitive state, the log density: its step reads neither."""
+        """Forget |v|^2 and, for a primitive state, grad log rho: its step reads neither."""
         effective = self.state.formulation == "effective"
-        for name in ("v2",) if effective else ("v2", "log_rho_hat", "grad_log_rho"):
+        for name in ("v2",) if effective else ("v2", "grad_log_rho"):
             self.__dict__.pop(name, None)
 
 
@@ -308,9 +314,12 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     return _new_state(s, cfg, new_r, new_v)
 
 
-def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
+def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
+    """One IMEX step of the primitive system; it reads the log-density
+    spectrum of s's workspace ``ws`` (or of a fresh one)."""
     if s.formulation != "primitive":
         raise FieldError("step_primitive needs a primitive-form state")
+    ws = ws or Workspace(s)
     grid = s.grid
     mask = grid.rdealias_mask
     d = grid.dim
@@ -330,7 +339,7 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
     # soon as it is used, so no d x d field tensor is held; each row still adds
     # its columns in increasing j, one transform per (i, j).
     u_hat = [grid.rfft(c) for c in u]
-    log_hat = grid.rfft(np.log(r))
+    log_hat = ws.log_rho_hat
     p_hat = grid.rfft(r**cfg.gamma) * mask
     rhs_hat = [-1j * k * p_hat for k in ks]
     del p_hat
@@ -346,7 +355,7 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
             del sym
         # subtract the linearized stress that the implicit solve adds back
         rhs_hat[i] = rhs_hat[i] + grid.rk2 * m_hat[i] + sum(kk[i][j] * m_hat[j] for j in range(d))
-    del u_hat, log_hat, m_real
+    del u_hat, m_real
 
     a = 1.0 + dt * grid.rk2
     a_full = a + dt * grid.rk2
@@ -362,10 +371,10 @@ def step_primitive(s: FlowState, cfg: SolverConfig) -> FlowState:
 
 
 def step(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
-    """One step in s's formulation; only the effective step reads s's workspace ``ws``."""
+    """One step in s's formulation, reading s's workspace ``ws`` if given."""
     if s.formulation == "effective":
         return step_effective(s, cfg, ws)
-    return step_primitive(s, cfg)
+    return step_primitive(s, cfg, ws)
 
 
 # ----------------------------------------------------------------------
@@ -384,6 +393,14 @@ class TrajectoryRecord:
     aborted: bool = False
     abort_reason: str = ""
     abort_time: float | None = None
+
+    def stored_rows(self) -> list[int]:
+        """The row of each stored state in the per-step columns."""
+        row = {t: i for i, t in enumerate(self.times.tolist())}
+        try:
+            return [row[s.t] for s in self.states]
+        except KeyError as err:
+            raise FieldError(f"stored state at t={err.args[0]!r} has no row in the per-step columns") from None
 
 
 def veff_max(ws: Workspace) -> float:

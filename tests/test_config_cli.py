@@ -8,7 +8,8 @@ import pytest
 from nsklab.cli import main as cli_main
 from nsklab.config import ConfigError, parse_config
 from nsklab.experiment import report, run_experiment, sweep
-from nsklab.fields import read_snapshot
+from nsklab.fields import FieldError, ScalarField, make_grid, read_snapshot, write_snapshot
+from nsklab.solver import SolverConfig
 
 MINIMAL = """
 [grid]
@@ -447,6 +448,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("inequality_id,")
+
+    def test_audit_of_a_non_positive_snapshot_is_audit_error(self, tmp_path, capsys):
+        # a velocity component is no density: the audits' positivity check refuses it
+        g = make_grid(2, 16, 2 * np.pi, 1.0)
+        path = tmp_path / "final.vel0.nskf"
+        write_snapshot(ScalarField(g, np.sin(g.meshgrid()[0])), 0.5, path)
+        assert cli_main(["audit", str(path), "--gamma", "2.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"audit error: {path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-3", "0.5"])
+    def test_audit_rejects_a_gamma_the_solver_rejects(self, tmp_path, capsys, gamma):
+        g = make_grid(2, 16, 2 * np.pi, 1.0)
+        path = tmp_path / "rho.nskf"
+        write_snapshot(ScalarField(g, np.ones(g.shape)), 0.0, path)
+        assert cli_main(["audit", str(path), f"--gamma={gamma}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("audit error: adiabatic exponent must be finite and >= 1")
+        assert captured.out == ""
+        with pytest.raises(FieldError, match="adiabatic exponent"):
+            SolverConfig(gamma=float(gamma), dt=1e-3, t_end=1e-3)
 
     def test_report_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

@@ -20,8 +20,17 @@ from nsklab.degiorgi import (
     truncate,
     truncation_energy,
 )
-from nsklab.fields import ScalarField, VectorField, constant_field, make_grid
-from nsklab.solver import FlowState, TrajectoryRecord
+from nsklab.fields import FieldError, ScalarField, VectorField, constant_field, make_grid
+from nsklab.solver import (
+    FlowState,
+    SolverConfig,
+    TrajectoryRecord,
+    Workspace,
+    make_preset,
+    run,
+    to_effective,
+    veff_max,
+)
 
 
 class TestTheta:
@@ -211,6 +220,12 @@ class TestFlatAwareGradient:
 def _traj(states):
     rec = TrajectoryRecord(states[0].grid, states[0].formulation)
     rec.states = list(states)
+    # the per-step columns a run records, at the given states only
+    rec.times = np.array([s.t for s in states])
+    rec.scalars = {
+        "density.min": np.array([float(np.min(s.rho.values)) for s in states]),
+        "veff.max": np.array([veff_max(Workspace(s)) for s in states]),
+    }
     return rec
 
 
@@ -280,6 +295,77 @@ class TestCertificate:
         lines = cert.csv_lines()
         assert lines[0].startswith("window,")
         assert len(lines) == 1 + len(cert.windows)
+
+
+class _CountedDensity(np.ndarray):
+    """A density array that counts the divisions by it: the forming of 1/rho."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.true_divide and inputs[-1] is self:
+            self.divisions += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedDensity) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _counted(states) -> list:
+    """Each state's density array, swapped for one that counts the divisions by it."""
+    arrays = []
+    for s in states:
+        counted = s.rho.values.view(_CountedDensity)
+        counted.divisions = 0
+        object.__setattr__(s.rho, "values", counted)
+        arrays.append(counted)
+    return arrays
+
+
+class TestCertificateReadsTheRecord:
+    """The base, |v|_inf and the observed sup 1/rho come from the per-step
+    columns at the stored rows; U0 from one inverse density per stored state."""
+
+    def _record(self):
+        g = make_grid(2, 32, 4 * np.pi, 1.0)
+        s = to_effective(make_preset("gaussian-bump", g))
+        return run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3), state_stride=2)
+
+    def test_window_values_follow_the_columns(self):
+        rec = self._record()
+        assert rec.stored_rows() == [0, 2, 4]
+        before = lower_bound_certificate(rec, c_v_estimate=0.0)
+        assert before.windows[0].v_max == np.max(rec.scalars["veff.max"][[0, 2, 4]])
+        assert before.observed == 1.0 / np.min(rec.scalars["density.min"][[0, 2, 4]])
+
+        # rows between the stored states are not read
+        rec.scalars["veff.max"][1] *= 10.0
+        rec.scalars["density.min"][3] *= 0.5
+        assert lower_bound_certificate(rec, c_v_estimate=0.0) == before
+
+        rec.scalars["veff.max"][2] *= 10.0
+        rec.scalars["density.min"][4] *= 0.5
+        after = lower_bound_certificate(rec, c_v_estimate=0.0)
+        assert after.windows[0].v_max == rec.scalars["veff.max"][2]
+        assert after.windows[0].observed == after.observed == 1.0 / rec.scalars["density.min"][4]
+        assert after.windows[0].u0 == before.windows[0].u0
+
+    def test_lowered_base_row_moves_the_base(self):
+        rec = self._record()
+        rec.scalars["density.min"][0] *= 0.5
+        cert = lower_bound_certificate(rec, c_v_estimate=0.0)
+        assert cert.windows[0].base == 2.0 / rec.scalars["density.min"][0]
+
+    @pytest.mark.parametrize("c_v", [0.0, 2.0])
+    def test_one_inverse_density_per_stored_state(self, grid64, c_v):
+        times = np.linspace(0.0, 1.0, 11)
+        rec = _traj([_const_state(grid64, 1.0 / (1.0 + t), t) for t in times])
+        arrays = _counted(rec.states)
+        cert = lower_bound_certificate(rec, c_v_estimate=c_v)
+        assert len(cert.windows) == (1 if c_v == 0.0 else 8)
+        assert [a.divisions for a in arrays] == [1] * len(times)
+
+    def test_stored_state_without_a_row_is_an_error(self, grid64):
+        rec = _traj([_const_state(grid64, 1.0, t) for t in (0.0, 1.0)])
+        rec.times = np.array([0.0, 0.5])
+        with pytest.raises(FieldError, match="no row"):
+            lower_bound_certificate(rec, c_v_estimate=0.0)
 
 
 def _manufactured_states(grid, times, mu=2.0, amp=0.4):

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nsklab import calibrate
 from nsklab.calibrate import calibrate_bernstein, calibrate_hs_equivalence
 from nsklab.calibration import CONSTANTS, DRIFT_FACTOR, calibrated
 from nsklab.dyadic import (
@@ -343,6 +344,22 @@ class TestFrozenTable:
         assert len(out) == 13
         over = {key: (value, CONSTANTS[key]) for key, value in out.items() if value > CONSTANTS[key]}
         assert not over
+
+    def test_certificate_constant_at_or_below_frozen(self, monkeypatch):
+        # the calibration reads its truncated integrals from the helper the
+        # certificate's U0 reads, so certificate.C describes the certificate
+        levels = []
+
+        def recording_terms(inverse, times, k):
+            levels.append(k)
+            return terms(inverse, times, k)
+
+        terms = calibrate.truncation_terms
+        monkeypatch.setattr(calibrate, "truncation_terms", recording_terms)
+        out = {}
+        calibrate.calibrate_certificate(out, calibrate._preset_runs())
+        assert len(levels) == 9  # three levels on each of three runs
+        assert out["certificate.C"] <= CONSTANTS["certificate.C"]
 
 
 class TestInterpolation:

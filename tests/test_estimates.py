@@ -43,18 +43,24 @@ from nsklab.solver import (
     FlowState,
     SolverConfig,
     TrajectoryRecord,
+    Workspace,
     from_effective,
     make_preset,
     run,
     to_effective,
+    veff_max,
 )
 
 
-def _traj(states, scalars=None):
+def _traj(states):
     rec = TrajectoryRecord(states[0].grid, states[0].formulation)
     rec.states = list(states)
-    if scalars:
-        rec.scalars = {k: np.asarray(v) for k, v in scalars.items()}
+    # the per-step columns a run records, at the given states only
+    rec.times = np.array([s.t for s in states])
+    rec.scalars = {
+        "density.min": np.array([float(np.min(s.rho.values)) for s in states]),
+        "veff.max": np.array([veff_max(Workspace(s)) for s in states]),
+    }
     return rec
 
 

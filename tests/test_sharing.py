@@ -69,6 +69,17 @@ class TestCarriedStep:
         step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), ws)
         assert len(transforms) == expected
 
+    @pytest.mark.parametrize("dim,expected", [(2, 22), (3, 39)])
+    def test_sampled_primitive_state_steps_with_one_transform_fewer(self, transforms, dim, expected):
+        # the sample's veff.max formed the log-density spectrum the step reads
+        s = from_effective(_bump(dim))
+        ws = Workspace(s)
+        solver.veff_max(ws)
+        ws.drop_sample_data()
+        transforms.clear()
+        step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), ws)
+        assert len(transforms) == expected
+
     @pytest.mark.parametrize("dim,expected", [(2, 17), (3, 27)])
     def test_gamma_one_budget(self, transforms, dim, expected):
         s = _bump(dim)
@@ -133,13 +144,13 @@ class TestCarriedStep:
         assert Workspace(s).effective is s and Workspace(prim).primitive is prim
 
     def test_primitive_states_carry_nothing(self):
-        # the primitive step reads none of the sample's data, so none is held across it
+        # the primitive step reads only the log-density spectrum of the sample, so only it is held across it
         g = make_grid(2, 32, 4 * np.pi, 1.0)
         ws = Workspace(make_preset("gaussian-bump", g))
         resolve_probes(DEMO_PROBES, 2.0)["venergy"](ws)
         assert _held(ws) == {"log_rho_hat", "grad_log_rho", "v2"}
         ws.drop_sample_data()
-        assert _held(ws) == set()
+        assert _held(ws) == {"log_rho_hat"}
         effective = _carried(_bump(2))
         effective.v2
         effective.drop_sample_data()
