@@ -33,7 +33,11 @@ def _cmd_run(args) -> int:
     except (OSError, ConfigError, ProbeError, FieldError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    manifest = run_experiment(cfg, _output_root(args))
+    try:
+        manifest = run_experiment(cfg, _output_root(args))
+    except ConfigError as err:  # an initial state the config's values cannot give
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     for w in manifest.warnings:
         print(f"warning: {w}")
     if manifest.aborted:

@@ -10,7 +10,6 @@ checks its own soundness against the observed run.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -278,7 +277,7 @@ def _window_slices(times, horizon, window):
     return spans
 
 
-def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | None = None):
+def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | None = None, stored=None):
     """Certify an inverse-density bound window by window.
 
     Each window solves the convergence condition C * |v|_inf^3 * U0 <= M^2 for
@@ -288,16 +287,19 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
 
     The base, |v|_inf and the observed sup 1/rho come from the record's
     per-step ``density.min`` and ``veff.max`` columns at the stored rows; U0
-    reads the stored states' inverse densities, each formed once.
+    reads the stored states' inverse densities.  ``stored`` is the stored
+    states' times and inverse densities, as a run's audit observer keeps them;
+    by default they are formed from the trajectory's states, once each.
     """
     if constant is None:
         constant = calibrated("certificate.C")
-    states = trajectory.states
-    if not states:
+    if stored is None:
+        stored = [s.t for s in trajectory.states], [inverse_density(s) for s in trajectory.states]
+    times, inverse = stored
+    if not times:
         raise FieldError("trajectory holds no states")
-    times = [s.t for s in states]
     horizon = times[-1] - times[0]
-    rows = trajectory.stored_rows()
+    rows = trajectory.stored_rows(times)
     # max(1/rho) is 1/min(rho) bit for bit: correctly rounded division is monotone
     sup_inv = [1.0 / m for m in trajectory.scalars["density.min"][rows].tolist()]
     v_inf = trajectory.scalars["veff.max"][rows].tolist()
@@ -313,13 +315,10 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
         window = horizon if c_v_estimate == 0.0 else min(horizon, 0.5 / c_v_estimate**2)
         spans = _window_slices(times, times[0] + horizon, window)
 
-    # formed on demand, one at a time; consecutive windows share at most their
-    # edge state, the last one formed
-    inverse = functools.lru_cache(maxsize=1)(lambda i: inverse_density(states[i]))
     windows = []
     bound = base
     for w_index, (lo, hi, idx) in enumerate(spans):
-        u0 = sum(truncation_terms(map(inverse, idx), [times[i] for i in idx], base))
+        u0 = sum(truncation_terms([inverse[i] for i in idx], [times[i] for i in idx], base))
         v_max = max(v_inf[i] for i in idx)
         m_needed = math.sqrt(constant * v_max**3 * u0)
         M = max(m_needed, 2.0 * base)

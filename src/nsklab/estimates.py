@@ -48,11 +48,13 @@ __all__ = [
     "bd_identity_audit",
     "jungel_terms",
     "jungel_audit",
+    "jungel_bounds",
     "weighted_velocity_norm",
     "gamma_q_admissible",
     "RegionSplit",
     "region_split",
     "psi",
+    "reverse_holder_exponents",
     "reverse_holder_terms",
     "reverse_holder_audit",
     "log_law_constant",
@@ -292,11 +294,10 @@ def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditR
     ``terms`` is each stored state's integrals as ``second_order_terms`` gives
     them; a caller passes its own to share them with the jungel audit.
     """
-    states = trajectory.states
-    if not states:
-        raise FieldError("trajectory holds no states")
     if terms is None:
-        terms = [second_order_terms(s, convexity=False) for s in states]
+        terms = [second_order_terms(s, convexity=False) for s in trajectory.states]
+    if not terms:
+        raise FieldError("trajectory holds no states")
     reports = [
         identity_report(
             "bd.identity",
@@ -321,14 +322,17 @@ def jungel_terms(rho: ScalarField) -> tuple[float, float, float]:
     return t["D"], t["A"], t["Bp"]
 
 
-def jungel_audit(rho: ScalarField, slack: float = 1e-10, terms=None):
-    """D >= A/7 and D >= B'/8; asserted in 3d, reported as measured in 2d.
+def jungel_audit(rho: ScalarField, slack: float = 1e-10):
+    """``jungel_bounds`` on rho's (D, A, B')."""
+    return jungel_bounds(jungel_terms(rho), rho.grid.dim, slack)
 
-    ``terms`` is rho's (D, A, B') when the caller already has it.
-    """
-    d_val, a_val, b_val = jungel_terms(rho) if terms is None else terms
+
+def jungel_bounds(terms, dim: int, slack: float = 1e-10):
+    """D >= A/7 and D >= B'/8 on one state's ``terms`` (D, A, B'); asserted in
+    3d, reported as measured in 2d."""
+    d_val, a_val, b_val = terms
     cite = "convexity bounds on second derivatives of the density square root"
-    if rho.grid.dim == 3:
+    if dim == 3:
         scale = max(d_val, 1.0)
         r1 = bound_report("jungel.hessian_sqrt", a_val / 7.0, d_val + slack * scale, 0.0, cite)
         r2 = bound_report("jungel.quartic_gradient", b_val / 8.0, d_val + slack * scale, 0.0, cite)
@@ -418,20 +422,29 @@ def region_split(s: FlowState, gamma: float) -> RegionSplit:
 
 def psi(trajectory, exponents) -> dict:
     """``{q: time-trapezoid of int rho |v|^q}`` over the stored states."""
-    return _moment_pass(trajectory, exponents)[0]
+    return _moment_pass(trajectory, tuple(dict.fromkeys(exponents)))[0]
 
 
-def _moment_pass(trajectory, exponents) -> tuple[dict, float]:
+def _moment_pass(trajectory, exponents, stored=None) -> tuple[dict, float]:
     """``psi`` and the first stored state's v-energy, every exponent from one
-    ``velocity_moments`` call per stored state."""
-    states = trajectory.states
-    if not states:
+    ``velocity_moments`` call per stored state.  ``stored`` is the stored
+    states' times and their ``velocity_moments`` at ``exponents``, as a run's
+    audit observer keeps them; by default they come from the trajectory's states."""
+    if stored is None:
+        states = trajectory.states
+        stored = [s.t for s in states], [velocity_moments(Workspace(s), exponents) for s in states]
+    times, rows = stored
+    if not rows:
         raise FieldError("trajectory holds no states")
-    exponents = tuple(dict.fromkeys(exponents))
-    rows = [velocity_moments(Workspace(s), exponents) for s in states]
-    times = np.array([s.t for s in states])  # one state integrates to 0
+    times = np.array(times)  # one state integrates to 0
     psi_q = {q: float(np.trapezoid(np.array([m[q] for _, m in rows]), times)) for q in exponents}
     return psi_q, rows[0][0]
+
+
+def reverse_holder_exponents(ps) -> tuple:
+    """The psi exponents the reverse-Hoelder terms of ``ps`` read: q = p + 2
+    and (5/3) q for each p, each once."""
+    return tuple(dict.fromkeys(e for p in ps for e in (p + 2.0, HOLDER_EXPONENT * (p + 2.0))))
 
 
 def _vt_value(trajectory) -> float:
@@ -442,15 +455,16 @@ def _vt_value(trajectory) -> float:
     return 1.0 / min_rho + LOG_FLOOR
 
 
-def reverse_holder_terms(trajectory, ps) -> dict:
+def reverse_holder_terms(trajectory, ps, stored=None) -> dict:
     """For each p, the reverse-Hoelder bound psi((5/3)(p+2)) <= C3 * V_T * body
     as ``{p: (lhs, V_T, body)}``; the calibrated C3 is the largest
     lhs / (V_T * body).  All six psi exponents and c4's initial v-energy come
-    from one pass over the stored states, and c4 reads the initial state's
-    ``veff.max``."""
+    from one pass over the stored states (or from ``stored``, see
+    ``_moment_pass``, at ``reverse_holder_exponents(ps)``), and c4 reads the
+    initial state's ``veff.max``."""
     r = HOLDER_EXPONENT
     qs = {p: p + 2.0 for p in ps}
-    integrals, energy_v0 = _moment_pass(trajectory, [e for q in qs.values() for e in (q, r * q)])
+    integrals, energy_v0 = _moment_pass(trajectory, reverse_holder_exponents(ps), stored)
     vt = _vt_value(trajectory)
     c4 = math.sqrt(energy_v0) + float(trajectory.scalars["veff.max"][0]) + 1.0
     return {
@@ -459,9 +473,10 @@ def reverse_holder_terms(trajectory, ps) -> dict:
     }
 
 
-def reverse_holder_audit(trajectory, ps, preset: str | None = None) -> list[AuditReport]:
+def reverse_holder_audit(trajectory, ps, preset: str | None = None, stored=None) -> list[AuditReport]:
     """Self-improvement of the space-time velocity functional from exponent
-    p+2 to (5/3)(p+2), one row per p, with the calibrated constant as the alarm."""
+    p+2 to (5/3)(p+2), one row per p, with the calibrated constant as the alarm;
+    ``stored`` as for ``reverse_holder_terms``."""
     key = f"psi.C3.{preset}" if preset else None
     c3 = CONSTANTS.get(key, 1.0) if key else 1.0
     return [
@@ -472,7 +487,7 @@ def reverse_holder_audit(trajectory, ps, preset: str | None = None) -> list[Audi
             0.0,
             "space-time velocity functional self-improvement",
         )
-        for lhs, vt, body in reverse_holder_terms(trajectory, ps).values()
+        for lhs, vt, body in reverse_holder_terms(trajectory, ps, stored).values()
     ]
 
 

@@ -19,9 +19,9 @@ from . import __version__
 from .audits import audit_csv_lines
 from .config import ConfigError, ExperimentConfig, parse_config
 from .estimates import gamma_q_admissible, log_law_constant
-from .fields import ScalarField, sobolev_norm, write_snapshot
-from .probes import GROWTH_EXPONENTS, growth_constant, resolve_audits, resolve_probes
-from .solver import SolverError, make_preset, run, to_effective
+from .fields import FieldError, ScalarField, sobolev_norm, write_snapshot
+from .probes import GROWTH_EXPONENTS, growth_constant, resolve_audits, resolve_probes, stored_state_observer
+from .solver import SolverError, make_preset, require_far_field, run, to_effective
 
 __all__ = ["RunManifest", "run_experiment", "sweep", "report", "SweepResult"]
 
@@ -71,7 +71,7 @@ def _write_series_csv(path: Path, record) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _derived_numbers(record) -> dict:
+def _derived_numbers(record, initial_h3: float) -> dict:
     """The run's summary numbers, computed here once: the manifest keeps them
     at full precision, the audits read c_v from them, the report copies them."""
     out = {
@@ -83,52 +83,69 @@ def _derived_numbers(record) -> dict:
             out[f"growth.p{p}"] = growth_constant(record, p)
     # observed headroom of the density maximum over twice the far-field
     # value, relative to the initial deviation size: reported, not asserted
-    grid = record.grid
-    h3 = sobolev_norm(ScalarField(grid, record.states[0].rho.values - grid.far_field_density), 3)
-    if h3 > 0:
+    if initial_h3 > 0:
         sup_rho = float(np.max(record.scalars["density.max"]))
-        out["density_bound_ratio"] = (sup_rho - 2.0 * grid.far_field_density) / h3
+        out["density_bound_ratio"] = (sup_rho - 2.0 * record.grid.far_field_density) / initial_h3
     return out
+
+
+def _initial_state(config: ExperimentConfig):
+    """The configured initial state, in the configured formulation.  A preset
+    that the config's values cannot build, or that violates the far-field
+    proxy, is a ConfigError."""
+    try:
+        state = make_preset(config.preset_name, config.make_grid(), config.preset_params, seed=config.seed)
+        require_far_field(state)
+    except (FieldError, SolverError) as err:
+        raise ConfigError(str(err)) from None
+    return to_effective(state) if config.formulation == "effective" else state
+
+
+def _write_snapshots(outdir: Path, tag: str, state) -> list[str]:
+    names = [f"{tag}.rho.nskf"] + [f"{tag}.vel{i}.nskf" for i in range(state.grid.dim)]
+    for name, f in zip(names, (state.rho, *(state.vel.component(i) for i in range(state.grid.dim)))):
+        write_snapshot(f, state.t, outdir / name)
+    return names
 
 
 def run_experiment(config: ExperimentConfig, output_root: Path | str | None = None) -> RunManifest:
     """Execute one configured run and write its outputs; never raises on a
-    clean solver abort (recorded in the manifest instead)."""
+    clean solver abort (recorded in the manifest instead).
+
+    A bad initial state raises ConfigError before any output exists.  The
+    audits see each stored state once, as the run stores it, and no stored
+    state outlives that: the initial snapshots and H3 norm are taken before
+    stepping and the final snapshots from the last state the run reached.
+    """
     t_wall = time.perf_counter()
+    state = _initial_state(config)
     outdir = Path(config.directory)
     if output_root is not None and not outdir.is_absolute():
         outdir = Path(output_root) / outdir
     outdir.mkdir(parents=True, exist_ok=True)
 
-    grid = config.make_grid()
-    state = make_preset(config.preset_name, grid, config.preset_params, seed=config.seed)
-    if config.formulation == "effective":
-        state = to_effective(state)
+    grid = state.grid
     probes = resolve_probes(config.probe_names, config.solver.gamma)
     audits = resolve_audits(config.audit_names)
+    ctx = {"gamma": config.solver.gamma, "preset": config.preset_name}
 
-    files: list[str] = []
-    record = run(state, config.solver, probes=probes, state_stride=config.state_stride)
+    snapshots = _write_snapshots(outdir, "initial", state)
+    initial_h3 = sobolev_norm(ScalarField(grid, state.rho.values - grid.far_field_density), 3)
+    record = run(
+        state,
+        config.solver,
+        probes=probes,
+        state_stride=config.state_stride,
+        check_far_field=False,  # checked on the preset itself
+        observe=stored_state_observer(config.audit_names, ctx),
+    )
 
     series_path = outdir / "series.csv"
     _write_series_csv(series_path, record)
-    files.append(series_path.name)
+    files = [series_path.name, *snapshots, *_write_snapshots(outdir, "final", record.final)]
 
-    for tag, st in (("initial", record.states[0]), ("final", record.states[-1])):
-        rho_path = outdir / f"{tag}.rho.nskf"
-        write_snapshot(st.rho, st.t, rho_path)
-        files.append(rho_path.name)
-        for i in range(grid.dim):
-            vel_path = outdir / f"{tag}.vel{i}.nskf"
-            write_snapshot(st.vel.component(i), st.t, vel_path)
-            files.append(vel_path.name)
-
-    extra = _derived_numbers(record)
-    ctx = {
-        "gamma": config.solver.gamma,
-        "preset": config.preset_name,
-        "c_v": extra["c_v"],
-    }
+    extra = _derived_numbers(record, initial_h3)
+    ctx["c_v"] = extra["c_v"]
     reports = []
     if audits and not record.aborted:
         for name, fn in audits.items():

@@ -18,9 +18,16 @@ from . import degiorgi, estimates
 from .audits import AuditReport, _merge_worst, bound_report
 from .dyadic import BesovIndex, besov_norm, build_dyadic_family
 from .fields import ScalarField, sobolev_norm, vector_sobolev_norm
-from .solver import ALWAYS_RECORDED
+from .solver import ALWAYS_RECORDED, Workspace
 
-__all__ = ["ProbeError", "resolve_probes", "resolve_audits", "known_probe_names", "known_audit_names"]
+__all__ = [
+    "ProbeError",
+    "resolve_probes",
+    "resolve_audits",
+    "stored_state_observer",
+    "known_probe_names",
+    "known_audit_names",
+]
 
 
 class ProbeError(ValueError):
@@ -196,51 +203,96 @@ def growth_law_audit(record) -> AuditReport:
     )
 
 
-def _audit_pi(record, ctx):
+# An audit is a per-state part and a finish.  The per-state part runs on the
+# workspace of each stored state as the run stores it (``run(observe=...)``)
+# and keeps what the finish needs of that state in the run's audit ``ctx``:
+# floats and audit rows only, except the certificate's, which keeps the
+# state's 1/rho because its windows need c_v from the whole run.  The finish,
+# ``fn(record, ctx)``, runs once the run is over.
+
+# the reverse-Hoelder audit's p, and the psi exponents its per-state part reads
+_RH_PS = (1, 2, 3)
+_RH_EXPONENTS = estimates.reverse_holder_exponents(_RH_PS)
+# each audit's per-state part and the ctx key it keeps its results under;
+# bd-identity and jungel share one, which computes what each of them reads
+_PER_STATE = {
+    "pi-equivalence": (
+        "pi_rows",
+        lambda ws, ctx: estimates.pi_equivalence_audit(ws.state.rho, ws.state.grid.far_field_density, ctx["gamma"]),
+    ),
+    "region-split": ("region_rows", lambda ws, ctx: estimates.region_split(ws.state, ctx["gamma"]).chebyshev),
+    "reverse-holder": ("velocity_moments", lambda ws, ctx: estimates.velocity_moments(ws, _RH_EXPONENTS)),
+    "certificate": ("inverse_density", lambda ws, ctx: degiorgi.inverse_density(ws.state)),
+}
+# audits that read second_order_terms, with the flag each one needs
+SECOND_ORDER = {"bd-identity": "identity", "jungel": "convexity"}
+
+
+def stored_state_observer(names, ctx):
+    """``observe(ws)`` for ``run()``: the per-state parts of the named audits
+    on a stored state's workspace, each result appended to its list in
+    ``ctx``, and the state's time to ``ctx["stored_times"]``."""
+    flags = {flag: name in names for name, flag in SECOND_ORDER.items()}
+    parts = dict(_PER_STATE[name] for name in names if name in _PER_STATE)
+    if flags["identity"] or flags["convexity"]:
+        parts["second_order_terms"] = lambda ws, ctx: estimates.second_order_terms(ws.state, **flags)
+    kept = {key: ctx.setdefault(key, []) for key in ("stored_times", *parts)}
+
+    def observe(ws):
+        kept["stored_times"].append(ws.state.t)
+        for key, fn in parts.items():
+            kept[key].append(fn(ws, ctx))
+
+    return observe
+
+
+def _stored(record, ctx, key, names) -> list:
+    """What the per-state part under ``key`` kept of each stored state.  A run
+    that streamed its stored states left it in ctx; for a record that
+    collected them, the first finish observes them here, once for all the
+    named audits."""
+    if "stored_times" not in ctx:
+        observe = stored_state_observer(names, ctx)
+        for s in record.states:
+            observe(Workspace(s))
+    return ctx[key]
+
+
+def _audit_pi(record, ctx, names):
+    return _merge_worst([r for rows in _stored(record, ctx, "pi_rows", names) for r in rows])
+
+
+def _audit_jungel(record, ctx, names):
     reports = []
-    for s in record.states:
-        reports.extend(
-            estimates.pi_equivalence_audit(s.rho, s.grid.far_field_density, ctx["gamma"])
-        )
+    for t in _stored(record, ctx, "second_order_terms", names):
+        reports.extend(estimates.jungel_bounds((t["D"], t["A"], t["Bp"]), record.grid.dim))
     return _merge_worst(reports)
 
 
-def _second_order(record, ctx, flags) -> list:
-    """Each stored state's ``second_order_terms``, derived once per run and kept in its ctx."""
-    if "second_order_terms" not in ctx:
-        ctx["second_order_terms"] = [estimates.second_order_terms(s, **flags) for s in record.states]
-    return ctx["second_order_terms"]
+def _audit_region(record, ctx, names):
+    return _merge_worst(_stored(record, ctx, "region_rows", names))
 
 
-def _audit_jungel(record, ctx, flags):
-    reports = []
-    for s, t in zip(record.states, _second_order(record, ctx, flags)):
-        reports.extend(estimates.jungel_audit(s.rho, terms=(t["D"], t["A"], t["Bp"])))
-    return _merge_worst(reports)
+def _audit_bd(record, ctx, names):
+    return [estimates.bd_identity_audit(record, terms=_stored(record, ctx, "second_order_terms", names))]
 
 
-def _audit_region(record, ctx):
-    return _merge_worst([estimates.region_split(s, ctx["gamma"]).chebyshev for s in record.states])
-
-
-def _audit_bd(record, ctx, flags):
-    return [estimates.bd_identity_audit(record, terms=_second_order(record, ctx, flags))]
-
-
-def _audit_loglaw(record, ctx):
+def _audit_loglaw(record, ctx, names):
     return [estimates.log_law_audit(record, preset=ctx.get("preset"))]
 
 
-def _audit_reverse_holder(record, ctx):
-    return _merge_worst(estimates.reverse_holder_audit(record, (1, 2, 3), preset=ctx.get("preset")))
+def _audit_reverse_holder(record, ctx, names):
+    stored = _stored(record, ctx, "stored_times", names), ctx["velocity_moments"]
+    return _merge_worst(estimates.reverse_holder_audit(record, _RH_PS, preset=ctx.get("preset"), stored=stored))
 
 
-def _audit_growth(record, ctx):
+def _audit_growth(record, ctx, names):
     return [growth_law_audit(record)]
 
 
-def _audit_certificate(record, ctx):
-    cert = degiorgi.lower_bound_certificate(record, ctx["c_v"])
+def _audit_certificate(record, ctx, names):
+    stored = _stored(record, ctx, "stored_times", names), ctx["inverse_density"]
+    cert = degiorgi.lower_bound_certificate(record, ctx["c_v"], stored=stored)
     ctx["certificate"] = cert
     if not cert.certified:
         return [
@@ -273,24 +325,17 @@ def known_audit_names() -> list[str]:
     return sorted(AUDITS)
 
 
-# audits that read second_order_terms, with the flag each one needs
-SECOND_ORDER = {"bd-identity": "identity", "jungel": "convexity"}
-
-
 def resolve_audits(names) -> dict:
-    """Audit callables ``fn(record, ctx)`` by name.
+    """Audit finishes ``fn(record, ctx)`` by name.
 
-    The second-order audits share one derivation per stored state through the
-    run's ``ctx``: it computes what each of them configured here reads.
+    Each reads what its per-state part kept in the run's ``ctx`` (see
+    ``stored_state_observer``); the second-order audits share one derivation
+    per stored state.
     """
-    names = list(names)
+    names = tuple(names)
     for name in names:
         if name not in AUDITS:
             near = difflib.get_close_matches(name, known_audit_names(), n=3)
             hint = f"; nearest valid names: {', '.join(near)}" if near else ""
             raise ProbeError(f"unknown audit {name!r}{hint}")
-    flags = {flag: name in names for name, flag in SECOND_ORDER.items()}
-    return {
-        name: functools.partial(AUDITS[name], flags=flags) if name in SECOND_ORDER else AUDITS[name]
-        for name in names
-    }
+    return {name: functools.partial(AUDITS[name], names=names) for name in names}

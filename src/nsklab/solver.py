@@ -19,6 +19,7 @@ round-off per step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +55,7 @@ __all__ = [
     "PRESET_PARAMS",
     "ALWAYS_RECORDED",
     "far_field_defect",
+    "require_far_field",
     "theorem_range_warnings",
     "veff_max",
 ]
@@ -383,22 +385,25 @@ def step(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowSt
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled states plus per-step scalar diagnostics of one run."""
+    """Per-step scalar diagnostics of one run, the states it collected and the
+    last state it reached (``final``: the state at the horizon or, on an abort,
+    the state the run stopped at)."""
 
     grid: Grid
     formulation: str
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     scalars: dict = field(default_factory=dict)
     states: list = field(default_factory=list)
+    final: FlowState | None = None
     aborted: bool = False
     abort_reason: str = ""
     abort_time: float | None = None
 
-    def stored_rows(self) -> list[int]:
-        """The row of each stored state in the per-step columns."""
+    def stored_rows(self, times=None) -> list[int]:
+        """The row in the per-step columns of each stored state, or of each time in ``times``."""
         row = {t: i for i, t in enumerate(self.times.tolist())}
         try:
-            return [row[s.t] for s in self.states]
+            return [row[t] for t in ([s.t for s in self.states] if times is None else times)]
         except KeyError as err:
             raise FieldError(f"stored state at t={err.args[0]!r} has no row in the per-step columns") from None
 
@@ -424,49 +429,62 @@ def far_field_defect(state: FlowState) -> float:
     return max(dev_rho, dev_vel)
 
 
+def require_far_field(state: FlowState) -> None:
+    """Raise SolverError if the state violates the far-field proxy."""
+    defect = far_field_defect(state)
+    if defect > FAR_FIELD_TOL:
+        raise SolverError(
+            f"initial state violates the far-field proxy: boundary deviation "
+            f"{defect:.3e} > {FAR_FIELD_TOL:g}"
+        )
+
+
 def run(
     initial: FlowState,
     cfg: SolverConfig,
     probes: dict | None = None,
     state_stride: int = 1,
     check_far_field: bool = True,
+    observe=None,
 ) -> TrajectoryRecord:
-    """Integrate to the horizon, sampling probes every step and states at a stride.
+    """Integrate to the horizon, sampling probes every step and storing states at a stride.
 
     Each sampled state gets one ``Workspace``, which the probes (``fn(ws)``)
     read and which keeps after the sample only what the step reads.  An
     effective step leaves the new state's spectra in it, and they pass to the
-    next workspace.  A step the guard refuses, positivity loss and non-finite
-    fields abort cleanly and are recorded on the trajectory; other stepper
-    failures propagate.  The minimum density is always monitored.
+    next workspace.  The initial state, every ``state_stride``-th one and the
+    one at the horizon are stored: ``observe(ws)`` gets the workspace of each
+    at the moment it is stored, after its sample and while it still holds
+    |v|^2.  By default the record collects the stored states in ``states``.
+    A step the guard refuses, positivity loss and non-finite fields abort
+    cleanly and are recorded on the trajectory; other stepper failures
+    propagate.  The minimum density is always monitored.
     """
     if state_stride < 1:
         raise FieldError("state stride must be >= 1")
     ws = Workspace(initial)
     if check_far_field and initial.t == 0.0:
-        defect = far_field_defect(ws.primitive)
-        if defect > FAR_FIELD_TOL:
-            raise SolverError(
-                f"initial state violates the far-field proxy: boundary deviation "
-                f"{defect:.3e} > {FAR_FIELD_TOL:g}"
-            )
+        require_far_field(ws.primitive)
     probes = dict(probes or {})
     record = TrajectoryRecord(initial.grid, initial.formulation)
+    if observe is None:
+        observe = lambda ws: record.states.append(ws.state)
     series: dict[str, list] = {name: [] for name in (*ALWAYS_RECORDED, *probes)}
     times: list[float] = []
 
-    def sample(ws: Workspace) -> None:
+    def sample(ws: Workspace, stored: bool) -> None:
         times.append(ws.state.t)
         r = ws.state.rho.values
         for name, value in zip(ALWAYS_RECORDED, (np.min(r), np.max(r), veff_max(ws))):
             series[name].append(float(value))
         for name, fn in probes.items():
             series[name].append(float(fn(ws)))
+        if stored:
+            observe(ws)
         ws.drop_sample_data()
 
     n_steps = round(cfg.t_end / cfg.dt)
-    sample(ws)
-    record.states.append(initial)
+    sample(ws, True)
     for k in range(n_steps):
         try:
             state = step(ws.state, cfg, ws)
@@ -478,9 +496,8 @@ def run(
             break
         state = _trusted(FlowState, **{**vars(state), "t": (k + 1) * cfg.dt})
         ws = Workspace(state, ws.spectra if state.formulation == "effective" else None)
-        sample(ws)
-        if (k + 1) % state_stride == 0 or k + 1 == n_steps:
-            record.states.append(state)
+        sample(ws, (k + 1) % state_stride == 0 or k + 1 == n_steps)
+    record.final = ws.state
     record.times = np.array(times)
     record.scalars = {name: np.array(vals) for name, vals in series.items()}
     return record
@@ -512,7 +529,10 @@ def make_preset(name: str, grid: Grid, params: dict | None = None, seed: int = 0
     zero_vel = np.zeros((grid.dim,) + grid.shape)
 
     def take(key, default):
-        return float(params.pop(key, default))
+        value = params.pop(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise FieldError(f"preset parameter {key!r} must be a finite number, got {value!r}")
+        return float(value)
 
     if name == "constant":
         state = FlowState(

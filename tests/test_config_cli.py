@@ -560,3 +560,67 @@ class TestSolverValueExits:
         assert "non-finite" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "nan_run" / "manifest.json").read_text())
         assert manifest["aborted"] and manifest["abort_time"] == pytest.approx(1e-3)
+
+
+class TestInitialStateExits:
+    """Preset values the preset cannot take, and an initial state off the
+    far-field proxy, are config errors: exit 2 and no output directory."""
+
+    @pytest.mark.parametrize(
+        "preset,match",
+        [
+            ("name = gaussian-bump\namplitude = abc", "'amplitude' must be a finite number, got 'abc'"),
+            ("name = gaussian-bump\namplitude = nan", "'amplitude' must be a finite number"),
+            ("name = gaussian-bump\namplitude = -1.0", "destroy density positivity"),
+            ("name = random-large\namplitude = 1.0", "below the far-field density"),
+        ],
+        ids=["not-a-number", "nan", "bump-below-vacuum", "random-at-far-field"],
+    )
+    def test_bad_preset_value_exit_two(self, tmp_path, capsys, preset, match):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(MINIMAL.format(outdir="bad_preset").replace("name = constant", preset))
+        root = tmp_path / "root"
+        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and match in err
+        assert "Traceback" not in err
+        assert not root.exists()
+
+    def test_far_field_violation_exit_two(self, tmp_path, capsys):
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
+        text = demo.read_text().replace("width = 1.2566370614359172", "width = 6.0")
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(text)
+        root = tmp_path / "root"
+        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial state violates the far-field proxy")
+        assert "boundary deviation 1.787e-01" in err
+        assert not root.exists()
+
+
+def test_aborted_run_final_snapshot_is_the_last_state_reached(tmp_path):
+    # positivity is lost at the sixth step, between the stored states at t = 0.08
+    # and the horizon: the final snapshot is the state at t = 0.10, not the
+    # stored one at t = 0.08
+    text = (
+        MINIMAL.format(outdir="drain")
+        .replace("n = 32", "n = 64")
+        .replace("name = constant", "name = random-large\nvelocity_amplitude = 10.0")
+        .replace("dt = 1e-3", "dt = 0.02\ncfl_safety = 1e9")
+        .replace("t_end = 0.005", "t_end = 0.4")
+        + "state_stride = 4\n"
+    )
+    cfg_path = tmp_path / "drain.cfg"
+    cfg_path.write_text(text)
+    assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 3
+    outdir = tmp_path / "drain"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["abort_time"] == pytest.approx(0.12)
+    assert "positivity" in manifest["abort_reason"]
+    rho, t = read_snapshot(outdir / "final.rho.nskf")
+    assert t == pytest.approx(0.10)
+    last = (outdir / "series.csv").read_text().strip().splitlines()
+    header, row = last[0].split(","), last[-1].split(",")
+    assert float(row[0]) == t
+    assert float(row[header.index("density.min")]) == float(np.min(rho.values))

@@ -1,10 +1,12 @@
-"""Working-set guards for the per-step and per-audit spectral passes.
+"""Working-set guards for the per-step and per-audit spectral passes, and for a whole run.
 
 The steppers and the second-order pass hold one spectrum per field and form
 each derivative as a transient; none builds a (d, d, n, ...) tensor of
-derivative fields.  The peak is what tracemalloc sees numpy allocate during
-one call at 3D 32^3, in units of one real field R, above what was live before
-the call (the inputs, and the workspace's carried spectra where a step reads them).
+derivative fields.  A run's audits keep no stored state, so its peak does not
+grow with the number of stored states.  The peak is what tracemalloc sees
+numpy allocate during one call at 3D 32^3, in units of one real field R,
+above what was live before the call (the inputs, and the workspace's carried
+spectra where a step reads them).
 """
 
 import tracemalloc
@@ -54,3 +56,49 @@ def test_effective_step_with_carried_spectra(primitive):
         ws.grad_log_rho, ws.spectra
     calls = iter(workspaces)
     assert _peak_in_fields(lambda: solver.step_effective(s, CFG, next(calls)), s) <= 17.6
+
+
+WHOLE_RUN = """
+[grid]
+dim = 3
+n = 32
+box_length = 12.566370614359172
+far_field_density = 1.0
+
+[preset]
+name = random-large
+
+[solver]
+gamma = 2.0
+dt = 1e-3
+t_end = 0.004
+formulation = primitive
+
+[probes]
+names = energy.total
+
+[audits]
+names = bd-identity, jungel, pi-equivalence, region-split
+
+[output]
+directory = stride{stride}
+state_stride = {stride}
+
+[rng]
+seed = 3
+"""
+
+
+def test_whole_run_peak_does_not_grow_with_the_stored_states(tmp_path, primitive):
+    # the audits see each stored state as the run stores it and keep floats, so
+    # storing all five states costs what storing the first and last does (both
+    # peak at 30R, in the step); when the run kept its stored states (4R each:
+    # rho and three velocity components), stride 1 peaked 8R above stride 4
+    from nsklab.config import parse_config
+    from nsklab.experiment import run_experiment
+
+    peaks = {}
+    for stride in (1, 4):
+        cfg = parse_config(WHOLE_RUN.format(stride=stride))
+        peaks[stride] = _peak_in_fields(lambda: run_experiment(cfg, tmp_path), primitive)
+    assert abs(peaks[1] - peaks[4]) <= 1.0, peaks
