@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .degiorgi import inverse_density, truncate, truncation_terms
+from .degiorgi import truncate, truncation_terms
 from .dyadic import (
     BesovIndex,
     TimeSeriesField,
@@ -26,8 +26,9 @@ from .dyadic import (
     interpolation_terms,
     select_frequency_cut,
 )
-from .estimates import energy, log_law_constant, reverse_holder_terms, v_energy
+from .estimates import energy, log_law_constant, reverse_holder_terms
 from .fields import ScalarField, hs_norm, make_grid, random_band_limited
+from .probes import REVERSE_HOLDER_PS, stored_state_observer
 from .solver import SolverConfig, make_preset, run, to_effective
 
 
@@ -129,35 +130,35 @@ def calibrate_heat(out):
 
 
 def _preset_runs():
+    """Each calibration run's ``(record, ctx)``.  ctx holds the initial energy
+    ``e0`` and what the reverse-Hoelder and certificate audits' per-state parts
+    kept of each stored state: the calibration reads no stored state otherwise."""
     # canonical mild runs plus the near-vacuum bump variant, so the frozen
     # trajectory constants envelope both regimes
     runs = {}
     grid = make_grid(2, 64, 4 * np.pi, 1.0)
     cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.5)
-    for preset in ("gaussian-bump", "random-large"):
-        state = to_effective(make_preset(preset, grid, seed=12))
-        runs[preset] = run(state, cfg, state_stride=25)
-    dip = to_effective(
-        make_preset(
-            "gaussian-bump", grid, {"amplitude": -0.99, "width": 0.08 * grid.box_length}
-        )
-    )
-    runs[("gaussian-bump", "dip")] = run(dip, cfg, state_stride=25)
+    dip = {"amplitude": -0.99, "width": 0.08 * grid.box_length}
+    for key, params in (("gaussian-bump", None), ("random-large", None), (("gaussian-bump", "dip"), dip)):
+        state = to_effective(make_preset(key if isinstance(key, str) else key[0], grid, params, seed=12))
+        ctx = {"e0": energy(state, 2.0).total}
+        observe = stored_state_observer(("reverse-holder", "certificate"), ctx)
+        runs[key] = run(state, cfg, state_stride=25, observe=observe), ctx
     return runs
 
 
 def calibrate_trajectories(out, runs):
-    for key, record in runs.items():
+    for key, (record, ctx) in runs.items():
         preset = key[0] if isinstance(key, tuple) else key
-        e0 = energy(record.states[0], 2.0).total
-        sup_v = max(v_energy(s) for s in record.states)
+        sup_v = max(energy_v for energy_v, _ in ctx["velocity_moments"])
         name_v = f"venergy.C.{preset}"
         name_cv = f"loglaw.cv.{preset}"
-        out[name_v] = max(out.get(name_v, 0.0), sup_v / (1.0 + e0))
+        out[name_v] = max(out.get(name_v, 0.0), sup_v / (1.0 + ctx["e0"]))
         out[name_cv] = max(out.get(name_cv, 0.0), log_law_constant(record))
 
         worst = 0.0
-        for lhs, vt, body in reverse_holder_terms(record, (1, 2, 3)).values():
+        stored = ctx["stored_times"], ctx["velocity_moments"]
+        for lhs, vt, body in reverse_holder_terms(record, REVERSE_HOLDER_PS, stored).values():
             worst = max(worst, lhs / (vt * body))
         name_c3 = f"psi.C3.{preset}"
         out[name_c3] = max(out.get(name_c3, 0.0), worst)
@@ -167,12 +168,11 @@ def calibrate_certificate(out, runs):
     # chain the measured space-time interpolation constant through the
     # iteration algebra: C_cert = 2^(25/2) * C_gn^(3/2)
     c_gn = 0.0
-    for record in runs.values():
-        rows = record.stored_rows()
+    for record, ctx in runs.values():
+        times, inverse = ctx["stored_times"], ctx["inverse_density"]
+        rows = record.stored_rows(times)
         lo = 1.0 / float(np.max(record.scalars["density.max"][rows]))
         hi = 1.0 / float(np.min(record.scalars["density.min"][rows]))
-        times = [s.t for s in record.states]
-        inverse = [inverse_density(s) for s in record.states]
         for level in (lo + frac * (hi - lo) for frac in (0.2, 0.5, 0.8)):
             sup_l2_sq, grad_int = truncation_terms(inverse, times, level)
             w_sq = [

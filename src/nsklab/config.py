@@ -185,6 +185,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"audit 'growth-law' reads the probes {', '.join(missing)}; add them to [probes] names"
         )
+    for name in ("pi-equivalence", "region-split"):
+        if name in audit_names and solver.gamma == 1.0:
+            raise ConfigError(f"audit {name!r} needs gamma > 1, got gamma = 1")
 
     state_stride = _take(sections, "output", "state_stride", int, required=False, default=1)
     if state_stride < 1:

@@ -277,7 +277,7 @@ def _window_slices(times, horizon, window):
     return spans
 
 
-def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | None = None, stored=None):
+def lower_bound_certificate(trajectory, c_v_estimate: float, stored, constant: float | None = None):
     """Certify an inverse-density bound window by window.
 
     Each window solves the convergence condition C * |v|_inf^3 * U0 <= M^2 for
@@ -288,13 +288,10 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
     The base, |v|_inf and the observed sup 1/rho come from the record's
     per-step ``density.min`` and ``veff.max`` columns at the stored rows; U0
     reads the stored states' inverse densities.  ``stored`` is the stored
-    states' times and inverse densities, as a run's audit observer keeps them;
-    by default they are formed from the trajectory's states, once each.
+    states' times and inverse densities, as a run's audit observer keeps them.
     """
     if constant is None:
         constant = calibrated("certificate.C")
-    if stored is None:
-        stored = [s.t for s in trajectory.states], [inverse_density(s) for s in trajectory.states]
     times, inverse = stored
     if not times:
         raise FieldError("trajectory holds no states")
@@ -339,14 +336,14 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, constant: float | N
 # pointwise equation satisfied by the inverse density
 
 
-def inverse_density_pde_residual(trajectory):
-    """L2 residual series of the inverse-density equation at interior stored times.
+def inverse_density_pde_residual(states):
+    """L2 residual series of the inverse-density equation at the interior
+    times of a list of states.
 
-    The time derivative uses centered differences between stored states; all
-    spatial terms are spectral at the center state.  For states produced by
-    the first-order stepper the residual shrinks linearly in dt.
+    The time derivative uses centered differences between neighbouring states;
+    all spatial terms are spectral at the center state.  For states produced
+    by the first-order stepper the residual shrinks linearly in dt.
     """
-    states = trajectory.states
     if len(states) < 3:
         raise FieldError("need at least three stored states for the residual series")
     inverse = [inverse_density(s) for s in states]

@@ -284,18 +284,16 @@ def second_order_terms(s: FlowState, identity: bool = True, convexity: bool = Tr
     return _second_order(s.rho, u, convexity)
 
 
-def bd_identity_audit(trajectory, tolerance: float = 1e-8, terms=None) -> AuditReport:
+def bd_identity_audit(terms, tolerance: float = 1e-8) -> AuditReport:
     """Pointwise-in-time identity: rho|grad v|^2 integrates to the rho|grad u|^2
     and rho|hess log rho|^2 pieces plus the exact rate of the gradient energy.
 
-    The row is the worst stored state's report, picked as every audit picks
-    its row (``audits._merge_worst``): a failing one if there is one, else the
-    largest ratio.
     ``terms`` is each stored state's integrals as ``second_order_terms`` gives
-    them; a caller passes its own to share them with the jungel audit.
+    them (with ``identity``), as a run's audit observer keeps them.  The row is
+    the worst stored state's report, picked as every audit picks its row
+    (``audits._merge_worst``): a failing one if there is one, else the largest
+    ratio.
     """
-    if terms is None:
-        terms = [second_order_terms(s, convexity=False) for s in trajectory.states]
     if not terms:
         raise FieldError("trajectory holds no states")
     reports = [
@@ -420,25 +418,15 @@ def region_split(s: FlowState, gamma: float) -> RegionSplit:
 # space-time functionals of trajectories
 
 
-def psi(trajectory, exponents) -> dict:
-    """``{q: time-trapezoid of int rho |v|^q}`` over the stored states."""
-    return _moment_pass(trajectory, tuple(dict.fromkeys(exponents)))[0]
-
-
-def _moment_pass(trajectory, exponents, stored=None) -> tuple[dict, float]:
-    """``psi`` and the first stored state's v-energy, every exponent from one
-    ``velocity_moments`` call per stored state.  ``stored`` is the stored
-    states' times and their ``velocity_moments`` at ``exponents``, as a run's
-    audit observer keeps them; by default they come from the trajectory's states."""
-    if stored is None:
-        states = trajectory.states
-        stored = [s.t for s in states], [velocity_moments(Workspace(s), exponents) for s in states]
-    times, rows = stored
-    if not rows:
+def psi(stored, exponents) -> dict:
+    """``{q: time-trapezoid of int rho |v|^q}`` over the stored states.
+    ``stored`` is their times and their ``velocity_moments`` at (at least)
+    ``exponents``, as a run's audit observer keeps them."""
+    times, moments = stored
+    if not moments:
         raise FieldError("trajectory holds no states")
     times = np.array(times)  # one state integrates to 0
-    psi_q = {q: float(np.trapezoid(np.array([m[q] for _, m in rows]), times)) for q in exponents}
-    return psi_q, rows[0][0]
+    return {q: float(np.trapezoid(np.array([m[q] for _, m in moments]), times)) for q in exponents}
 
 
 def reverse_holder_exponents(ps) -> tuple:
@@ -455,25 +443,24 @@ def _vt_value(trajectory) -> float:
     return 1.0 / min_rho + LOG_FLOOR
 
 
-def reverse_holder_terms(trajectory, ps, stored=None) -> dict:
+def reverse_holder_terms(trajectory, ps, stored) -> dict:
     """For each p, the reverse-Hoelder bound psi((5/3)(p+2)) <= C3 * V_T * body
     as ``{p: (lhs, V_T, body)}``; the calibrated C3 is the largest
-    lhs / (V_T * body).  All six psi exponents and c4's initial v-energy come
-    from one pass over the stored states (or from ``stored``, see
-    ``_moment_pass``, at ``reverse_holder_exponents(ps)``), and c4 reads the
-    initial state's ``veff.max``."""
+    lhs / (V_T * body).  ``stored`` is as for ``psi``, at
+    ``reverse_holder_exponents(ps)``: all six psi exponents and c4's initial
+    v-energy come from it, and c4 reads the initial state's ``veff.max``."""
     r = HOLDER_EXPONENT
     qs = {p: p + 2.0 for p in ps}
-    integrals, energy_v0 = _moment_pass(trajectory, reverse_holder_exponents(ps), stored)
+    integrals = psi(stored, reverse_holder_exponents(ps))
     vt = _vt_value(trajectory)
-    c4 = math.sqrt(energy_v0) + float(trajectory.scalars["veff.max"][0]) + 1.0
+    c4 = math.sqrt(stored[1][0][0]) + float(trajectory.scalars["veff.max"][0]) + 1.0
     return {
         p: (integrals[r * q], vt, q ** (2.0 * r) * integrals[q] ** r + q ** (2.0 * r) + c4 ** (r * q))
         for p, q in qs.items()
     }
 
 
-def reverse_holder_audit(trajectory, ps, preset: str | None = None, stored=None) -> list[AuditReport]:
+def reverse_holder_audit(trajectory, ps, stored, preset: str | None = None) -> list[AuditReport]:
     """Self-improvement of the space-time velocity functional from exponent
     p+2 to (5/3)(p+2), one row per p, with the calibrated constant as the alarm;
     ``stored`` as for ``reverse_holder_terms``."""
@@ -491,16 +478,20 @@ def reverse_holder_audit(trajectory, ps, preset: str | None = None, stored=None)
     ]
 
 
+def _log_law_terms(trajectory) -> tuple[float, float]:
+    """``(sup_t |v|_inf, V_T)`` from the per-step columns."""
+    return float(np.max(trajectory.scalars["veff.max"])), _vt_value(trajectory)
+
+
 def log_law_constant(trajectory) -> float:
-    """Empirical ratio sup_t |v|_inf / sqrt(log V_T), from the per-step columns."""
-    v_sup = float(np.max(trajectory.scalars["veff.max"]))
-    return v_sup / math.sqrt(math.log(_vt_value(trajectory)))
+    """Empirical ratio sup_t |v|_inf / sqrt(log V_T)."""
+    v_sup, vt = _log_law_terms(trajectory)
+    return v_sup / math.sqrt(math.log(vt))
 
 
 def log_law_audit(trajectory, preset: str | None = None) -> AuditReport:
     """Velocity maximum against the square root of the logarithm of V_T."""
-    v_sup = float(np.max(trajectory.scalars["veff.max"]))
-    vt = _vt_value(trajectory)
+    v_sup, vt = _log_law_terms(trajectory)
     key = f"loglaw.cv.{preset}" if preset else None
     cv = CONSTANTS.get(key, math.inf) if key else math.inf
     rhs = DRIFT_FACTOR * cv * math.sqrt(math.log(vt)) if math.isfinite(cv) else math.inf

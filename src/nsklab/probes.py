@@ -9,7 +9,6 @@ typos fail loudly before a run starts.
 from __future__ import annotations
 
 import difflib
-import functools
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import degiorgi, estimates
 from .audits import AuditReport, _merge_worst, bound_report
 from .dyadic import BesovIndex, besov_norm, build_dyadic_family
 from .fields import ScalarField, sobolev_norm, vector_sobolev_norm
-from .solver import ALWAYS_RECORDED, Workspace
+from .solver import ALWAYS_RECORDED
 
 __all__ = [
     "ProbeError",
@@ -208,11 +207,12 @@ def growth_law_audit(record) -> AuditReport:
 # and keeps what the finish needs of that state in the run's audit ``ctx``:
 # floats and audit rows only, except the certificate's, which keeps the
 # state's 1/rho because its windows need c_v from the whole run.  The finish,
-# ``fn(record, ctx)``, runs once the run is over.
+# ``fn(record, ctx)``, runs once the run is over and reads only ctx and the
+# record's per-step columns.
 
 # the reverse-Hoelder audit's p, and the psi exponents its per-state part reads
-_RH_PS = (1, 2, 3)
-_RH_EXPONENTS = estimates.reverse_holder_exponents(_RH_PS)
+REVERSE_HOLDER_PS = (1, 2, 3)
+_RH_EXPONENTS = estimates.reverse_holder_exponents(REVERSE_HOLDER_PS)
 # each audit's per-state part and the ctx key it keeps its results under;
 # bd-identity and jungel share one, which computes what each of them reads
 _PER_STATE = {
@@ -246,53 +246,40 @@ def stored_state_observer(names, ctx):
     return observe
 
 
-def _stored(record, ctx, key, names) -> list:
-    """What the per-state part under ``key`` kept of each stored state.  A run
-    that streamed its stored states left it in ctx; for a record that
-    collected them, the first finish observes them here, once for all the
-    named audits."""
-    if "stored_times" not in ctx:
-        observe = stored_state_observer(names, ctx)
-        for s in record.states:
-            observe(Workspace(s))
-    return ctx[key]
+def _audit_pi(record, ctx):
+    return _merge_worst([r for rows in ctx["pi_rows"] for r in rows])
 
 
-def _audit_pi(record, ctx, names):
-    return _merge_worst([r for rows in _stored(record, ctx, "pi_rows", names) for r in rows])
-
-
-def _audit_jungel(record, ctx, names):
+def _audit_jungel(record, ctx):
     reports = []
-    for t in _stored(record, ctx, "second_order_terms", names):
+    for t in ctx["second_order_terms"]:
         reports.extend(estimates.jungel_bounds((t["D"], t["A"], t["Bp"]), record.grid.dim))
     return _merge_worst(reports)
 
 
-def _audit_region(record, ctx, names):
-    return _merge_worst(_stored(record, ctx, "region_rows", names))
+def _audit_region(record, ctx):
+    return _merge_worst(ctx["region_rows"])
 
 
-def _audit_bd(record, ctx, names):
-    return [estimates.bd_identity_audit(record, terms=_stored(record, ctx, "second_order_terms", names))]
+def _audit_bd(record, ctx):
+    return [estimates.bd_identity_audit(ctx["second_order_terms"])]
 
 
-def _audit_loglaw(record, ctx, names):
+def _audit_loglaw(record, ctx):
     return [estimates.log_law_audit(record, preset=ctx.get("preset"))]
 
 
-def _audit_reverse_holder(record, ctx, names):
-    stored = _stored(record, ctx, "stored_times", names), ctx["velocity_moments"]
-    return _merge_worst(estimates.reverse_holder_audit(record, _RH_PS, preset=ctx.get("preset"), stored=stored))
+def _audit_reverse_holder(record, ctx):
+    stored = ctx["stored_times"], ctx["velocity_moments"]
+    return _merge_worst(estimates.reverse_holder_audit(record, REVERSE_HOLDER_PS, stored, preset=ctx.get("preset")))
 
 
-def _audit_growth(record, ctx, names):
+def _audit_growth(record, ctx):
     return [growth_law_audit(record)]
 
 
-def _audit_certificate(record, ctx, names):
-    stored = _stored(record, ctx, "stored_times", names), ctx["inverse_density"]
-    cert = degiorgi.lower_bound_certificate(record, ctx["c_v"], stored=stored)
+def _audit_certificate(record, ctx):
+    cert = degiorgi.lower_bound_certificate(record, ctx["c_v"], (ctx["stored_times"], ctx["inverse_density"]))
     ctx["certificate"] = cert
     if not cert.certified:
         return [
@@ -332,10 +319,9 @@ def resolve_audits(names) -> dict:
     ``stored_state_observer``); the second-order audits share one derivation
     per stored state.
     """
-    names = tuple(names)
     for name in names:
         if name not in AUDITS:
             near = difflib.get_close_matches(name, known_audit_names(), n=3)
             hint = f"; nearest valid names: {', '.join(near)}" if near else ""
             raise ProbeError(f"unknown audit {name!r}{hint}")
-    return {name: functools.partial(AUDITS[name], names=names) for name in names}
+    return {name: AUDITS[name] for name in names}

@@ -399,11 +399,11 @@ class TrajectoryRecord:
     abort_reason: str = ""
     abort_time: float | None = None
 
-    def stored_rows(self, times=None) -> list[int]:
-        """The row in the per-step columns of each stored state, or of each time in ``times``."""
+    def stored_rows(self, times) -> list[int]:
+        """The row in the per-step columns of each time in ``times``."""
         row = {t: i for i, t in enumerate(self.times.tolist())}
         try:
-            return [row[t] for t in ([s.t for s in self.states] if times is None else times)]
+            return [row[t] for t in times]
         except KeyError as err:
             raise FieldError(f"stored state at t={err.args[0]!r} has no row in the per-step columns") from None
 

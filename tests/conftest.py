@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nsklab.fields import make_grid, random_band_limited
+from nsklab.probes import stored_state_observer
+from nsklab.solver import Workspace
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +43,18 @@ def transforms(monkeypatch):
             np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
         )
     return calls
+
+
+@pytest.fixture(scope="session")
+def observed():
+    """``observed(states, names, ctx)``: the audit ``ctx`` once the named
+    audits' per-state parts (``probes.stored_state_observer``) have seen each
+    state's ``Workspace``, as a run hands them the states it stores."""
+
+    def feed(states, names, ctx):
+        observe = stored_state_observer(names, ctx)
+        for s in states:
+            observe(Workspace(s))
+        return ctx
+
+    return feed

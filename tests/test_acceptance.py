@@ -48,6 +48,7 @@ from nsklab.fields import (
     random_band_limited,
     spectral_l2_norm,
 )
+from nsklab.probes import stored_state_observer
 from nsklab.solver import (
     SolverConfig,
     from_effective,
@@ -382,8 +383,11 @@ def test_criterion_09_level_set_machinery():
         ("random-large", None),
     ):
         state = to_effective(make_preset(preset, g, params, seed=12))
-        rec = run(state, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.3), state_stride=10)
-        cert = lower_bound_certificate(rec, c_v_estimate=log_law_constant(rec))
+        ctx = {}
+        observe = stored_state_observer(("certificate",), ctx)
+        rec = run(state, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.3), state_stride=10, observe=observe)
+        stored = ctx["stored_times"], ctx["inverse_density"]
+        cert = lower_bound_certificate(rec, c_v_estimate=log_law_constant(rec), stored=stored)
         if cert.certified:
             produced += 1
             sound_ok = sound_ok and cert.sound
@@ -395,7 +399,7 @@ def test_criterion_09_level_set_machinery():
             SolverConfig(gamma=2.0, dt=dt, t_end=0.08),
             state_stride=1,
         )
-        _, series = inverse_density_pde_residual(rec)
+        _, series = inverse_density_pde_residual(rec.states)
         res[dt] = float(np.max(series))
     order = math.log2(res[2e-3] / res[1e-3])
 

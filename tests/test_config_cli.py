@@ -124,6 +124,18 @@ class TestParse:
         complete = text.replace(names, "norm.weighted.p2, norm.weighted.p6, norm.weighted.p14, norm.weighted.p30")
         assert parse_config(complete).audit_names == ("growth-law",)
 
+    @pytest.mark.parametrize("audit", ["pi-equivalence", "region-split"])
+    def test_gamma_one_audit_is_config_error(self, tmp_path, capsys, audit):
+        # both audits read the potential energy's gamma > 1 branch at every stored state
+        text = MINIMAL.format(outdir="gamma1").replace("gamma = 2.0", "gamma = 1.0") + f"\n[audits]\nnames = {audit}\n"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        root = tmp_path / "root"
+        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: audit '{audit}' needs gamma > 1") and "Traceback" not in err
+        assert not root.exists()
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section"):
             parse_config("[turbulence]\nx = 1\n")

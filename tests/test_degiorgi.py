@@ -21,6 +21,7 @@ from nsklab.degiorgi import (
     truncation_energy,
 )
 from nsklab.fields import FieldError, ScalarField, VectorField, constant_field, make_grid
+from nsklab.probes import stored_state_observer
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -219,7 +220,6 @@ class TestFlatAwareGradient:
 
 def _traj(states):
     rec = TrajectoryRecord(states[0].grid, states[0].formulation)
-    rec.states = list(states)
     # the per-step columns a run records, at the given states only
     rec.times = np.array([s.t for s in states])
     rec.scalars = {
@@ -227,6 +227,12 @@ def _traj(states):
         "veff.max": np.array([veff_max(Workspace(s)) for s in states]),
     }
     return rec
+
+
+def _inverse(observed, states):
+    """The states' times and inverse densities, as the certificate's per-state part keeps them."""
+    ctx = observed(states, ("certificate",), {})
+    return ctx["stored_times"], ctx["inverse_density"]
 
 
 def _const_state(grid, rho_val, t, formulation="effective"):
@@ -258,40 +264,40 @@ class TestTruncationEnergy:
 
 
 class TestCertificate:
-    def test_constant_state_trivially_certified(self, grid64):
+    def test_constant_state_trivially_certified(self, grid64, observed):
         states = [_const_state(grid64, 1.0, t) for t in np.linspace(0.0, 1.0, 5)]
-        cert = lower_bound_certificate(_traj(states), c_v_estimate=0.0)
+        cert = lower_bound_certificate(_traj(states), c_v_estimate=0.0, stored=_inverse(observed, states))
         assert cert.certified and cert.sound
         # base 2 * sup(1/rho) = 2, minimal admissible scale 2 * base = 4
         assert cert.bound == pytest.approx(6.0)
         assert cert.observed == pytest.approx(1.0)
 
-    def test_windowing_follows_velocity_control(self, grid64):
+    def test_windowing_follows_velocity_control(self, grid64, observed):
         states = [_const_state(grid64, 1.0, t) for t in np.linspace(0.0, 1.0, 11)]
-        cert = lower_bound_certificate(_traj(states), c_v_estimate=2.0)
+        cert = lower_bound_certificate(_traj(states), c_v_estimate=2.0, stored=_inverse(observed, states))
         # window length 1/(2 c_v^2) = 1/8 over a unit horizon
         assert len(cert.windows) == 8
         assert cert.sound
 
-    def test_adversarial_collapse_flagged(self, grid64):
+    def test_adversarial_collapse_flagged(self, grid64, observed):
         # density collapses while the velocity stays at rest: the certificate
         # cannot account for the collapse, so soundness must fail
         times = np.linspace(0.0, 1.0, 6)
         states = [_const_state(grid64, 1.0 / (1.0 + 20.0 * t), t) for t in times]
-        cert = lower_bound_certificate(_traj(states), c_v_estimate=0.0)
+        cert = lower_bound_certificate(_traj(states), c_v_estimate=0.0, stored=_inverse(observed, states))
         assert cert.certified
         assert not cert.sound
         assert cert.observed > cert.bound
 
-    def test_invalid_velocity_estimate(self, grid64):
+    def test_invalid_velocity_estimate(self, grid64, observed):
         states = [_const_state(grid64, 1.0, 0.0)]
-        cert = lower_bound_certificate(_traj(states), c_v_estimate=-1.0)
+        cert = lower_bound_certificate(_traj(states), c_v_estimate=-1.0, stored=_inverse(observed, states))
         assert not cert.certified
         assert "invalid" in cert.reason
 
-    def test_csv_shape(self, grid64):
+    def test_csv_shape(self, grid64, observed):
         states = [_const_state(grid64, 1.0, t) for t in (0.0, 1.0)]
-        cert = lower_bound_certificate(_traj(states), c_v_estimate=0.0)
+        cert = lower_bound_certificate(_traj(states), c_v_estimate=0.0, stored=_inverse(observed, states))
         lines = cert.csv_lines()
         assert lines[0].startswith("window,")
         assert len(lines) == 1 + len(cert.windows)
@@ -323,49 +329,55 @@ class TestCertificateReadsTheRecord:
     columns at the stored rows; U0 from one inverse density per stored state."""
 
     def _record(self):
+        """A run's record and what the certificate's per-state part kept of its stored states."""
         g = make_grid(2, 32, 4 * np.pi, 1.0)
         s = to_effective(make_preset("gaussian-bump", g))
-        return run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3), state_stride=2)
+        ctx = {}
+        observe = stored_state_observer(("certificate",), ctx)
+        rec = run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3), state_stride=2, observe=observe)
+        return rec, (ctx["stored_times"], ctx["inverse_density"])
 
     def test_window_values_follow_the_columns(self):
-        rec = self._record()
-        assert rec.stored_rows() == [0, 2, 4]
-        before = lower_bound_certificate(rec, c_v_estimate=0.0)
+        rec, stored = self._record()
+        assert rec.stored_rows(stored[0]) == [0, 2, 4]
+        before = lower_bound_certificate(rec, c_v_estimate=0.0, stored=stored)
         assert before.windows[0].v_max == np.max(rec.scalars["veff.max"][[0, 2, 4]])
         assert before.observed == 1.0 / np.min(rec.scalars["density.min"][[0, 2, 4]])
 
         # rows between the stored states are not read
         rec.scalars["veff.max"][1] *= 10.0
         rec.scalars["density.min"][3] *= 0.5
-        assert lower_bound_certificate(rec, c_v_estimate=0.0) == before
+        assert lower_bound_certificate(rec, c_v_estimate=0.0, stored=stored) == before
 
         rec.scalars["veff.max"][2] *= 10.0
         rec.scalars["density.min"][4] *= 0.5
-        after = lower_bound_certificate(rec, c_v_estimate=0.0)
+        after = lower_bound_certificate(rec, c_v_estimate=0.0, stored=stored)
         assert after.windows[0].v_max == rec.scalars["veff.max"][2]
         assert after.windows[0].observed == after.observed == 1.0 / rec.scalars["density.min"][4]
         assert after.windows[0].u0 == before.windows[0].u0
 
     def test_lowered_base_row_moves_the_base(self):
-        rec = self._record()
+        rec, stored = self._record()
         rec.scalars["density.min"][0] *= 0.5
-        cert = lower_bound_certificate(rec, c_v_estimate=0.0)
+        cert = lower_bound_certificate(rec, c_v_estimate=0.0, stored=stored)
         assert cert.windows[0].base == 2.0 / rec.scalars["density.min"][0]
 
     @pytest.mark.parametrize("c_v", [0.0, 2.0])
-    def test_one_inverse_density_per_stored_state(self, grid64, c_v):
+    def test_one_inverse_density_per_stored_state(self, grid64, observed, c_v):
         times = np.linspace(0.0, 1.0, 11)
-        rec = _traj([_const_state(grid64, 1.0 / (1.0 + t), t) for t in times])
-        arrays = _counted(rec.states)
-        cert = lower_bound_certificate(rec, c_v_estimate=c_v)
+        states = [_const_state(grid64, 1.0 / (1.0 + t), t) for t in times]
+        rec = _traj(states)
+        arrays = _counted(states)
+        cert = lower_bound_certificate(rec, c_v_estimate=c_v, stored=_inverse(observed, states))
         assert len(cert.windows) == (1 if c_v == 0.0 else 8)
         assert [a.divisions for a in arrays] == [1] * len(times)
 
-    def test_stored_state_without_a_row_is_an_error(self, grid64):
-        rec = _traj([_const_state(grid64, 1.0, t) for t in (0.0, 1.0)])
+    def test_stored_state_without_a_row_is_an_error(self, grid64, observed):
+        states = [_const_state(grid64, 1.0, t) for t in (0.0, 1.0)]
+        rec = _traj(states)
         rec.times = np.array([0.0, 0.5])
         with pytest.raises(FieldError, match="no row"):
-            lower_bound_certificate(rec, c_v_estimate=0.0)
+            lower_bound_certificate(rec, c_v_estimate=0.0, stored=_inverse(observed, states))
 
 
 def _manufactured_states(grid, times, mu=2.0, amp=0.4):
@@ -388,7 +400,7 @@ def _manufactured_states(grid, times, mu=2.0, amp=0.4):
 class TestInverseDensityResidual:
     def test_constant_state_zero_residual(self, grid64):
         states = [_const_state(grid64, 1.0, t) for t in (0.0, 0.1, 0.2)]
-        _, res = inverse_density_pde_residual(_traj(states))
+        _, res = inverse_density_pde_residual(states)
         assert np.max(res) <= 1e-12
 
     def test_manufactured_solution_second_order_sampling(self, grid64):
@@ -398,7 +410,7 @@ class TestInverseDensityResidual:
         for dt in (2e-2, 1e-2):
             times = np.arange(0.0, 0.2 + dt / 2, dt)
             states = _manufactured_states(grid64, times)
-            _, res = inverse_density_pde_residual(_traj(states))
+            _, res = inverse_density_pde_residual(states)
             res_by_dt[dt] = float(np.max(res))
         ratio = res_by_dt[2e-2] / res_by_dt[1e-2]
         assert 3.3 <= ratio <= 4.7
@@ -407,4 +419,4 @@ class TestInverseDensityResidual:
     def test_needs_three_states(self, grid64):
         states = [_const_state(grid64, 1.0, t) for t in (0.0, 0.1)]
         with pytest.raises(Exception, match="three stored states"):
-            inverse_density_pde_residual(_traj(states))
+            inverse_density_pde_residual(states)

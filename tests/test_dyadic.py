@@ -334,6 +334,12 @@ class TestBernstein:
                     assert rep.passed, rep
 
 
+@pytest.fixture(scope="module")
+def preset_runs():
+    """The calibration's three runs, each made once for the frozen-table checks."""
+    return calibrate._preset_runs()
+
+
 class TestFrozenTable:
     def test_dyadic_constants_at_or_below_frozen(self):
         # the frozen table is the re-measured value rounded upward, so a
@@ -345,7 +351,18 @@ class TestFrozenTable:
         over = {key: (value, CONSTANTS[key]) for key, value in out.items() if value > CONSTANTS[key]}
         assert not over
 
-    def test_certificate_constant_at_or_below_frozen(self, monkeypatch):
+    def test_trajectory_constants_at_or_below_frozen(self, preset_runs):
+        # the calibration reads what its runs' observers kept of each stored
+        # state, the values the audits it calibrates read, and no stored state
+        assert all(record.states == [] for record, _ in preset_runs.values())
+        out = {}
+        calibrate.calibrate_trajectories(out, preset_runs)
+        kinds, presets = ("venergy.C", "loglaw.cv", "psi.C3"), ("gaussian-bump", "random-large")
+        assert sorted(out) == sorted(f"{kind}.{preset}" for kind in kinds for preset in presets)
+        over = {key: (value, CONSTANTS[key]) for key, value in out.items() if value > CONSTANTS[key]}
+        assert not over
+
+    def test_certificate_constant_at_or_below_frozen(self, monkeypatch, preset_runs):
         # the calibration reads its truncated integrals from the helper the
         # certificate's U0 reads, so certificate.C describes the certificate
         levels = []
@@ -357,7 +374,7 @@ class TestFrozenTable:
         terms = calibrate.truncation_terms
         monkeypatch.setattr(calibrate, "truncation_terms", recording_terms)
         out = {}
-        calibrate.calibrate_certificate(out, calibrate._preset_runs())
+        calibrate.calibrate_certificate(out, preset_runs)
         assert len(levels) == 9  # three levels on each of three runs
         assert out["certificate.C"] <= CONSTANTS["certificate.C"]
 

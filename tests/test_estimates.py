@@ -25,6 +25,7 @@ from nsklab.estimates import (
     reverse_holder_audit,
     second_order_terms,
     v_energy,
+    velocity_moments,
     weighted_velocity_norm,
 )
 from nsklab.fields import (
@@ -38,30 +39,26 @@ from nsklab.fields import (
     random_band_limited,
     sqrt_field,
 )
-from nsklab.probes import _merge_worst
+from nsklab.probes import REVERSE_HOLDER_PS, _merge_worst, stored_state_observer
 from nsklab.solver import (
     FlowState,
     SolverConfig,
-    TrajectoryRecord,
     Workspace,
     from_effective,
     make_preset,
     run,
     to_effective,
-    veff_max,
 )
 
 
-def _traj(states):
-    rec = TrajectoryRecord(states[0].grid, states[0].formulation)
-    rec.states = list(states)
-    # the per-step columns a run records, at the given states only
-    rec.times = np.array([s.t for s in states])
-    rec.scalars = {
-        "density.min": np.array([float(np.min(s.rho.values)) for s in states]),
-        "veff.max": np.array([veff_max(Workspace(s)) for s in states]),
-    }
-    return rec
+def _bd_terms(observed, states):
+    """Each state's integrals, as the bd-identity audit's per-state part keeps them."""
+    return observed(states, ("bd-identity",), {})["second_order_terms"]
+
+
+def _moments(states, exponents):
+    """The states' times and ``velocity_moments``, as the reverse-Hoelder audit's per-state part keeps them."""
+    return [s.t for s in states], [velocity_moments(Workspace(s), exponents) for s in states]
 
 
 def _state(grid, rho_vals, vel_vals=None, formulation="primitive", t=0.0):
@@ -210,27 +207,29 @@ class TestVEnergy:
 
 
 class TestBdIdentity:
-    def test_constant_state(self, grid64_wide):
-        rep = bd_identity_audit(_traj([make_preset("constant", grid64_wide)]))
+    def test_constant_state(self, grid64_wide, observed):
+        rep = bd_identity_audit(_bd_terms(observed, [make_preset("constant", grid64_wide)]))
         assert rep.passed
         assert rep.lhs == rep.rhs == 0.0
 
-    def test_static_density_reduces_to_hessian_term(self, grid64):
+    def test_static_density_reduces_to_hessian_term(self, grid64, observed):
         x, y = grid64.meshgrid()
         rho = 1.0 + 0.25 * np.cos(x) + 0.1 * np.sin(y)
-        rep = bd_identity_audit(_traj([_state(grid64, rho)]), tolerance=1e-10)
+        rep = bd_identity_audit(_bd_terms(observed, [_state(grid64, rho)]), tolerance=1e-10)
         assert rep.passed
 
-    def test_moving_state_residual_small(self, grid64_wide):
+    def test_moving_state_residual_small(self, grid64_wide, observed):
         s = make_preset("random-large", grid64_wide, seed=8)
-        rep = bd_identity_audit(_traj([s]))
+        rep = bd_identity_audit(_bd_terms(observed, [s]))
         assert rep.passed, rep
 
     def test_along_run(self, grid64_wide):
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.05)
         for preset in ("gaussian-bump", "random-large"):
-            rec = run(make_preset(preset, grid64_wide, seed=12), cfg, state_stride=10)
-            rep = bd_identity_audit(rec, tolerance=1e-6)
+            ctx = {}
+            observe = stored_state_observer(("bd-identity",), ctx)
+            run(make_preset(preset, grid64_wide, seed=12), cfg, state_stride=10, observe=observe)
+            rep = bd_identity_audit(ctx["second_order_terms"], tolerance=1e-6)
             assert rep.passed, (preset, rep)
 
     def test_reports_the_failing_state_not_the_largest_scaled_residual(self, grid64):
@@ -243,12 +242,12 @@ class TestBdIdentity:
             small: {"lhs": 1e-3, "u": 1.0, "D": -1.0, "dt": 1e-3 + 1e-10},
             unit: {"lhs": 1.0, "u": 1.0, "D": 0.0, "dt": 1e-9},
         }
-        rep = bd_identity_audit(_traj([small, unit]), terms=[fake[small], fake[unit]])
+        rep = bd_identity_audit([fake[small], fake[unit]])
         assert not rep.passed
         assert rep.lhs == 1e-3
         assert rep.ratio == pytest.approx(1e-7, rel=1e-5)
         # and the row does not depend on the order of the states
-        assert bd_identity_audit(_traj([unit, small]), terms=[fake[unit], fake[small]]) == rep
+        assert bd_identity_audit([fake[unit], fake[small]]) == rep
 
 
 def _explicit_lhs(s) -> float:
@@ -292,10 +291,10 @@ class TestBdExpansion:
             lhs = second_order_terms(st, convexity=False)["lhs"]
             assert lhs == pytest.approx(_explicit_lhs(st), rel=1e-12, abs=0.0)
 
-    def test_audit_reads_the_shared_terms(self, grid64_wide):
+    def test_audit_reads_the_shared_terms(self, grid64_wide, observed):
         s = make_preset("random-large", grid64_wide, seed=8)
         t = second_order_terms(s)
-        rep = bd_identity_audit(_traj([s]))
+        rep = bd_identity_audit(_bd_terms(observed, [s]))
         assert (rep.lhs, rep.rhs) == (t["lhs"], t["u"] + t["D"] + t["dt"])
 
 
@@ -480,11 +479,11 @@ class TestPsiAndLogLaw:
             for t in (0.0, 0.5, 1.0)
         ]
         expected = {p: 1.0 * g.volume * 2.0**p for p in (1.0, 3.0)}
-        assert psi(_traj(states), (1.0, 3.0)) == pytest.approx(expected, rel=1e-12)
+        assert psi(_moments(states, (1.0, 3.0)), (1.0, 3.0)) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_velocity(self, grid64_wide):
         states = [to_effective(make_preset("constant", grid64_wide))]
-        assert psi(_traj(states), (2.0,)) == {2.0: 0.0}
+        assert psi(_moments(states, (2.0,)), (2.0,)) == {2.0: 0.0}
 
     def test_log_floor_value(self):
         assert LOG_FLOOR == pytest.approx(math.exp(25.0 / 9.0), rel=1e-15)
@@ -498,7 +497,10 @@ class TestPsiAndLogLaw:
 
     def test_preset_run_audits(self, grid64_wide):
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.1)
-        rec = run(to_effective(make_preset("gaussian-bump", grid64_wide)), cfg, state_stride=10)
+        ctx = {}
+        observe = stored_state_observer(("reverse-holder",), ctx)
+        rec = run(to_effective(make_preset("gaussian-bump", grid64_wide)), cfg, state_stride=10, observe=observe)
         assert log_law_audit(rec, preset="gaussian-bump").passed
-        rows = reverse_holder_audit(rec, (1, 2, 3), preset="gaussian-bump")
+        stored = ctx["stored_times"], ctx["velocity_moments"]
+        rows = reverse_holder_audit(rec, REVERSE_HOLDER_PS, stored, preset="gaussian-bump")
         assert len(rows) == 3 and all(r.passed for r in rows)

@@ -292,7 +292,7 @@ class TestVelocityFunctionalsReadOnePass:
     """The reverse-Hoelder audit reads its six psi exponents and c4's initial
     v-energy in one pass."""
 
-    def test_one_velocity_moments_call_per_stored_state(self, monkeypatch):
+    def test_one_velocity_moments_call_per_stored_state(self, monkeypatch, observed):
         original = estimates.velocity_moments
         seen = []
 
@@ -304,7 +304,7 @@ class TestVelocityFunctionalsReadOnePass:
         rec = run(_bump(2), SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02))
         assert len(rec.states) == 21
         audit = resolve_audits(("reverse-holder",))["reverse-holder"]
-        rows = audit(rec, {"preset": "gaussian-bump"})
+        rows = audit(rec, observed(rec.states, ("reverse-holder",), {"preset": "gaussian-bump"}))
         assert [row.inequality_id for row in rows] == ["psi.reverse_holder"]
         # one pass over the stored states, which also gives c4 the initial v-energy
         assert len(seen) == 21
@@ -324,10 +324,11 @@ def _record(dim: int, formulation: str, n_steps: int = 2) -> TrajectoryRecord:
     return rec
 
 
-def _audit_rows(names, record, ctx=None):
-    """The rows of the named audits, run as one run's audits: with one context."""
+def _audit_rows(observed, names, record, ctx=None):
+    """The rows of the named audits, run as one run's audits: the record's
+    states fed to their per-state parts, then their finishes, with one context."""
     audits = resolve_audits(names)
-    ctx = {} if ctx is None else ctx
+    ctx = observed(record.states, names, {} if ctx is None else ctx)
     return [row for name in names for row in audits[name](record, ctx)]
 
 
@@ -352,25 +353,25 @@ class TestSecondOrderAudits:
             (2, "effective", ("bd-identity", "jungel"), 21),
         ],
     )
-    def test_transforms_per_stored_state(self, transforms, dim, formulation, names, expected):
+    def test_transforms_per_stored_state(self, transforms, observed, dim, formulation, names, expected):
         rec = _record(dim, formulation)
         assert len(rec.states) == 3
         transforms.clear()
-        _audit_rows(names, rec)
+        _audit_rows(observed, names, rec)
         assert len(transforms) == 3 * expected
         assert set(transforms) == {"rfftn", "irfftn"}
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("formulation", ["primitive", "effective"])
-    def test_rows_do_not_depend_on_order_or_sharing(self, dim, formulation):
+    def test_rows_do_not_depend_on_order_or_sharing(self, observed, dim, formulation):
         rec = _record(dim, formulation)
-        first = _audit_rows(("bd-identity", "jungel"), rec)
-        second = _audit_rows(("jungel", "bd-identity"), rec)
+        first = _audit_rows(observed, ("bd-identity", "jungel"), rec)
+        second = _audit_rows(observed, ("jungel", "bd-identity"), rec)
         assert first == second[2:] + second[:2]
         # and each audit alone gives the rows it gives when shared
-        assert first == _audit_rows(("bd-identity",), rec) + _audit_rows(("jungel",), rec)
+        assert first == _audit_rows(observed, ("bd-identity",), rec) + _audit_rows(observed, ("jungel",), rec)
 
-    def test_one_derivation_per_stored_state_and_only_floats_kept(self, monkeypatch):
+    def test_one_derivation_per_stored_state_and_only_floats_kept(self, monkeypatch, observed):
         original = estimates.second_order_terms
         seen = []
 
@@ -381,7 +382,7 @@ class TestSecondOrderAudits:
 
         monkeypatch.setattr(estimates, "second_order_terms", counted)
         rec = _record(2, "primitive", n_steps=4)
-        _audit_rows(("jungel", "bd-identity"), rec)
+        _audit_rows(observed, ("jungel", "bd-identity"), rec)
         assert [s for s, _ in seen] == rec.states
         for _, out in seen:
             assert sorted(out) == ["A", "Bp", "D", "dt", "lhs", "u"]
@@ -400,10 +401,10 @@ class TestSecondOrderAudits:
         t = estimates.second_order_terms(s)
         assert (t["D"], t["u"], t["lhs"]) == (weighted(hess), weighted(jac), weighted(jac + hess))
 
-    def test_memo_does_not_keep_states_alive(self):
+    def test_memo_does_not_keep_states_alive(self, observed):
         ctx = {}
         rec = _record(2, "primitive")
-        _audit_rows(("bd-identity", "jungel"), rec, ctx)
+        _audit_rows(observed, ("bd-identity", "jungel"), rec, ctx)
         assert len(ctx["second_order_terms"]) == len(rec.states)
         assert all(type(v) is float for t in ctx["second_order_terms"] for v in t.values())
         refs = [weakref.ref(s) for s in rec.states]

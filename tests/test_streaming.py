@@ -3,8 +3,8 @@
 ``run()`` hands each stored state's workspace to an observer; the default one
 collects the states on the record.  ``run_experiment`` passes the audits'
 per-state parts instead and keeps no stored state, so its rows must equal,
-field for field, the rows of the same audits run over a record that
-collected its states.
+field for field, the rows of a direct ``run()`` whose observer collects the
+stored states and runs the same per-state parts.
 """
 
 from pathlib import Path
@@ -17,7 +17,7 @@ from nsklab.config import parse_config
 from nsklab.estimates import log_law_constant
 from nsklab.experiment import run_experiment
 from nsklab.fields import make_grid
-from nsklab.probes import resolve_audits, resolve_probes
+from nsklab.probes import resolve_audits, resolve_probes, stored_state_observer
 from nsklab.solver import SolverConfig, make_preset, run, to_effective
 
 EFFECTIVE_2D = """
@@ -100,16 +100,30 @@ def _read_rows(path: Path) -> list[AuditReport]:
 
 
 def _collected(cfg):
-    """The configured run with its states collected, and its audits' rows and context."""
+    """The configured run by a direct ``run()`` whose observer collects the
+    stored states and runs the audits' per-state parts on each: the states,
+    the audits' rows and their context."""
     state = make_preset(cfg.preset_name, cfg.make_grid(), cfg.preset_params, seed=cfg.seed)
     if cfg.formulation == "effective":
         state = to_effective(state)
+    ctx = {"gamma": cfg.solver.gamma, "preset": cfg.preset_name}
+    parts = stored_state_observer(cfg.audit_names, ctx)
+    states = []
+
+    def observe(ws):
+        states.append(ws.state)
+        parts(ws)
+
     record = run(
-        state, cfg.solver, probes=resolve_probes(cfg.probe_names, cfg.solver.gamma), state_stride=cfg.state_stride
+        state,
+        cfg.solver,
+        probes=resolve_probes(cfg.probe_names, cfg.solver.gamma),
+        state_stride=cfg.state_stride,
+        observe=observe,
     )
-    ctx = {"gamma": cfg.solver.gamma, "preset": cfg.preset_name, "c_v": log_law_constant(record)}
+    ctx["c_v"] = log_law_constant(record)
     rows = [row for fn in resolve_audits(cfg.audit_names).values() for row in fn(record, ctx)]
-    return record, rows, ctx
+    return states, rows, ctx
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -118,9 +132,9 @@ def test_streamed_rows_equal_collected_rows(tmp_path, template, stride):
     cfg = parse_config(template.format(stride=stride))
     manifest = run_experiment(cfg, tmp_path)
     outdir = Path(manifest.directory)
-    record, rows, ctx = _collected(cfg)
+    states, rows, ctx = _collected(cfg)
     n_steps = round(cfg.solver.t_end / cfg.solver.dt)
-    assert len(record.states) == len(range(0, n_steps + 1, stride)) + (n_steps % stride != 0)
+    assert len(states) == len(range(0, n_steps + 1, stride)) + (n_steps % stride != 0)
     # %.17g round-trips every float, so the parsed rows are the streamed ones
     streamed = _read_rows(outdir / "audits.csv")
     assert len(streamed) == len(rows) > 0
