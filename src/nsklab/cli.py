@@ -89,7 +89,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_audit(args) -> int:
     from .audits import audit_csv_lines
-    from .estimates import jungel_audit, pi_equivalence_audit, region_split
+    from .estimates import jungel_bounds, pi_equivalence_audit, region_split, second_order_terms
     from .fields import PositivityError, VectorField, read_snapshot
     from .solver import FlowState, check_gamma
     import numpy as np
@@ -102,11 +102,11 @@ def _cmd_audit(args) -> int:
         return 2
     gamma = args.gamma
     try:
-        reports = jungel_audit(rho)
+        state = FlowState(t, rho, VectorField(rho.grid, np.zeros((rho.grid.dim,) + rho.grid.shape)))
+        reports = jungel_bounds(second_order_terms(state, identity=False), rho.grid.dim)
         if gamma > 1.0:
             reports.extend(pi_equivalence_audit(rho, rho.grid.far_field_density, gamma))
-            state = FlowState(t, rho, VectorField(rho.grid, np.zeros((rho.grid.dim,) + rho.grid.shape)))
-            reports.append(region_split(state, gamma).chebyshev)
+            reports.append(region_split(state, gamma))
     except PositivityError as err:  # a snapshot that is not a density
         print(f"audit error: {args.snapshot}: {err}", file=sys.stderr)
         return 2

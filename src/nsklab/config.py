@@ -112,7 +112,10 @@ def _take(sections, section, key, expect, required=True, default=None):
         return default
     value, lineno = entry
     if expect is float and isinstance(value, int):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"line {lineno}: {key!r} is too large for a float") from None
     if not isinstance(value, expect):
         raise ConfigError(f"line {lineno}: {key!r} must be {expect.__name__}, got {value!r}")
     return value
@@ -192,6 +195,9 @@ def parse_config(text: str) -> ExperimentConfig:
     state_stride = _take(sections, "output", "state_stride", int, required=False, default=1)
     if state_stride < 1:
         raise ConfigError("state_stride must be >= 1")
+    seed = _take(sections, "rng", "seed", int, required=False, default=0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     cfg = ExperimentConfig(
         grid_params=grid_params,
@@ -203,7 +209,7 @@ def parse_config(text: str) -> ExperimentConfig:
         audit_names=audit_names,
         directory=_take(sections, "output", "directory", str),
         state_stride=state_stride,
-        seed=_take(sections, "rng", "seed", int, required=False, default=0),
+        seed=seed,
         warnings=theorem_range_warnings(
             _take(sections, "solver", "gamma", float), grid_params["dim"]
         ),

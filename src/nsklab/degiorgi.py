@@ -34,7 +34,6 @@ __all__ = [
     "flat_aware_gradient",
     "inverse_density",
     "truncation_terms",
-    "truncation_energy",
     "WindowCertificate",
     "CertificateReport",
     "lower_bound_certificate",
@@ -194,14 +193,6 @@ def truncation_terms(inverse, times, k: float) -> tuple[float, float]:
         sup_l2_sq = max(sup_l2_sq, float(np.sum(w.values**2) * cell))
         grad_sq.append(float(np.sum(flat_aware_gradient(w) ** 2) * cell))
     return sup_l2_sq, float(np.trapezoid(np.array(grad_sq), np.array(times)))
-
-
-def truncation_energy(states, k: float) -> float:
-    """sup-in-time L2 mass of the truncated inverse density plus its
-    time-integrated squared gradient, over the given states."""
-    if not states:
-        raise FieldError("no states given")
-    return sum(truncation_terms(map(inverse_density, states), [s.t for s in states], k))
 
 
 # ----------------------------------------------------------------------

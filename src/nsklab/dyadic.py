@@ -39,7 +39,6 @@ __all__ = [
     "select_frequency_cut",
     "interpolation_terms",
     "optimal_interpolation_audit",
-    "heat_regularity_terms",
     "heat_terms",
     "heat_regularity_audit",
     "heat_evolve",
@@ -391,34 +390,15 @@ def heat_evolve(u0: ScalarField, forcing: TimeSeriesField, mu: float) -> TimeSer
     return TimeSeriesField(times, snaps)
 
 
-def heat_regularity_terms(
-    family: DyadicFamily,
-    u0: ScalarField,
-    forcing: TimeSeriesField,
-    mu: float,
-    q1: float,
-    q2: float,
-    idx: BesovIndex,
-) -> tuple[float, float]:
-    """``(lhs, rhs)`` of the heat-flow smoothing bound; rhs is the data norm
-    plus the source norm, before the calibrated constant."""
-    sol = heat_evolve(u0, forcing, mu)
-    p = idx.p
-    tables = (
-        block_norm_table(family, sol, p),
-        block_norms(family, u0, p),
-        block_norm_table(family, forcing, p),
-    )
-    return heat_terms(family, forcing.times, tables, q1, q2, idx)
-
-
 def heat_terms(
     family: DyadicFamily, times: np.ndarray, tables, q1: float, q2: float, idx: BesovIndex
 ) -> tuple[float, float]:
-    """``heat_regularity_terms`` from block norms at exponent ``idx.p``:
-    ``tables`` is the solution's ``block_norm_table``, the initial data's
-    ``block_norms`` and the forcing's ``block_norm_table``.  A caller that
-    varies q1, q2, idx.s or idx.r over one solution computes them once."""
+    """``(lhs, rhs)`` of the heat-flow smoothing bound from block norms at
+    exponent ``idx.p``; rhs is the data norm plus the source norm, before the
+    calibrated constant.  ``tables`` is the solution's ``block_norm_table``,
+    the initial data's ``block_norms`` and the forcing's ``block_norm_table``.
+    A caller that varies q1, q2, idx.s or idx.r over one solution computes
+    them once."""
     if not (1 <= q2 <= q1 <= math.inf):
         raise FieldError(f"need 1 <= q2 <= q1 <= inf, got q1={q1}, q2={q2}")
     sol_table, u0_norms, forcing_table = tables
@@ -440,7 +420,13 @@ def heat_regularity_audit(
     idx: BesovIndex,
 ) -> AuditReport:
     """Smoothing gain of the heat flow against initial data plus source."""
-    lhs, rhs = heat_regularity_terms(family, u0, forcing, mu, q1, q2, idx)
+    p = idx.p
+    tables = (
+        block_norm_table(family, heat_evolve(u0, forcing, mu), p),
+        block_norms(family, u0, p),
+        block_norm_table(family, forcing, p),
+    )
+    lhs, rhs = heat_terms(family, forcing.times, tables, q1, q2, idx)
     c_allowed = DRIFT_FACTOR * calibrated("heat.C")
     return bound_report(
         "heat.maximal_regularity", lhs, c_allowed * rhs, 0.0, "heat-flow maximal smoothing bound"

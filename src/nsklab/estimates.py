@@ -41,17 +41,11 @@ __all__ = [
     "pi_equivalence_audit",
     "energy",
     "dissipation_rate",
-    "v_energy",
     "v_energy_dissipations",
     "velocity_moments",
     "second_order_terms",
     "bd_identity_audit",
-    "jungel_terms",
-    "jungel_audit",
     "jungel_bounds",
-    "weighted_velocity_norm",
-    "gamma_q_admissible",
-    "RegionSplit",
     "region_split",
     "psi",
     "reverse_holder_exponents",
@@ -204,11 +198,6 @@ def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
     return float(np.sum(rho * ws.v2) * cell), {q: float(np.sum(rho * mag**q) * cell) for q in exponents}
 
 
-def v_energy(s: FlowState) -> float:
-    """integral of rho |v|^2 in effective form."""
-    return velocity_moments(Workspace(s))[0]
-
-
 def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:
     """The two dissipation integrands paired with the v-energy:
     |grad rho^(gamma/2)|^2 and rho |grad v|^2."""
@@ -264,8 +253,9 @@ def _second_order(rho: ScalarField, u: VectorField | None, convexity: bool) -> d
 
 
 def second_order_terms(s: FlowState, identity: bool = True, convexity: bool = True) -> dict[str, float]:
-    """The integrals of one state that the bd-identity and jungel audits read,
-    derived from one spectrum of log rho, with no d x d field tensor.
+    """The integrals of one state that the bd-identity and jungel audits and
+    the ``jungel.*`` probes read, derived from one spectrum of log rho, with
+    no d x d field tensor.
 
     Always "D" = int rho |hess log rho|^2.  With ``identity``: "lhs" =
     int rho |grad v|^2, "u" = int rho |grad u|^2 and "dt" = 4 int div(rho u)
@@ -314,21 +304,10 @@ def bd_identity_audit(terms, tolerance: float = 1e-8) -> AuditReport:
 # convexity control of second derivatives of sqrt(rho)
 
 
-def jungel_terms(rho: ScalarField) -> tuple[float, float, float]:
-    """D = int rho |hess log rho|^2, A = int |hess sqrt rho|^2, B' = int |grad rho^(1/4)|^4."""
-    t = _second_order(rho, None, convexity=True)
-    return t["D"], t["A"], t["Bp"]
-
-
-def jungel_audit(rho: ScalarField, slack: float = 1e-10):
-    """``jungel_bounds`` on rho's (D, A, B')."""
-    return jungel_bounds(jungel_terms(rho), rho.grid.dim, slack)
-
-
 def jungel_bounds(terms, dim: int, slack: float = 1e-10):
-    """D >= A/7 and D >= B'/8 on one state's ``terms`` (D, A, B'); asserted in
-    3d, reported as measured in 2d."""
-    d_val, a_val, b_val = terms
+    """D >= A/7 and D >= B'/8 on one state's ``second_order_terms`` (with
+    ``convexity``); asserted in 3d, reported as measured in 2d."""
+    d_val, a_val, b_val = terms["D"], terms["A"], terms["Bp"]
     cite = "convexity bounds on second derivatives of the density square root"
     if dim == 3:
         scale = max(d_val, 1.0)
@@ -342,76 +321,29 @@ def jungel_bounds(terms, dim: int, slack: float = 1e-10):
 
 
 # ----------------------------------------------------------------------
-# weighted velocity norms, admissible exponents, domain splitting
+# domain splitting
 
 
-def weighted_velocity_norm(s: FlowState, p: float) -> float:
-    """(integral of rho |v|^(p+2))^(1/(p+2)) in effective form."""
-    if p < 0:
-        raise FieldError("exponent offset p must be >= 0")
-    q = p + 2.0
-    return velocity_moments(Workspace(s), (q,))[1][q] ** (1.0 / q)
-
-
-def gamma_q_admissible(gamma: float, step: float = 1e-3):
-    """Smallest admissible integrability exponent q on a candidate grid.
-
-    For gamma in (2, 8/3) scan q in (1, 2) against gamma <= (2q+6)/(q+2);
-    for gamma in (1, 2] scan q in [2, 4) against gamma <= (q+6)/(q+2);
-    outside (1, 8/3) there is none.
-    """
-    if not 1.0 < gamma < 8.0 / 3.0:
-        return None
-    if gamma > 2.0:
-        candidates = np.arange(1.0 + step, 2.0, step)
-        bound = (2.0 * candidates + 6.0) / (candidates + 2.0)
-    else:
-        candidates = np.arange(2.0, 4.0, step)
-        bound = (candidates + 6.0) / (candidates + 2.0)
-    ok = bound >= gamma - 1e-12
-    if not np.any(ok):
-        return None
-    return float(candidates[np.argmax(ok)])
-
-
-@dataclass(frozen=True)
-class RegionSplit:
-    measure_low: float
-    measure_high: float
-    pi_low: float
-    pi_high: float
-    mass_low: float
-    mass_high: float
-    chebyshev: AuditReport
-
-
-def region_split(s: FlowState, gamma: float) -> RegionSplit:
-    """Split at rho = 4 rho_bar: cell-counted measures, partial integrals, and the
-    measure bound for the high region implied by the potential energy."""
+def region_split(s: FlowState, gamma: float) -> AuditReport:
+    """The measure of {rho > 4 rho_bar} against the bound the potential energy
+    implies for it, with the energy summed over each side of the split."""
     if gamma <= 1.0:
         raise FieldError("region split audit needs gamma > 1")
     grid = s.grid
     rho_bar = grid.far_field_density
-    r = s.rho.values
     pi = potential_energy_density(s.rho, rho_bar, gamma).values
     cell = grid.cell_volume
-    high = r > 4.0 * rho_bar
-    low = ~high
-    measure_high = float(np.count_nonzero(high) * cell)
-    measure_low = float(np.count_nonzero(low) * cell)
-    pi_low = float(np.sum(pi[low]) * cell)
+    high = s.rho.values > 4.0 * rho_bar
+    pi_low = float(np.sum(pi[~high]) * cell)
     pi_high = float(np.sum(pi[high]) * cell)
-    mass_low = float(np.sum(r[low]) * cell)
-    mass_high = float(np.sum(r[high]) * cell)
     floor = rho_bar**gamma * ((4.0**gamma - 1.0) / gamma - 3.0)
-    cheb = bound_report(
+    return bound_report(
         "region.chebyshev",
-        measure_high,
+        float(np.count_nonzero(high) * cell),
         (pi_low + pi_high) / floor,
         1e-9,
         "high-density measure bound from the potential energy",
     )
-    return RegionSplit(measure_low, measure_high, pi_low, pi_high, mass_low, mass_high, cheb)
 
 
 # ----------------------------------------------------------------------
@@ -460,19 +392,25 @@ def reverse_holder_terms(trajectory, ps, stored) -> dict:
     }
 
 
+def _frozen(family: str, preset: str | None) -> float | None:
+    """The calibrated constant ``<family>.<preset>``, or None when the preset
+    has none: a row without its constant is measured, not asserted."""
+    return CONSTANTS.get(f"{family}.{preset}") if preset else None
+
+
 def reverse_holder_audit(trajectory, ps, stored, preset: str | None = None) -> list[AuditReport]:
     """Self-improvement of the space-time velocity functional from exponent
-    p+2 to (5/3)(p+2), one row per p, with the calibrated constant as the alarm;
-    ``stored`` as for ``reverse_holder_terms``."""
-    key = f"psi.C3.{preset}" if preset else None
-    c3 = CONSTANTS.get(key, 1.0) if key else 1.0
+    p+2 to (5/3)(p+2), one row per p, with the preset's calibrated constant
+    as the alarm; ``stored`` as for ``reverse_holder_terms``."""
+    c3 = _frozen("psi.C3", preset)
     return [
         bound_report(
             "psi.reverse_holder",
             lhs,
-            DRIFT_FACTOR * c3 * vt * body,
+            math.inf if c3 is None else DRIFT_FACTOR * c3 * vt * body,
             0.0,
             "space-time velocity functional self-improvement",
+            kind="measured" if c3 is None else "asserted",
         )
         for lhs, vt, body in reverse_holder_terms(trajectory, ps, stored).values()
     ]
@@ -492,14 +430,12 @@ def log_law_constant(trajectory) -> float:
 def log_law_audit(trajectory, preset: str | None = None) -> AuditReport:
     """Velocity maximum against the square root of the logarithm of V_T."""
     v_sup, vt = _log_law_terms(trajectory)
-    key = f"loglaw.cv.{preset}" if preset else None
-    cv = CONSTANTS.get(key, math.inf) if key else math.inf
-    rhs = DRIFT_FACTOR * cv * math.sqrt(math.log(vt)) if math.isfinite(cv) else math.inf
+    cv = _frozen("loglaw.cv", preset)
     return bound_report(
         "loglaw.v_sup",
         v_sup,
-        rhs,
+        math.inf if cv is None else DRIFT_FACTOR * cv * math.sqrt(math.log(vt)),
         0.0,
         "logarithmic control of the velocity maximum",
-        kind="asserted" if math.isfinite(cv) else "measured",
+        kind="measured" if cv is None else "asserted",
     )

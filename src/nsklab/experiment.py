@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .audits import audit_csv_lines
 from .config import ConfigError, ExperimentConfig, parse_config
-from .estimates import gamma_q_admissible, log_law_constant
+from .estimates import log_law_constant
 from .fields import FieldError, ScalarField, sobolev_norm, write_snapshot
 from .probes import GROWTH_EXPONENTS, growth_constant, resolve_audits, resolve_probes, stored_state_observer
 from .solver import SolverError, make_preset, require_far_field, run, to_effective
@@ -36,7 +36,6 @@ class RunManifest:
     warnings: list
     preset: str
     gamma: float
-    q_admissible: float | None
     aborted: bool
     abort_time: float | None
     abort_reason: str
@@ -51,11 +50,12 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """Raises ValueError on text that is not JSON or not a manifest's keys."""
+        """Raises ValueError on text that is not JSON or not a manifest's keys.
+        The ``q_admissible`` key of older manifests is dropped."""
         data = json.loads(text)
         try:
-            return cls(**data)
-        except TypeError as err:
+            return cls(**{key: value for key, value in data.items() if key != "q_admissible"})
+        except (AttributeError, TypeError) as err:
             raise ValueError(f"not a run manifest: {err}") from None
 
 
@@ -183,7 +183,6 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
         warnings=list(config.warnings),
         preset=config.preset_name,
         gamma=config.solver.gamma,
-        q_admissible=gamma_q_admissible(config.solver.gamma),
         aborted=record.aborted,
         abort_time=record.abort_time,
         abort_reason=record.abort_reason,
@@ -239,7 +238,6 @@ def report(manifest_paths, out_path: Path | str) -> Path:
         "run",
         "preset",
         "gamma",
-        "q_admissible",
         "aborted",
         "audit_total",
         "audit_failures",
@@ -261,7 +259,6 @@ def report(manifest_paths, out_path: Path | str) -> Path:
             "run": Path(m.directory).name,
             "preset": m.preset,
             "gamma": _fmt(m.gamma),
-            "q_admissible": _fmt(m.q_admissible) if m.q_admissible is not None else "",
             "aborted": "true" if m.aborted else "false",
             "audit_total": str(m.audit_total),
             "audit_failures": str(m.audit_failures),

@@ -16,6 +16,7 @@ calibration corpora) uses numpy's real transforms (``Grid.rfft``/
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -57,6 +58,10 @@ class FieldError(ValueError):
 
 class PositivityError(FieldError):
     """A field that must be strictly positive is not."""
+
+
+# the exponent range, on either side of 1, in which a grid's derived powers are kept
+_LOG_RANGE = 700.0
 
 
 def _fft_friendly(n: int) -> bool:
@@ -106,12 +111,20 @@ class Grid:
                 f"grid resolution {self.n} unsupported: need an even product "
                 "of powers of 2 and 3, at least 8"
             )
-        if not self.box_length > 0:
-            raise FieldError("box length must be positive")
-        if not self.far_field_density > 0:
-            raise FieldError("far-field density must be positive")
+        if not (self.box_length > 0 and math.isfinite(self.box_length)):
+            raise FieldError(f"box length must be positive and finite, got {self.box_length!r}")
+        if not (self.far_field_density > 0 and math.isfinite(self.far_field_density)):
+            raise FieldError(f"far-field density must be positive and finite, got {self.far_field_density!r}")
 
         n, L, dim = self.n, float(self.box_length), self.dim
+        # the powers of the box the lattice forms must be finite and nonzero
+        log_dx = math.log(L) - math.log(n)
+        log_k = 0.5 * math.log(dim) + math.log(math.pi) - log_dx  # |xi| of the top mode
+        if not (dim * math.log(L) < _LOG_RANGE and dim * log_dx > -_LOG_RANGE and 6.0 * log_k < _LOG_RANGE):
+            raise FieldError(
+                f"box length {L:g} out of range for n = {n}: the volume L^d, the cell volume dx^d "
+                f"and the H^3 weight |xi|^6 of the top mode must lie within e^(+-{_LOG_RANGE:g})"
+            )
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
         nyq = n // 2  # fftfreq puts the mode -n/2 at this index
         keep = np.abs(np.rint(np.fft.fftfreq(n) * n)) <= n // 3

@@ -63,7 +63,7 @@ def _simple_probes(gamma: float, moment_names=()) -> dict:
     qs = tuple(exponents.values())
     energy = _shared(("energy", gamma), lambda ws: estimates.energy(ws.primitive, gamma))
     vdiss = _shared(("vdiss", gamma), lambda ws: estimates.v_energy_dissipations(ws.effective, gamma))
-    jungel = _shared("jungel", lambda ws: estimates.jungel_terms(ws.state.rho))
+    jungel = _shared("jungel", lambda ws: estimates.second_order_terms(ws.state, identity=False))
     moments = _shared(("moments", qs), lambda ws: estimates.velocity_moments(ws, qs))
     simple = {
         "energy.total": lambda ws: energy(ws).total,
@@ -74,9 +74,9 @@ def _simple_probes(gamma: float, moment_names=()) -> dict:
         "venergy": lambda ws: moments(ws)[0],
         "venergy.pressure_dissipation": lambda ws: vdiss(ws)[0],
         "venergy.velocity_dissipation": lambda ws: vdiss(ws)[1],
-        "jungel.D": lambda ws: jungel(ws)[0],
-        "jungel.A": lambda ws: jungel(ws)[1],
-        "jungel.Bp": lambda ws: jungel(ws)[2],
+        "jungel.D": lambda ws: jungel(ws)["D"],
+        "jungel.A": lambda ws: jungel(ws)["A"],
+        "jungel.Bp": lambda ws: jungel(ws)["Bp"],
     }
     for name, q in exponents.items():
         if name.startswith(_WEIGHTED):
@@ -220,7 +220,7 @@ _PER_STATE = {
         "pi_rows",
         lambda ws, ctx: estimates.pi_equivalence_audit(ws.state.rho, ws.state.grid.far_field_density, ctx["gamma"]),
     ),
-    "region-split": ("region_rows", lambda ws, ctx: estimates.region_split(ws.state, ctx["gamma"]).chebyshev),
+    "region-split": ("region_rows", lambda ws, ctx: estimates.region_split(ws.state, ctx["gamma"])),
     "reverse-holder": ("velocity_moments", lambda ws, ctx: estimates.velocity_moments(ws, _RH_EXPONENTS)),
     "certificate": ("inverse_density", lambda ws, ctx: degiorgi.inverse_density(ws.state)),
 }
@@ -253,7 +253,7 @@ def _audit_pi(record, ctx):
 def _audit_jungel(record, ctx):
     reports = []
     for t in ctx["second_order_terms"]:
-        reports.extend(estimates.jungel_bounds((t["D"], t["A"], t["Bp"]), record.grid.dim))
+        reports.extend(estimates.jungel_bounds(t, record.grid.dim))
     return _merge_worst(reports)
 
 

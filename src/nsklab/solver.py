@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -123,6 +124,8 @@ class SolverConfig:
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise FieldError("horizon must be >= 0 and finite")
         ratio = self.t_end / self.dt
+        if not math.isfinite(ratio):
+            raise FieldError(f"horizon {self.t_end:g} holds too many steps dt={self.dt:g} to count")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise FieldError(f"horizon {self.t_end:g} is not a whole number of steps dt={self.dt:g}")
         if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
@@ -390,7 +393,6 @@ class TrajectoryRecord:
     the state the run stopped at)."""
 
     grid: Grid
-    formulation: str
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     scalars: dict = field(default_factory=dict)
     states: list = field(default_factory=list)
@@ -466,7 +468,7 @@ def run(
     if check_far_field and initial.t == 0.0:
         require_far_field(ws.primitive)
     probes = dict(probes or {})
-    record = TrajectoryRecord(initial.grid, initial.formulation)
+    record = TrajectoryRecord(initial.grid)
     if observe is None:
         observe = lambda ws: record.states.append(ws.state)
     series: dict[str, list] = {name: [] for name in (*ALWAYS_RECORDED, *probes)}
@@ -523,14 +525,22 @@ def _bump(grid: Grid, amplitude: float, width: float) -> np.ndarray:
 
 
 def make_preset(name: str, grid: Grid, params: dict | None = None, seed: int = 0) -> FlowState:
-    """Named initial states, all primitive, all satisfying the far-field proxy."""
-    params = dict(params or {})
+    """Named initial states, all primitive, all satisfying the far-field proxy.
+    Values whose state overflows in floating point are a FieldError."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _preset(name, grid, dict(params or {}), seed)
+    except FloatingPointError as err:
+        raise FieldError(f"preset {name!r} cannot be formed from these values: {err}") from None
+
+
+def _preset(name: str, grid: Grid, params: dict, seed: int) -> FlowState:
     rho_bar = grid.far_field_density
     zero_vel = np.zeros((grid.dim,) + grid.shape)
 
     def take(key, default):
         value = params.pop(key, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < sys.float_info.max:
             raise FieldError(f"preset parameter {key!r} must be a finite number, got {value!r}")
         return float(value)
 
@@ -545,14 +555,24 @@ def make_preset(name: str, grid: Grid, params: dict | None = None, seed: int = 0
         width = take("width", 0.1 * grid.box_length)
         if amplitude <= -rho_bar:
             raise FieldError("bump amplitude would destroy density positivity")
+        # r^2 / width^2 reaches dim (L/2)^2 / width^2 in the box's corners
+        width2 = width * width
+        corner = grid.dim * (0.5 * grid.box_length) ** 2
+        if not (width > 0.0 and 0.0 < width2 < math.inf and corner / width2 < math.inf):
+            raise FieldError(f"bump width must be positive, with width^2 and r^2/width^2 representable, got {width!r}")
         rho = rho_bar + _bump(grid, amplitude, width)
         state = FlowState(0.0, ScalarField(grid, rho), VectorField(grid, zero_vel))
     elif name == "random-large":
         amplitude = take("amplitude", 0.4 * rho_bar)
         vel_amplitude = take("velocity_amplitude", 0.3)
-        max_mode = int(take("max_mode", 4))
-        if not amplitude < rho_bar:
-            raise FieldError("perturbation amplitude must stay below the far-field density")
+        max_mode = take("max_mode", 4)
+        if not abs(amplitude) < rho_bar:
+            raise FieldError("perturbation amplitude must stay below the far-field density in size")
+        if not math.isfinite(grid.dim * vel_amplitude * vel_amplitude):
+            raise FieldError(f"velocity_amplitude {vel_amplitude!r} too large: |v|^2 overflows")
+        if max_mode < 0:
+            raise FieldError(f"max_mode must be >= 0, got {max_mode!r}")
+        max_mode = int(min(max_mode, grid.n))  # every lattice mode has radial index below n
         rng = np.random.default_rng(seed)
         envelope = _bump(grid, 1.0, 0.1 * grid.box_length)
 

@@ -31,13 +31,13 @@ from nsklab.dyadic import (
 from nsklab.estimates import (
     energy,
     equivalence_constants,
-    jungel_terms,
     log_law_constant,
     potential_energy_density,
-    weighted_velocity_norm,
+    second_order_terms,
 )
 from nsklab.fields import (
     ScalarField,
+    VectorField,
     constant_field,
     divergence,
     gradient,
@@ -48,8 +48,9 @@ from nsklab.fields import (
     random_band_limited,
     spectral_l2_norm,
 )
-from nsklab.probes import stored_state_observer
+from nsklab.probes import resolve_probes, stored_state_observer
 from nsklab.solver import (
+    FlowState,
     SolverConfig,
     from_effective,
     make_preset,
@@ -278,7 +279,8 @@ def test_criterion_07_jungel_3d():
     for _ in range(100):
         f = random_band_limited(g, rng, max_mode=int(rng.integers(3, 9)), amplitude=0.5)
         rho = ScalarField(g, 1.0 + f.values)
-        d_val, a_val, b_val = jungel_terms(rho)
+        t = second_order_terms(FlowState(0.0, rho, VectorField(g, np.zeros((3,) + g.shape))), identity=False)
+        d_val, a_val, b_val = t["D"], t["A"], t["Bp"]
         scale = max(d_val, 1.0)
         worst = max(worst, a_val / 7.0 - d_val, b_val / 8.0 - d_val)
         assert a_val / 7.0 <= d_val + slack * scale
@@ -425,10 +427,7 @@ def growth_runs():
                 "gaussian-bump", g, {"amplitude": -0.99, "width": 0.08 * g.box_length}
             )
         )
-        probes = {
-            f"norm.weighted.p{p}": (lambda ws, p=p: weighted_velocity_norm(ws.state, p))
-            for p in GROWTH_PS
-        }
+        probes = resolve_probes([f"norm.weighted.p{p}" for p in GROWTH_PS], 2.0)
         out[n] = run(
             state, SolverConfig(gamma=2.0, dt=1e-3, t_end=1.0), probes=probes, state_stride=10**9
         )

@@ -7,7 +7,7 @@ import pytest
 
 from nsklab.cli import main as cli_main
 from nsklab.config import ConfigError, parse_config
-from nsklab.experiment import report, run_experiment, sweep
+from nsklab.experiment import RunManifest, report, run_experiment, sweep
 from nsklab.fields import FieldError, ScalarField, make_grid, read_snapshot, write_snapshot
 from nsklab.solver import SolverConfig
 
@@ -213,7 +213,7 @@ class TestRunExperiment:
         data = json.loads((outdir / "manifest.json").read_text())
         assert data["config_hash"] == cfg.config_hash()
         assert data["exit_code"] == manifest.exit_code
-        assert data["q_admissible"] == pytest.approx(2.0)
+        assert "q_admissible" not in data
         # snapshots store the run's grid and the density payload
         rho, t0 = read_snapshot(outdir / "initial.rho.nskf")
         assert t0 == 0.0
@@ -252,6 +252,17 @@ class TestRunExperiment:
         assert manifest.audit_total == len(rows) - 2
         assert manifest.audit_failures == 0
 
+    def test_rows_without_a_frozen_constant_are_measured(self, tmp_path):
+        # the constant preset has no psi.C3 or loglaw.cv key: its reverse-Hoelder
+        # rows, like its log-law row, are measured and left out of audit_total
+        audits = "t_end = 0.005\n\n[audits]\nnames = reverse-holder, log-law"
+        text = MINIMAL.format(outdir="runK").replace("t_end = 0.005", audits)
+        manifest = run_experiment(parse_config(text), tmp_path)
+        rows = (Path(manifest.directory) / "audits.csv").read_text().strip().splitlines()[1:]
+        kinds = {line.split(",")[0]: line.split(",")[-1] for line in rows}
+        assert kinds == {"psi.reverse_holder": "measured", "loglaw.v_sup": "measured"}
+        assert manifest.audit_total == 0 and manifest.exit_code == 0
+
     def test_constant_run_all_zero_series(self, tmp_path):
         text = MINIMAL.format(outdir="runZ") + "\n[probes]\nnames = energy.total\n"
         manifest = run_experiment(parse_config(text), tmp_path)
@@ -273,7 +284,7 @@ class TestSweep:
         with pytest.raises(ConfigError, match="duplicate output directory"):
             sweep([p1, p2], tmp_path)
 
-    def test_gamma_sweep_records_admissible_exponent(self, tmp_path):
+    def test_gamma_sweep_records_each_gamma(self, tmp_path):
         paths = []
         for i, gamma in enumerate((1.1, 1.5, 2.0, 2.5)):
             text = MINIMAL.format(outdir=f"g{i}").replace("gamma = 2.0", f"gamma = {gamma}")
@@ -282,9 +293,7 @@ class TestSweep:
             paths.append(p)
         results = sweep(paths, tmp_path)
         assert len(results) == 4
-        qs = [r.manifest.q_admissible for r in results]
-        assert qs[0] == pytest.approx(2.0)  # gamma = 1.1
-        assert 1.0 < qs[3] < 2.0  # gamma = 2.5
+        assert [r.manifest.gamma for r in results] == [1.1, 1.5, 2.0, 2.5]
         assert all(r.error == "" for r in results)
 
     def test_child_failure_isolated(self, tmp_path):
@@ -332,6 +341,17 @@ class TestReport:
             (Path(manifest.directory) / name).unlink()
         bare = report([manifest_path], tmp_path / "bare.csv")
         assert bare.read_text() == out.read_text()
+
+    def test_manifest_with_the_retired_q_admissible_key_loads(self, tmp_path):
+        cfg = parse_config(MINIMAL.format(outdir="old"))
+        manifest_path = Path(run_experiment(cfg, tmp_path).directory) / "manifest.json"
+        current = report([manifest_path], tmp_path / "current.csv").read_text()
+        data = json.loads(manifest_path.read_text())
+        data["q_admissible"] = 2.0  # written by every run before the key was retired
+        manifest_path.write_text(json.dumps(data))
+        assert RunManifest.from_json(manifest_path.read_text()).gamma == 2.0
+        assert report([manifest_path], tmp_path / "old.csv").read_text() == current
+        assert "q_admissible" not in current
 
     def test_c_v_is_the_runs_log_law_constant(self, tmp_path):
         from nsklab.estimates import log_law_constant

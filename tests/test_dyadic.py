@@ -13,13 +13,14 @@ from nsklab.dyadic import (
     bernstein_audit,
     bernstein_ratios,
     besov_norm,
+    block_norm_table,
     block_norms,
     build_dyadic_family,
     chemin_lerner_norm,
     dyadic_block,
     heat_evolve,
     heat_regularity_audit,
-    heat_regularity_terms,
+    heat_terms,
     interpolation_terms,
     lq_besov_norm,
     optimal_interpolation_audit,
@@ -477,7 +478,13 @@ class TestHeat:
         times = np.linspace(0.0, 0.5, 4)
         forcing = TimeSeriesField(times, [corpus64[1]] * 4)
         args = (fam64, corpus64[0], forcing, 1.0, 4.0, 2.0, BesovIndex(0.5, 2, 2))
-        lhs, rhs = heat_regularity_terms(*args)
+        p = args[-1].p
+        tables = (
+            block_norm_table(fam64, heat_evolve(corpus64[0], forcing, 1.0), p),
+            block_norms(fam64, corpus64[0], p),
+            block_norm_table(fam64, forcing, p),
+        )
+        lhs, rhs = heat_terms(fam64, times, tables, 4.0, 2.0, args[-1])
         rep = heat_regularity_audit(*args)
         assert rep.lhs == lhs
         assert rep.rhs == DRIFT_FACTOR * calibrated("heat.C") * rhs

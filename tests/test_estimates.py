@@ -13,9 +13,7 @@ from nsklab.estimates import (
     dissipation_rate,
     energy,
     equivalence_constants,
-    gamma_q_admissible,
-    jungel_audit,
-    jungel_terms,
+    jungel_bounds,
     log_law_audit,
     log_law_constant,
     pi_equivalence_audit,
@@ -24,9 +22,7 @@ from nsklab.estimates import (
     region_split,
     reverse_holder_audit,
     second_order_terms,
-    v_energy,
     velocity_moments,
-    weighted_velocity_norm,
 )
 from nsklab.fields import (
     FieldError,
@@ -39,7 +35,7 @@ from nsklab.fields import (
     random_band_limited,
     sqrt_field,
 )
-from nsklab.probes import REVERSE_HOLDER_PS, _merge_worst, stored_state_observer
+from nsklab.probes import REVERSE_HOLDER_PS, ProbeError, _merge_worst, resolve_probes, stored_state_observer
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -64,6 +60,24 @@ def _moments(states, exponents):
 def _state(grid, rho_vals, vel_vals=None, formulation="primitive", t=0.0):
     vel = np.zeros((grid.dim,) + grid.shape) if vel_vals is None else vel_vals
     return FlowState(t, ScalarField(grid, rho_vals), VectorField(grid, vel), formulation)
+
+
+def _v_energy(s):
+    return velocity_moments(Workspace(s))[0]
+
+
+def _jungel_terms(rho):
+    """A density's D, A and B', as the jungel probes and audit read them."""
+    return second_order_terms(_state(rho.grid, rho.values), identity=False)
+
+
+def _jungel(rho):
+    t = _jungel_terms(rho)
+    return t["D"], t["A"], t["Bp"]
+
+
+def _jungel_rows(rho):
+    return jungel_bounds(_jungel_terms(rho), rho.grid.dim)
 
 
 class TestPotentialEnergyDensity:
@@ -187,21 +201,21 @@ class TestEnergy:
 class TestVEnergy:
     def test_zero_velocity(self, grid64_wide):
         s = to_effective(make_preset("constant", grid64_wide))
-        assert v_energy(s) == 0.0
+        assert _v_energy(s) == 0.0
 
     def test_closed_form(self, grid64):
         x, _ = grid64.meshgrid()
         vel = np.zeros((2,) + grid64.shape)
         vel[0] = np.sin(x)
         s = _state(grid64, np.ones(grid64.shape), vel, formulation="effective")
-        assert v_energy(s) == pytest.approx(0.5 * grid64.volume, rel=1e-12)
+        assert _v_energy(s) == pytest.approx(0.5 * grid64.volume, rel=1e-12)
 
     def test_trajectory_bound_with_frozen_constant(self, grid64_wide):
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.1)
         s = to_effective(make_preset("gaussian-bump", grid64_wide))
         rec = run(s, cfg, state_stride=10)
         e0 = energy(rec.states[0], 2.0).total
-        sup_v = max(v_energy(st) for st in rec.states)
+        sup_v = max(_v_energy(st) for st in rec.states)
         c_allowed = DRIFT_FACTOR * calibrated("venergy.C.gaussian-bump")
         assert sup_v <= c_allowed * (1.0 + e0)
 
@@ -331,7 +345,7 @@ def _analytic_jungel(grid, amp=0.5):
 
 class TestJungel:
     def test_constant_density_all_zero(self, grid3d):
-        d_val, a_val, b_val = jungel_terms(constant_field(grid3d, 2.0))
+        d_val, a_val, b_val = _jungel(constant_field(grid3d, 2.0))
         assert d_val == a_val == b_val == 0.0
 
     def test_analytic_oracle_3d(self, grid3d):
@@ -340,7 +354,7 @@ class TestJungel:
         rho = ScalarField(
             grid3d, 1.0 + 0.5 * np.exp(-sum((x - c) ** 2 for x in coords))
         )
-        d_val, a_val, b_val = jungel_terms(rho)
+        d_val, a_val, b_val = _jungel(rho)
         d_ref, a_ref, b_ref = _analytic_jungel(grid3d)
         assert d_val == pytest.approx(d_ref, rel=1e-6)
         assert a_val == pytest.approx(a_ref, rel=1e-6)
@@ -353,7 +367,7 @@ class TestJungel:
         rng = np.random.default_rng(77)
         for _ in range(10):
             f = random_band_limited(grid3d, rng, max_mode=5, amplitude=0.5)
-            reps = jungel_audit(ScalarField(grid3d, 1.0 + f.values))
+            reps = _jungel_rows(ScalarField(grid3d, 1.0 + f.values))
             assert all(r.passed for r in reps)
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -365,21 +379,21 @@ class TestJungel:
         for axis in range(dim):  # white noise carries every Nyquist plane
             assert np.max(np.abs(np.take(hat, n // 2, axis=axis))) > 1.0
         ref = float(np.sum(hessian(srho) ** 2) * g.cell_volume)
-        _, a_val, _ = jungel_terms(rho)
+        _, a_val, _ = _jungel(rho)
         assert a_val == pytest.approx(ref, rel=1e-13, abs=0.0)
-        assert jungel_terms(rho)[1] == second_order_terms(_state(g, rho.values))["A"]
+        assert a_val == second_order_terms(_state(g, rho.values))["A"]
 
     def test_2d_reports_without_assertion(self, grid64):
         rng = np.random.default_rng(78)
         f = random_band_limited(grid64, rng, amplitude=0.5)
-        reps = jungel_audit(ScalarField(grid64, 1.0 + f.values))
+        reps = _jungel_rows(ScalarField(grid64, 1.0 + f.values))
         assert all(r.passed for r in reps)
         assert all("measured" in r.inequality_id for r in reps)
         assert all(r.kind == "measured" for r in reps)
 
     def test_3d_rows_are_asserted(self, grid3d):
         f = random_band_limited(grid3d, np.random.default_rng(79), max_mode=5, amplitude=0.5)
-        assert [r.kind for r in jungel_audit(ScalarField(grid3d, 1.0 + f.values))] == ["asserted"] * 2
+        assert [r.kind for r in _jungel_rows(ScalarField(grid3d, 1.0 + f.values))] == ["asserted"] * 2
 
 
 class TestMergeWorst:
@@ -396,77 +410,47 @@ class TestMergeWorst:
 
 
 class TestWeightedNorm:
+    """The ``norm.weighted.p<P>`` probe: (int rho |v|^(P+2))^(1/(P+2)) in effective form."""
+
     def test_constant_profile(self):
         g = make_grid(2, 16, 2.0, 1.0)  # volume 4
         vel = np.full((2,) + g.shape, 0.0)
         vel[0] = 3.0
         s = _state(g, np.ones(g.shape), vel, formulation="effective")
+        probes = resolve_probes(["norm.weighted.p0", "norm.weighted.p2", "norm.weighted.p6"], 2.0)
+        ws = Workspace(s)
         for p in (0.0, 2.0, 6.0):
-            assert weighted_velocity_norm(s, p) == pytest.approx(
-                3.0 * 4.0 ** (1.0 / (p + 2.0)), rel=1e-12
-            )
+            assert probes[f"norm.weighted.p{p:g}"](ws) == pytest.approx(3.0 * 4.0 ** (1.0 / (p + 2.0)), rel=1e-12)
 
     def test_zero_velocity(self, grid64_wide):
         s = to_effective(make_preset("constant", grid64_wide))
-        assert weighted_velocity_norm(s, 4.0) == 0.0
+        assert resolve_probes(["norm.weighted.p4"], 2.0)["norm.weighted.p4"](Workspace(s)) == 0.0
 
-    def test_rejects_negative_exponent(self, grid64_wide):
-        s = to_effective(make_preset("constant", grid64_wide))
-        with pytest.raises(FieldError):
-            weighted_velocity_norm(s, -1.0)
-
-
-class TestAdmissibleExponent:
-    def test_brute_force_oracle(self):
-        # oracle: plain scan over the same candidate grid
-        def oracle(gamma):
-            if not 1.0 < gamma < 8.0 / 3.0:
-                return None
-            if gamma > 2.0:
-                qs = [1.0 + k * 1e-3 for k in range(1, 1000)]
-                cond = lambda q: (2 * q + 6) / (q + 2) >= gamma - 1e-12
-            else:
-                qs = [2.0 + k * 1e-3 for k in range(0, 2000)]
-                cond = lambda q: (q + 6) / (q + 2) >= gamma - 1e-12
-            for q in qs:
-                if cond(q):
-                    return q
-            return None
-
-        for gamma in (1.2, 1.5, 1.9, 2.0, 2.2, 2.5, 2.6):
-            assert gamma_q_admissible(gamma) == pytest.approx(oracle(gamma), abs=1e-9)
-
-    def test_case_ranges(self):
-        q = gamma_q_admissible(2.5)
-        assert 1.0 < q < 2.0
-        assert (2 * q + 6) / (q + 2) >= 2.5 - 1e-9
-        assert gamma_q_admissible(1.5) == pytest.approx(2.0)
-
-    def test_boundaries_excluded(self):
-        assert gamma_q_admissible(8.0 / 3.0) is None
-        assert gamma_q_admissible(1.0) is None
-        assert gamma_q_admissible(3.0) is None
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ProbeError, match="exponent must be a finite number >= 0"):
+            resolve_probes(["norm.weighted.p-1"], 2.0)
 
 
 class TestRegionSplit:
     def test_no_high_region(self, grid64_wide):
         s = make_preset("gaussian-bump", grid64_wide)
-        rs = region_split(s, 2.0)
-        assert rs.measure_high == 0.0
-        assert rs.chebyshev.passed
+        row = region_split(s, 2.0)
+        assert row.inequality_id == "region.chebyshev"
+        assert row.lhs == 0.0
+        assert row.passed
 
     def test_single_cell_spike(self, grid64_wide):
         g = grid64_wide
         vals = np.ones(g.shape)
         vals[5, 7] = 10.0
-        rs = region_split(_state(g, vals), 2.0)
-        assert rs.measure_high == pytest.approx(g.cell_volume, rel=1e-12)
-        assert rs.chebyshev.passed
+        row = region_split(_state(g, vals), 2.0)
+        assert row.lhs == pytest.approx(g.cell_volume, rel=1e-12)
+        assert row.passed
 
     def test_constant_far_field(self, grid64_wide):
-        rs = region_split(make_preset("constant", grid64_wide), 2.0)
-        assert rs.pi_low == rs.pi_high == 0.0
-        assert rs.measure_low == pytest.approx(grid64_wide.volume)
+        row = region_split(make_preset("constant", grid64_wide), 2.0)
+        assert row.lhs == row.rhs == 0.0
+        assert row.passed
 
 
 class TestPsiAndLogLaw:
@@ -504,3 +488,16 @@ class TestPsiAndLogLaw:
         stored = ctx["stored_times"], ctx["velocity_moments"]
         rows = reverse_holder_audit(rec, REVERSE_HOLDER_PS, stored, preset="gaussian-bump")
         assert len(rows) == 3 and all(r.passed for r in rows)
+
+    @pytest.mark.parametrize("preset", ["constant", None])
+    def test_rows_without_a_frozen_constant_are_measured(self, grid64_wide, preset):
+        # no psi.C3.<preset> or loglaw.cv.<preset> key: the rows record their
+        # value and assert nothing, for both audits alike
+        ctx = {}
+        observe = stored_state_observer(("reverse-holder",), ctx)
+        s = to_effective(make_preset("gaussian-bump", grid64_wide))
+        rec = run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02), state_stride=10, observe=observe)
+        stored = ctx["stored_times"], ctx["velocity_moments"]
+        rows = [*reverse_holder_audit(rec, REVERSE_HOLDER_PS, stored, preset=preset), log_law_audit(rec, preset=preset)]
+        assert [r.kind for r in rows] == ["measured"] * 4
+        assert all(r.rhs == math.inf and r.lhs > 0.0 for r in rows)

@@ -239,7 +239,7 @@ class TestProbeFamiliesEvaluateOnce:
         "attr,names",
         [
             ("energy", ("energy.total", "energy.kinetic", "energy.potential", "energy.fisher")),
-            ("jungel_terms", ("jungel.D", "jungel.A", "jungel.Bp")),
+            ("second_order_terms", ("jungel.D", "jungel.A", "jungel.Bp")),
             (
                 "v_energy_dissipations",
                 ("venergy.pressure_dissipation", "venergy.velocity_dissipation"),
@@ -253,9 +253,9 @@ class TestProbeFamiliesEvaluateOnce:
         original = getattr(estimates, attr)
         seen = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             seen.append(args[0])
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(estimates, attr, counted)
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3)
@@ -317,7 +317,7 @@ def _record(dim: int, formulation: str, n_steps: int = 2) -> TrajectoryRecord:
     s = _bump(dim)
     if formulation == "primitive":
         s = from_effective(s)
-    rec = TrajectoryRecord(s.grid, formulation)
+    rec = TrajectoryRecord(s.grid)
     rec.states = [s]
     for _ in range(n_steps):
         rec.states.append(step(rec.states[-1], SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3)))
