@@ -115,7 +115,8 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
     A bad initial state raises ConfigError before any output exists.  The
     audits see each stored state once, as the run stores it, and no stored
     state outlives that: the initial snapshots and H3 norm are taken before
-    stepping and the final snapshots from the last state the run reached.
+    stepping, the initial state is then handed to ``run()`` with no other
+    reference, and the final snapshots come from the last state the run reached.
     """
     t_wall = time.perf_counter()
     state = _initial_state(config)
@@ -131,8 +132,11 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
 
     snapshots = _write_snapshots(outdir, "initial", state)
     initial_h3 = sobolev_norm(ScalarField(grid, state.rho.values - grid.far_field_density), 3)
+    # run() gets the only reference, so the initial state dies once stepped past
+    held = [state]
+    del state
     record = run(
-        state,
+        held.pop(),
         config.solver,
         probes=probes,
         state_stride=config.state_stride,

@@ -125,6 +125,16 @@ class Grid:
                 f"box length {L:g} out of range for n = {n}: the volume L^d, the cell volume dx^d "
                 f"and the H^3 weight |xi|^6 of the top mode must lie within e^(+-{_LOG_RANGE:g})"
             )
+        try:
+            self._build_symbols()
+        except MemoryError:
+            raise FieldError(
+                f"grid n = {n} in {dim}D does not fit in memory: one field holds "
+                f"{n**dim} values, {8 * n**dim} bytes"
+            ) from None
+
+    def _build_symbols(self) -> None:
+        n, L, dim = self.n, float(self.box_length), self.dim
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
         nyq = n // 2  # fftfreq puts the mode -n/2 at this index
         keep = np.abs(np.rint(np.fft.fftfreq(n) * n)) <= n // 3
@@ -157,8 +167,9 @@ class Grid:
         object.__setattr__(self, "coordinates", x1)
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
-        """Half-lattice spectrum of real samples."""
-        return np.fft.rfftn(values)
+        """Half-lattice spectrum of real samples, in one new array (without
+        ``out``, numpy allocates one per axis)."""
+        return np.fft.rfftn(values, out=np.empty(self.shape[:-1] + (self.n // 2 + 1,), complex))
 
     def irfft(self, hat: np.ndarray) -> np.ndarray:
         """Real samples of a half-lattice spectrum."""

@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 FAR_FIELD_TOL = 1e-8
+# the most steps a run may take: its per-step columns alone then hold over 1 GB
+MAX_STEPS = 10**7
 _RIM_CELLS = 2
 
 # the per-step columns run() records for every run, whatever the probes
@@ -124,8 +126,8 @@ class SolverConfig:
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise FieldError("horizon must be >= 0 and finite")
         ratio = self.t_end / self.dt
-        if not math.isfinite(ratio):
-            raise FieldError(f"horizon {self.t_end:g} holds too many steps dt={self.dt:g} to count")
+        if not ratio <= MAX_STEPS:
+            raise FieldError(f"horizon {self.t_end:g} holds more than {MAX_STEPS:,} steps dt={self.dt:g}")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise FieldError(f"horizon {self.t_end:g} is not a whole number of steps dt={self.dt:g}")
         if not (math.isfinite(self.cfl_safety) and self.cfl_safety > 0.0):
@@ -286,15 +288,16 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     v = s.vel.components
     dt = cfg.dt
 
-    log_r_hat, dlog = ws.log_rho_hat, ws.grad_log_rho
+    dlog = ws.grad_log_rho
     _check_cfl(s, cfg, _max_norm(v) + 2.0 * _max_norm(dlog))
     r_hat, v_hat = ws.spectra
 
     # the pressure force is differentiated on the Fourier side; at gamma = 2
     # rho^(gamma-1) is rho, whose spectrum is at hand
     if cfg.gamma == 1.0:
-        p_hat = log_r_hat
+        p_hat = ws.log_rho_hat
     else:
+        ws.__dict__.pop("log_rho_hat", None)  # read only at gamma = 1
         g = cfg.gamma
         base_hat = r_hat if g == 2.0 else grid.rfft(r ** (g - 1.0))
         p_hat = (g / (g - 1.0)) * (base_hat * mask)
@@ -303,19 +306,21 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     denom = 1.0 + dt * grid.rk2
     r_hat += dt * sum(-1j * k * (grid.rfft(r * v[i]) * mask) for i, k in enumerate(ks))
     r_hat /= denom
-    new_r = grid.irfft(r_hat)
 
     # velocity: implicit Laplacian, explicit pressure and transport by
-    # w = v - 2 grad log rho, each w_j formed where it is used
+    # w = v - 2 grad log rho, each w_j formed where it is used and its term
+    # added into one accumulator, from 0 in increasing j as sum() adds them
     new_v = np.empty_like(v)
     for i in range(grid.dim):
-        transport = (
-            grid.irfft(1j * k * v_hat[i]) * (v[j] - 2.0 * dlog[j]) for j, k in enumerate(ks)
-        )
-        v_hat[i] += dt * (-(grid.rfft(sum(transport)) * mask) - 1j * ks[i] * p_hat)
+        transport = np.zeros(grid.shape)
+        for j, k in enumerate(ks):
+            transport += grid.irfft(1j * k * v_hat[i]) * (v[j] - 2.0 * dlog[j])
+        v_hat[i] += dt * (-(grid.rfft(transport) * mask) - 1j * ks[i] * p_hat)
         v_hat[i] /= denom
         new_v[i] = grid.irfft(v_hat[i])
-
+    del transport
+    # transformed last, so that its transform runs while no velocity transient is live
+    new_r = grid.irfft(r_hat)
     return _new_state(s, cfg, new_r, new_v)
 
 
@@ -342,7 +347,8 @@ def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     # -rho u_i u_j + 2 rho D(u)_ij + rho (hess log rho)_ij.  The symmetric part
     # is formed once per pair i <= j from transient derivatives, each dropped as
     # soon as it is used, so no d x d field tensor is held; each row still adds
-    # its columns in increasing j, one transform per (i, j).
+    # its columns in increasing j, one transform per (i, j).  The Hessian entry
+    # is transformed first, while no velocity derivative is live.
     u_hat = [grid.rfft(c) for c in u]
     log_hat = ws.log_rho_hat
     p_hat = grid.rfft(r**cfg.gamma) * mask
@@ -350,29 +356,39 @@ def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     del p_hat
     for i in range(d):
         for j in range(i, d):
+            hess = grid.irfft(-kk[i][j] * log_hat)
             du_ij = grid.irfft(1j * ks[j] * u_hat[i])
             du_ji = du_ij if j == i else grid.irfft(1j * ks[i] * u_hat[j])
-            sym = r * (du_ij + du_ji + grid.irfft(-kk[i][j] * log_hat))
-            del du_ij, du_ji
+            sym = r * (du_ij + du_ji + hess)
+            del hess, du_ij, du_ji
             rhs_hat[i] += 1j * ks[j] * (grid.rfft(sym - m_real[i] * u[j]) * mask)
             if j > i:
                 rhs_hat[j] += 1j * ks[i] * (grid.rfft(sym - m_real[j] * u[i]) * mask)
             del sym
         # subtract the linearized stress that the implicit solve adds back
-        rhs_hat[i] = rhs_hat[i] + grid.rk2 * m_hat[i] + sum(kk[i][j] * m_hat[j] for j in range(d))
+        rhs_hat[i] += grid.rk2 * m_hat[i]
+        rhs_hat[i] += sum(kk[i][j] * m_hat[j] for j in range(d))
     del u_hat, m_real
 
+    div_m = sum(1j * ks[j] * m_hat[j] for j in range(d))
+    new_r = grid.irfft(grid.rfft(r) - dt * div_m)
+    del div_m
+
+    # y = m_hat + dt rhs_hat, formed in rhs_hat's storage so that m_hat dies here
+    y = rhs_hat
+    for i in range(d):
+        y[i] *= dt
+        y[i] += m_hat[i]
+    del rhs_hat, m_hat
     a = 1.0 + dt * grid.rk2
     a_full = a + dt * grid.rk2
-    y = [m_hat[i] + dt * rhs_hat[i] for i in range(d)]
     new_m = np.empty_like(u)
     for i in range(d):
         kky = sum(kk[i][j] * y[j] for j in range(d))
         new_m[i] = grid.irfft((y[i] - dt * kky / a_full) / a)
-
-    div_m = sum(1j * ks[j] * m_hat[j] for j in range(d))
-    new_r = grid.irfft(grid.rfft(r) - dt * div_m)
-    return _new_state(s, cfg, new_r, new_m / new_r)
+    del y
+    new_m /= new_r  # the new velocity, in the new momentum's storage
+    return _new_state(s, cfg, new_r, new_m)
 
 
 def step(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
@@ -465,10 +481,11 @@ def run(
     if state_stride < 1:
         raise FieldError("state stride must be >= 1")
     ws = Workspace(initial)
-    if check_far_field and initial.t == 0.0:
+    del initial  # the workspace holds the state until the run steps past it
+    if check_far_field and ws.state.t == 0.0:
         require_far_field(ws.primitive)
     probes = dict(probes or {})
-    record = TrajectoryRecord(initial.grid)
+    record = TrajectoryRecord(ws.state.grid)
     if observe is None:
         observe = lambda ws: record.states.append(ws.state)
     series: dict[str, list] = {name: [] for name in (*ALWAYS_RECORDED, *probes)}

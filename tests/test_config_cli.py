@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,40 @@ class TestSolverValueExits:
         assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "rejected").exists()
+
+    def test_step_count_beyond_the_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        # 5e299 steps: the run never ended, so any step taken fails the test
+        import nsklab.solver as solver
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a run of 5e299 steps started stepping")
+
+        monkeypatch.setattr(solver, "step", no_step)
+        cfg_path = tmp_path / "c.cfg"
+        text = MINIMAL.format(outdir="endless").replace("dt = 1e-3\nt_end = 0.005", "dt = 1e-300\nt_end = 0.5")
+        cfg_path.write_text(text)
+        t0 = time.perf_counter()
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid [solver]: horizon 0.5 holds more than 10,000,000 steps")
+        assert not (tmp_path / "endless").exists()
+
+    def test_grid_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        from nsklab.fields import Grid
+
+        def out_of_memory(grid):
+            raise MemoryError
+
+        # at this n one field takes 8 TiB; the injected error stands in for numpy's
+        monkeypatch.setattr(Grid, "_build_symbols", out_of_memory)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(MINIMAL.format(outdir="huge").replace("n = 32", "n = 1048576"))
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid [grid]: grid n = 1048576 in 2D does not fit in memory")
+        assert "8796093022208 bytes" in err and "Traceback" not in err
+        assert not (tmp_path / "huge").exists()
 
     def test_non_finite_step_exit_three(self, tmp_path, capsys, monkeypatch):
         import nsklab.experiment as experiment

@@ -325,6 +325,24 @@ class TestRealTransformLayer:
             old = np.asarray(old)
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
+    @pytest.mark.parametrize("dim,n", [(2, 24), (2, 36), (2, 128), (3, 24), (3, 36)])
+    def test_rfft_is_numpys_in_a_fresh_array(self, dim, n):
+        g = make_grid(dim, n, 3.0, 1.0)
+        values = np.random.default_rng(3).standard_normal(g.shape)
+        kept = values.copy()
+        for axis in range(dim):  # white noise carries every Nyquist plane
+            assert np.max(np.abs(np.take(np.fft.fftn(values), n // 2, axis=axis))) > 1.0
+        first, second = g.rfft(values), g.rfft(values)
+        reference = np.fft.rfftn(values)
+        for hat in (first, second):
+            assert hat.shape == reference.shape and hat.dtype == reference.dtype
+            assert hat.tobytes() == reference.tobytes()
+        # the effective step overwrites its carried spectra in place, so no
+        # spectrum may share memory with its samples or with another spectrum
+        assert not np.shares_memory(first, values)
+        assert not np.shares_memory(first, second)
+        assert values.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("dim,n", [(2, 24), (2, 32), (2, 48), (3, 24)])
     def test_half_spectrum_parseval(self, dim, n):
         g = make_grid(dim, n, 3.0, 1.0)

@@ -2,19 +2,23 @@
 
 The steppers and the second-order pass hold one spectrum per field and form
 each derivative as a transient; none builds a (d, d, n, ...) tensor of
-derivative fields.  A run's audits keep no stored state, so its peak does not
-grow with the number of stored states.  The peak is what tracemalloc sees
-numpy allocate during one call at 3D 32^3, in units of one real field R,
-above what was live before the call (the inputs, and the workspace's carried
-spectra where a step reads them).
+derivative fields, and each step lets a spectrum go after its last reader.
+A run's audits keep no stored state, and a run lets go of its initial state
+once it has stepped past it, so its peak does not grow with the number of
+stored states.  The peak is what tracemalloc sees numpy allocate during one
+call at 3D 32^3, in units of one real field R, above what was live before
+the call (the inputs, and the workspace's carried spectra where a step reads
+them).  Each bound is the measured peak plus 0.5R.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from nsklab import estimates, solver
+from nsklab import estimates, experiment, solver
+from nsklab.config import parse_config
 from nsklab.fields import make_grid
 from nsklab.solver import SolverConfig, make_preset, to_effective
 
@@ -39,13 +43,14 @@ def _peak_in_fields(call, state) -> float:
 
 
 def test_primitive_step(primitive):
-    # a full velocity-gradient and log-density-Hessian tensor pair peaked at 44R
-    assert _peak_in_fields(lambda: solver.step_primitive(primitive, CFG), primitive) <= 30.0
+    # a full velocity-gradient and log-density-Hessian tensor pair peaked at
+    # 44R; 21.2R while the step's last spectra all lived to its end; 18.8R now
+    assert _peak_in_fields(lambda: solver.step_primitive(primitive, CFG), primitive) <= 19.3
 
 
 def test_second_order_pass(primitive):
-    # the hess log rho, grad u and grad v tensors peaked at 33R
-    assert _peak_in_fields(lambda: estimates.second_order_terms(primitive), primitive) <= 20.0
+    # the hess log rho, grad u and grad v tensors peaked at 33R; 11.3R now
+    assert _peak_in_fields(lambda: estimates.second_order_terms(primitive), primitive) <= 11.8
 
 
 def test_effective_step_with_carried_spectra(primitive):
@@ -55,7 +60,8 @@ def test_effective_step_with_carried_spectra(primitive):
     for ws in workspaces:
         ws.grad_log_rho, ws.spectra
     calls = iter(workspaces)
-    assert _peak_in_fields(lambda: solver.step_effective(s, CFG, next(calls)), s) <= 17.6
+    # 9.8R while the new density's transform ran with the velocity's live; 8.8R now
+    assert _peak_in_fields(lambda: solver.step_effective(s, CFG, next(calls)), s) <= 9.3
 
 
 WHOLE_RUN = """
@@ -72,7 +78,7 @@ name = random-large
 gamma = 2.0
 dt = 1e-3
 t_end = 0.004
-formulation = primitive
+formulation = {formulation}
 
 [probes]
 names = energy.total
@@ -89,16 +95,100 @@ seed = 3
 """
 
 
-def test_whole_run_peak_does_not_grow_with_the_stored_states(tmp_path, primitive):
-    # the audits see each stored state as the run stores it and keep floats, so
-    # storing all five states costs what storing the first and last does (both
-    # peak at 30R, in the step); when the run kept its stored states (4R each:
-    # rho and three velocity components), stride 1 peaked 8R above stride 4
-    from nsklab.config import parse_config
-    from nsklab.experiment import run_experiment
-
+def _whole_run_peaks(tmp_path, formulation, state) -> dict:
     peaks = {}
     for stride in (1, 4):
-        cfg = parse_config(WHOLE_RUN.format(stride=stride))
-        peaks[stride] = _peak_in_fields(lambda: run_experiment(cfg, tmp_path), primitive)
+        cfg = parse_config(WHOLE_RUN.format(formulation=formulation, stride=stride))
+        peaks[stride] = _peak_in_fields(lambda: experiment.run_experiment(cfg, tmp_path), state)
+    return peaks
+
+
+def test_whole_run_peak_does_not_grow_with_the_stored_states(tmp_path, primitive):
+    # the audits see each stored state as the run stores it and keep floats, so
+    # storing all five states costs what storing the first and last does; when
+    # the run kept its stored states (4R each: rho and three velocity
+    # components), stride 1 peaked 8R above stride 4.  Both peaked at 30.0R
+    # while the run held its initial state to the end; 23.6R now, in the step
+    peaks = _whole_run_peaks(tmp_path, "primitive", primitive)
     assert abs(peaks[1] - peaks[4]) <= 1.0, peaks
+    assert max(peaks.values()) <= 24.1, peaks
+
+
+def test_effective_whole_run_peak(tmp_path, primitive):
+    # 32.4R while the run held its initial state to the end; 28.4R now
+    peaks = _whole_run_peaks(tmp_path, "effective", primitive)
+    assert abs(peaks[1] - peaks[4]) <= 1.0, peaks
+    assert max(peaks.values()) <= 28.9, peaks
+
+
+SMALL_RUN = """
+[grid]
+dim = 2
+n = 32
+box_length = 12.566370614359172
+far_field_density = 1.0
+
+[preset]
+name = gaussian-bump
+
+[solver]
+gamma = 2.0
+dt = 1e-3
+t_end = 0.003
+formulation = {formulation}
+
+[probes]
+names = energy.total, venergy
+
+[audits]
+names = bd-identity, jungel, pi-equivalence, region-split, log-law, reverse-holder, certificate
+
+[output]
+directory = small
+
+[rng]
+seed = 0
+"""
+
+
+def _watch_steps(monkeypatch, refs) -> list:
+    """Wrap ``solver.step``: each call records whether every state in ``refs`` is gone."""
+    gone, step = [], solver.step
+
+    def watched(*args, **kwargs):
+        gone.append([ref() is None for ref in refs])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", watched)
+    return gone
+
+
+def _tracked(refs, state):
+    refs.append(weakref.ref(state))
+    return state
+
+
+def _bump(formulation):
+    bump = make_preset("gaussian-bump", make_grid(2, 32, 4 * np.pi, 1.0))
+    return to_effective(bump) if formulation == "effective" else bump
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_run_lets_go_of_its_initial_state(monkeypatch, formulation):
+    refs = []
+    gone = _watch_steps(monkeypatch, refs)
+    cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=3e-3)
+    # the state reaches run() through no named reference
+    solver.run(_tracked(refs, _bump(formulation)), cfg, observe=lambda ws: None)
+    assert gone == [[False], [True], [True]]
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_run_experiment_lets_go_of_its_initial_state(tmp_path, monkeypatch, formulation):
+    refs = []
+    gone = _watch_steps(monkeypatch, refs)
+    initial_state = experiment._initial_state
+    monkeypatch.setattr(experiment, "_initial_state", lambda config: _tracked(refs, initial_state(config)))
+    manifest = experiment.run_experiment(parse_config(SMALL_RUN.format(formulation=formulation)), tmp_path)
+    assert manifest.exit_code == 0 and manifest.audit_total > 0
+    assert gone == [[False], [True], [True]]

@@ -49,6 +49,12 @@ class TestConfig:
         # 0.02 / 1e-3 == 20.000000000000004: round-off stays inside the slack
         SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02)
 
+    def test_rejects_more_steps_than_the_cap(self):
+        SolverConfig(gamma=2.0, dt=1e-3, t_end=1e4)  # exactly 10^7 steps
+        for dt, t_end in ((1e-3, 1e4 + 1e-3), (1e-300, 0.5)):
+            with pytest.raises(FieldError, match="more than 10,000,000 steps"):
+                SolverConfig(gamma=2.0, dt=dt, t_end=t_end)
+
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, math.nan])
     def test_rejects_bad_cfl_safety(self, bad):
         with pytest.raises(FieldError, match="cfl_safety"):
