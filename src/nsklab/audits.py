@@ -1,4 +1,4 @@
-"""Audit reports: one record per checked inequality, CSV-serializable.
+"""Audit reports, one record per checked inequality, and the one CSV format.
 
 An audit compares a computed left-hand side against a right-hand side at a
 declared tolerance; two-sided (equivalence) checks are encoded by putting the
@@ -9,17 +9,30 @@ for every report.
 Each report is of one kind: "asserted" rows check a claim, "measured" rows
 only record a value (their right-hand side is infinite) and are left out of
 the run's audit counts.
+
+Every CSV line nsklab writes is built by ``csv_line``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-__all__ = ["AuditReport", "bound_report", "identity_report", "audit_csv_lines"]
+__all__ = ["AuditReport", "bound_report", "identity_report", "audit_csv_lines", "csv_line"]
 
-CSV_HEADER = "inequality_id,lhs,rhs,ratio,tolerance,pass,citation,kind"
+CSV_HEADER = ("inequality_id", "lhs", "rhs", "ratio", "tolerance", "pass", "citation", "kind")
+
+
+def csv_line(cells) -> str:
+    """The cells joined by commas: a float (numpy's too) to 17 significant
+    digits, which reads back exactly, a bool as true/false, else ``str``."""
+    return ",".join([
+        f"{c:.17g}" if isinstance(c, (float, np.floating))
+        else ("true" if c else "false") if isinstance(c, (bool, np.bool_))
+        else str(c)
+        for c in cells
+    ])
 
 
 @dataclass(frozen=True)
@@ -32,19 +45,6 @@ class AuditReport:
     passed: bool
     citation: str
     kind: str = "asserted"  # or "measured"
-
-    def csv_row(self) -> str:
-        cols = [
-            self.inequality_id,
-            f"{self.lhs:.17g}",
-            f"{self.rhs:.17g}",
-            f"{self.ratio:.17g}",
-            f"{self.tolerance:.17g}",
-            "true" if self.passed else "false",
-            self.citation,
-            self.kind,
-        ]
-        return ",".join(cols)
 
 
 def bound_report(inequality_id, lhs, rhs, tolerance, citation, kind="asserted") -> AuditReport:
@@ -81,4 +81,4 @@ def _merge_worst(reports: list[AuditReport]) -> list[AuditReport]:
 
 
 def audit_csv_lines(reports) -> list[str]:
-    return [CSV_HEADER] + [r.csv_row() for r in reports]
+    return [csv_line(row) for row in [CSV_HEADER, *map(astuple, reports)]]

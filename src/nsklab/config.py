@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .fields import FieldError, Grid
-from .probes import GROWTH_PROBES, ProbeError, resolve_audits, resolve_probes
+from .probes import GROWTH_PROBES, ProbeError, require_finite_weights, resolve_audits, resolve_probes
 from .solver import PRESET_NAMES, PRESET_PARAMS, SolverConfig, theorem_range_warnings
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
@@ -111,12 +111,13 @@ def _take(sections, section, key, expect, required=True, default=None):
             raise ConfigError(f"missing required key {key!r} in [{section}]")
         return default
     value, lineno = entry
-    if expect is float and isinstance(value, int):
+    if expect is float and type(value) is int:
         try:
             value = float(value)
         except OverflowError:
             raise ConfigError(f"line {lineno}: {key!r} is too large for a float") from None
-    if not isinstance(value, expect):
+    # true/false are no numbers, though bool is a subclass of int
+    if not isinstance(value, expect) or isinstance(value, bool):
         raise ConfigError(f"line {lineno}: {key!r} must be {expect.__name__}, got {value!r}")
     return value
 
@@ -147,7 +148,7 @@ def parse_config(text: str) -> ExperimentConfig:
         "far_field_density": _take(sections, "grid", "far_field_density", float),
     }
     try:
-        Grid(**grid_params)
+        grid = Grid(**grid_params)
     except FieldError as err:
         raise ConfigError(f"invalid [grid]: {err}") from err
 
@@ -180,6 +181,7 @@ def parse_config(text: str) -> ExperimentConfig:
     audit_names = _name_list(sections, "audits")
     try:
         resolve_probes(probe_names, solver.gamma)
+        require_finite_weights(probe_names, grid)
         resolve_audits(audit_names)
     except ProbeError as err:
         raise ConfigError(str(err)) from err

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import calibrated
-from .fields import FieldError, ScalarField, divergence, gradient, laplacian
+from .fields import _LOG_RANGE, FieldError, ScalarField, divergence, gradient, laplacian
 from .solver import to_effective
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "lower_bound_certificate",
     "inverse_density_pde_residual",
 ]
-
-_LOG_OVERFLOW = 700.0  # exp() overflows above this
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,8 @@ def closed_form_bound(spec: IterationSpec, k: int) -> float:
     lg = closed_form_log(spec, k)
     if lg == -math.inf:
         return 0.0
-    if lg > _LOG_OVERFLOW:
-        raise OverflowError(f"closed-form value exceeds exp({_LOG_OVERFLOW}) at k={k}")
+    if lg > _LOG_RANGE:
+        raise OverflowError(f"closed-form value exceeds exp({_LOG_RANGE}) at k={k}")
     return math.exp(lg)
 
 
@@ -110,8 +108,8 @@ def recurrence_equality(spec: IterationSpec, k: int) -> list[float]:
     for lg in recurrence_log(spec, k):
         if lg == -math.inf:
             out.append(0.0)
-        elif lg > _LOG_OVERFLOW:
-            raise OverflowError(f"recurrence overflows exp({_LOG_OVERFLOW})")
+        elif lg > _LOG_RANGE:
+            raise OverflowError(f"recurrence overflows exp({_LOG_RANGE})")
         else:
             out.append(math.exp(lg))
     return out
@@ -212,24 +210,6 @@ class WindowCertificate:
     observed: float
     sound: bool
 
-    def csv_row(self) -> str:
-        cols = [
-            str(self.index),
-            f"{self.t_start:.17g}",
-            f"{self.t_end:.17g}",
-            f"{self.base:.17g}",
-            f"{self.u0:.17g}",
-            f"{self.v_max:.17g}",
-            f"{self.M:.17g}",
-            f"{self.bound:.17g}",
-            f"{self.observed:.17g}",
-            "true" if self.sound else "false",
-        ]
-        return ",".join(cols)
-
-
-CERTIFICATE_CSV_HEADER = "window,t_start,t_end,k0,U0,v_inf,M,B,observed_sup_inv_rho,sound"
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -240,9 +220,6 @@ class CertificateReport:
     observed: float
     sound: bool
     constant: float
-
-    def csv_lines(self) -> list[str]:
-        return [CERTIFICATE_CSV_HEADER] + [w.csv_row() for w in self.windows]
 
     def text_summary(self) -> str:
         if not self.certified:
@@ -268,7 +245,7 @@ def _window_slices(times, horizon, window):
     return spans
 
 
-def lower_bound_certificate(trajectory, c_v_estimate: float, stored, constant: float | None = None):
+def lower_bound_certificate(trajectory, c_v_estimate: float, stored):
     """Certify an inverse-density bound window by window.
 
     Each window solves the convergence condition C * |v|_inf^3 * U0 <= M^2 for
@@ -281,8 +258,7 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, stored, constant: f
     reads the stored states' inverse densities.  ``stored`` is the stored
     states' times and inverse densities, as a run's audit observer keeps them.
     """
-    if constant is None:
-        constant = calibrated("certificate.C")
+    constant = calibrated("certificate.C")
     times, inverse = stored
     if not times:
         raise FieldError("trajectory holds no states")

@@ -27,6 +27,7 @@ __all__ = [
     "BesovIndex",
     "DyadicFamily",
     "TimeSeriesField",
+    "top_block",
     "build_dyadic_family",
     "dyadic_block",
     "block_norms",
@@ -93,19 +94,26 @@ class DyadicFamily:
         return range(-1, self.j_max + 1)
 
 
-def build_dyadic_family(grid: Grid) -> DyadicFamily:
-    kmag = np.sqrt(grid.rk2)
-    ximax = float(np.max(kmag))
+def top_block(grid: Grid) -> int:
+    """Index j_max of the last annulus: the largest j whose inner edge
+    3/4 2^j lies below the grid's largest |xi|."""
+    ximax = math.sqrt(float(np.max(grid.rk2)))
     j_max = int(math.floor(math.log2(ximax / 0.75)))
     while 0.75 * 2.0**j_max >= ximax:
         j_max -= 1
     while 0.75 * 2.0 ** (j_max + 1) < ximax:
         j_max += 1
+    return j_max
+
+
+def build_dyadic_family(grid: Grid) -> DyadicFamily:
+    j_max = top_block(grid)
     if j_max < 1:
         raise FieldError(
             f"grid too coarse for a dyadic family (largest annulus index {j_max})"
         )
 
+    kmag = np.sqrt(grid.rk2)
     chi = _cap_profile(kmag)
     phis = []
     for j in range(j_max + 1):

@@ -100,9 +100,9 @@ def equivalence_constants(gamma: float) -> tuple[float, float]:
     return c1, c2
 
 
-def _low_branch_span(gamma: float, rho_bar: float, samples: int = 20001) -> tuple[float, float]:
+def _low_branch_span(gamma: float, rho_bar: float) -> tuple[float, float]:
     """Range of pi / (rho - rho_bar)^2 over [0, 4 rho_bar], by dense sampling."""
-    r = np.linspace(0.0, 4.0 * rho_bar, samples)
+    r = np.linspace(0.0, 4.0 * rho_bar, 20001)
     g = float(gamma)
     pi = r**g / g - rho_bar**g / g - rho_bar ** (g - 1.0) * (r - rho_bar)
     dev2 = (r - rho_bar) ** 2
@@ -304,15 +304,15 @@ def bd_identity_audit(terms, tolerance: float = 1e-8) -> AuditReport:
 # convexity control of second derivatives of sqrt(rho)
 
 
-def jungel_bounds(terms, dim: int, slack: float = 1e-10):
+def jungel_bounds(terms, dim: int):
     """D >= A/7 and D >= B'/8 on one state's ``second_order_terms`` (with
     ``convexity``); asserted in 3d, reported as measured in 2d."""
     d_val, a_val, b_val = terms["D"], terms["A"], terms["Bp"]
     cite = "convexity bounds on second derivatives of the density square root"
     if dim == 3:
-        scale = max(d_val, 1.0)
-        r1 = bound_report("jungel.hessian_sqrt", a_val / 7.0, d_val + slack * scale, 0.0, cite)
-        r2 = bound_report("jungel.quartic_gradient", b_val / 8.0, d_val + slack * scale, 0.0, cite)
+        rhs = d_val + 1e-10 * max(d_val, 1.0)  # round-off slack
+        r1 = bound_report("jungel.hessian_sqrt", a_val / 7.0, rhs, 0.0, cite)
+        r2 = bound_report("jungel.quartic_gradient", b_val / 8.0, rhs, 0.0, cite)
         return [r1, r2]
     cite += " (2d: measured only)"
     r1 = bound_report("jungel.hessian_sqrt.measured", a_val / 7.0, math.inf, 0.0, cite, kind="measured")

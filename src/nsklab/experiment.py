@@ -1,8 +1,8 @@
 """Experiment execution: run, sweep, report.
 
 A run is deterministic given (config, seed): probe series and audit tables
-are written as CSV with 17 significant digits, snapshots in the binary field
-format, and a JSON manifest inventorying everything.  Sweeps execute runs
+are written as CSV (each line by ``audits.csv_line``), snapshots in the binary
+field format, and a JSON manifest inventorying everything.  Sweeps execute runs
 independently with isolated output directories.
 """
 
@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .audits import audit_csv_lines
+from .audits import audit_csv_lines, csv_line
 from .config import ConfigError, ExperimentConfig, parse_config
 from .estimates import log_law_constant
 from .fields import FieldError, ScalarField, sobolev_norm, write_snapshot
@@ -59,16 +59,16 @@ class RunManifest:
             raise ValueError(f"not a run manifest: {err}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+CERTIFICATE_HEADER = ("window", "t_start", "t_end", "k0", "U0", "v_inf", "M", "B", "observed_sup_inv_rho", "sound")
+
+
+def _write_lines(path: Path, lines) -> None:
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_series_csv(path: Path, record) -> None:
-    names = list(record.scalars)
-    lines = ["time," + ",".join(names)]
-    for i, t in enumerate(record.times):
-        lines.append(",".join([_fmt(t)] + [_fmt(record.scalars[n][i]) for n in names]))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [record.times.tolist(), *(column.tolist() for column in record.scalars.values())]
+    _write_lines(path, map(csv_line, [("time", *record.scalars), *zip(*columns)]))
 
 
 def _derived_numbers(record, initial_h3: float) -> dict:
@@ -155,12 +155,12 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
         for name, fn in audits.items():
             reports.extend(fn(record, ctx))
         audit_path = outdir / "audits.csv"
-        audit_path.write_text("\n".join(audit_csv_lines(reports)) + "\n")
+        _write_lines(audit_path, audit_csv_lines(reports))
         files.append(audit_path.name)
         cert = ctx.get("certificate")
         if cert is not None:
             cert_path = outdir / "certificate.csv"
-            cert_path.write_text("\n".join(cert.csv_lines()) + "\n")
+            _write_lines(cert_path, map(csv_line, [CERTIFICATE_HEADER, *map(astuple, cert.windows)]))
             (outdir / "certificate.txt").write_text(cert.text_summary() + "\n")
             files.extend([cert_path.name, "certificate.txt"])
             if cert.certified:
@@ -233,51 +233,32 @@ def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResu
     return results
 
 
+# the summary's columns that copy the manifest's derived numbers, blank where it has none
+_SUMMARY_EXTRA = (
+    "c_v", "min_density", "certified_bound", "certificate_tightness", "density_bound_ratio",
+    *(f"growth.p{p}" for p in GROWTH_EXPONENTS),
+)
+
+
 def report(manifest_paths, out_path: Path | str) -> Path:
     """Aggregate manifests into one plot-ready summary CSV (one row per run).
 
     An unreadable or malformed manifest raises OSError or ValueError.
     """
-    header = [
-        "run",
-        "preset",
-        "gamma",
-        "aborted",
-        "audit_total",
-        "audit_failures",
-        "audit_pass_rate",
-        "c_v",
-        "min_density",
-        "certified_bound",
-        "certificate_tightness",
-        "density_bound_ratio",
-        *(f"growth.p{p}" for p in GROWTH_EXPONENTS),
+    rows = [
+        ("run", "preset", "gamma", "aborted", "audit_total", "audit_failures", "audit_pass_rate", *_SUMMARY_EXTRA)
     ]
-    rows = []
     for path in manifest_paths:
         try:
             m = RunManifest.from_json(Path(path).read_text())
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-        row = {
-            "run": Path(m.directory).name,
-            "preset": m.preset,
-            "gamma": _fmt(m.gamma),
-            "aborted": "true" if m.aborted else "false",
-            "audit_total": str(m.audit_total),
-            "audit_failures": str(m.audit_failures),
-            "audit_pass_rate": _fmt(
-                1.0 if m.audit_total == 0 else 1.0 - m.audit_failures / m.audit_total
-            ),
-        }
-        for key in header:
-            if key in m.extra:
-                row[key] = _fmt(m.extra[key])
-        rows.append(row)
+        pass_rate = 1.0 if m.audit_total == 0 else 1.0 - m.audit_failures / m.audit_total
+        rows.append(
+            (Path(m.directory).name, m.preset, m.gamma, m.aborted, m.audit_total, m.audit_failures, pass_rate)
+            + tuple(m.extra.get(key, "") for key in _SUMMARY_EXTRA)
+        )
 
     out_path = Path(out_path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row.get(col, "") for col in header))
-    out_path.write_text("\n".join(lines) + "\n")
+    _write_lines(out_path, map(csv_line, rows))
     return out_path

@@ -60,7 +60,8 @@ class PositivityError(FieldError):
     """A field that must be strictly positive is not."""
 
 
-# the exponent range, on either side of 1, in which a grid's derived powers are kept
+# the exponent range, on either side of 1, in which derived powers are kept:
+# exp() of it neither overflows nor leaves the normal floats
 _LOG_RANGE = 700.0
 
 
@@ -433,7 +434,6 @@ def random_band_limited(
     rng: np.random.Generator,
     max_mode: int | None = None,
     amplitude: float = 1.0,
-    zero_mean: bool = False,
 ) -> ScalarField:
     """White noise low-passed to radial mode index <= max_mode, sup-normalized.
 
@@ -446,8 +446,6 @@ def random_band_limited(
     hat = grid.rfft(white)
     scale = 2.0 * np.pi / grid.box_length
     hat[grid.rk2 / scale**2 > max_mode**2] = 0.0
-    if zero_mean:
-        hat[(0,) * grid.dim] = 0.0
     v = grid.irfft(hat)
     m = np.max(np.abs(v))
     if m > 0:

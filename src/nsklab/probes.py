@@ -15,13 +15,14 @@ import numpy as np
 
 from . import degiorgi, estimates
 from .audits import AuditReport, _merge_worst, bound_report
-from .dyadic import BesovIndex, besov_norm, build_dyadic_family
-from .fields import ScalarField, sobolev_norm, vector_sobolev_norm
+from .dyadic import BesovIndex, besov_norm, build_dyadic_family, top_block
+from .fields import _LOG_RANGE, ScalarField, sobolev_norm, vector_sobolev_norm
 from .solver import ALWAYS_RECORDED
 
 __all__ = [
     "ProbeError",
     "resolve_probes",
+    "require_finite_weights",
     "resolve_audits",
     "stored_state_observer",
     "known_probe_names",
@@ -158,6 +159,35 @@ def _resolve_probe(name: str, simple: dict):
     near = difflib.get_close_matches(name, known_probe_names(), n=3)
     hint = f"; nearest valid names: {', '.join(near)}" if near else ""
     raise ProbeError(f"unknown probe {name!r}{hint}")
+
+
+def _log_power_sum(a: float, k: int) -> float:
+    """log of sum_{m<=k} e^(m a), formed without overflow."""
+    if a == 0.0:
+        return math.log(k + 1)
+    b = -abs(a)
+    return max(k * a, 0.0) + math.log(-math.expm1((k + 1) * b)) - math.log(-math.expm1(b))
+
+
+def require_finite_weights(names, grid) -> None:
+    """ProbeError unless the weight each named Sobolev or Besov probe puts on
+    the grid's top mode lies within e^(+-700): sum_{m<=k} |xi|^(2m) for
+    ``sobolev.*.H<k>``, 2^(j s) for each block j <= j_max for ``besov.rho.<s>.*``."""
+    for name in names:
+        if name.startswith(("sobolev.rho.H", "sobolev.v.H")):
+            try:
+                log_weight = _log_power_sum(math.log(float(np.max(grid.rk2))), _parse_order(name.partition(".H")[2]))
+            except OverflowError:  # an order beyond the float range
+                log_weight = math.inf
+        elif name.startswith("besov.rho."):
+            log_weight = top_block(grid) * _parse_exponent(name.split(".")[2]) * math.log(2.0)
+        else:
+            continue
+        if not abs(log_weight) < _LOG_RANGE:
+            raise ProbeError(
+                f"probe {name!r} weighs the top mode of the grid by e^{log_weight:.6g}, "
+                f"outside e^(+-{_LOG_RANGE:g})"
+            )
 
 
 def resolve_probes(names, gamma: float) -> dict:

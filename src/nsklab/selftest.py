@@ -172,10 +172,10 @@ CHECKS = (
 )
 
 
-def run_selftest(out=print) -> bool:
+def run_selftest() -> bool:
     ok = True
     for label, fn in CHECKS:
         good = bool(fn())
         ok = ok and good
-        out(f"[{'ok' if good else 'FAIL'}] {label}")
+        print(f"[{'ok' if good else 'FAIL'}] {label}")
     return ok

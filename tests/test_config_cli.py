@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -356,7 +357,6 @@ class TestReport:
 
     def test_c_v_is_the_runs_log_law_constant(self, tmp_path):
         from nsklab.estimates import log_law_constant
-        from nsklab.experiment import _fmt
         from nsklab.probes import resolve_probes
         from nsklab.solver import make_preset, run, to_effective
 
@@ -374,7 +374,7 @@ class TestReport:
             probes=resolve_probes(cfg.probe_names, cfg.solver.gamma),
             state_stride=cfg.state_stride,
         )
-        assert row["c_v"] == _fmt(log_law_constant(record))
+        assert float(row["c_v"]) == log_law_constant(record)
 
 
 class TestCli:
@@ -459,6 +459,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not root.exists()
+
+    @staticmethod
+    def _demo_with_probe(tmp_path, name):
+        """configs/demo.cfg over two steps, recording ``name`` for sobolev.rho.H2."""
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(demo.read_text().replace("sobolev.rho.H2", name).replace("t_end = 0.5", "t_end = 0.002"))
+        return cfg_path
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sobolev.rho.H94", "sobolev.v.H94", f"sobolev.rho.H{10**400}", "besov.rho.205.2.2", "besov.rho.-205.2.2"],
+        ids=["sobolev.rho.H94", "sobolev.v.H94", "sobolev.rho.H1e400", "besov.rho.205.2.2", "besov.rho.-205.2.2"],
+    )
+    def test_probe_weight_beyond_the_float_range_is_config_error(self, tmp_path, capsys, name):
+        # on demo's 128^2 grid these weights pass e^700 at the top mode: the
+        # run used to end in an OverflowError or record inf at every step
+        root = tmp_path / "root"
+        assert cli_main(["run", str(self._demo_with_probe(tmp_path, name)), "--output-root", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: probe {name!r} weighs the top mode of the grid by e^")
+        assert "outside e^(+-700)" in err and "Traceback" not in err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("a", [-3.0, -1e-9, 0.0, 1e-9, 0.5, 7.6])
+    def test_sobolev_weight_is_the_power_sum(self, a):
+        from nsklab.probes import _log_power_sum
+
+        for k in (0, 1, 5, 40):
+            direct = math.log(sum(math.exp(m * a) for m in range(k + 1)))
+            assert _log_power_sum(a, k) == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["sobolev.rho.H3", "besov.rho.2.2.2"])
+    def test_probe_weight_inside_the_float_range_runs(self, tmp_path, name):
+        root = tmp_path / "root"
+        assert cli_main(["run", str(self._demo_with_probe(tmp_path, name)), "--output-root", str(root)]) == 0
+        header, *rows = (root / "out" / "demo" / "series.csv").read_text().splitlines()
+        column = header.split(",").index(name)
+        assert len(rows) == 3 and all(0.0 < float(row.split(",")[column]) < math.inf for row in rows)
 
     @pytest.mark.parametrize(
         "content",

@@ -134,3 +134,24 @@ def test_rejected_value_exits_two(tmp_path, capsys, values):
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not root.exists()
+
+
+# bool is a subclass of int: true and false once parsed as the numbers 1 and 0
+_NUMBER_KEYS = ("dim", "n", "box_length", "far_field_density", "gamma", "dt", "t_end", "cfl_safety", "seed", "state_stride")
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+@pytest.mark.parametrize("key", _NUMBER_KEYS)
+def test_a_boolean_is_no_number(tmp_path, capsys, key, value):
+    lines = _text(_usual_with("solver", cfl_safety=0.5), directory="run").splitlines() + ["state_stride = 1"]
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
+    lines[lineno - 1] = f"{key} = {value}"
+    text = "\n".join(lines)
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: '{key}' must be (int|float), got {value.title()}$"):
+        parse_config(text)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text)
+    root = tmp_path / "root"
+    assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: line {lineno}: '{key}'")
+    assert not root.exists()

@@ -1,12 +1,15 @@
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsklab.audits import csv_line
 from nsklab.degiorgi import (
     IterationSpec,
+    WindowCertificate,
     closed_form_bound,
     closed_form_log,
     flat_aware_gradient,
@@ -21,6 +24,7 @@ from nsklab.degiorgi import (
     truncate,
     truncation_terms,
 )
+from nsklab.experiment import CERTIFICATE_HEADER
 from nsklab.fields import FieldError, ScalarField, VectorField, constant_field, make_grid
 from nsklab.probes import stored_state_observer
 from nsklab.solver import (
@@ -304,9 +308,9 @@ class TestCertificate:
     def test_csv_shape(self, grid64, observed):
         states = [_const_state(grid64, 1.0, t) for t in (0.0, 1.0)]
         cert = lower_bound_certificate(_traj(states), c_v_estimate=0.0, stored=_inverse(observed, states))
-        lines = cert.csv_lines()
-        assert lines[0].startswith("window,")
-        assert len(lines) == 1 + len(cert.windows)
+        # certificate.csv has one column per window field, in field order
+        assert len(CERTIFICATE_HEADER) == len(fields(WindowCertificate))
+        assert {len(csv_line(astuple(w)).split(",")) for w in cert.windows} == {len(CERTIFICATE_HEADER)}
 
 
 class _CountedDensity(np.ndarray):

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nsklab import degiorgi, experiment
 from nsklab.audits import AuditReport
 from nsklab.config import parse_config
+from nsklab.degiorgi import WindowCertificate
 from nsklab.estimates import log_law_constant
 from nsklab.experiment import run_experiment
 from nsklab.fields import make_grid
@@ -99,6 +101,14 @@ def _read_rows(path: Path) -> list[AuditReport]:
     return rows
 
 
+def _read_windows(path: Path) -> list[WindowCertificate]:
+    windows = []
+    for line in path.read_text().strip().splitlines()[1:]:
+        index, *numbers, sound = line.split(",")
+        windows.append(WindowCertificate(int(index), *map(float, numbers), sound == "true"))
+    return windows
+
+
 def _collected(cfg):
     """The configured run by a direct ``run()`` whose observer collects the
     stored states and runs the audits' per-state parts on each: the states,
@@ -141,8 +151,50 @@ def test_streamed_rows_equal_collected_rows(tmp_path, template, stride):
     for got, want in zip(streamed, rows):
         assert got == want
     if "certificate" in cfg.audit_names:
-        assert (outdir / "certificate.csv").read_text() == "\n".join(ctx["certificate"].csv_lines()) + "\n"
+        assert _read_windows(outdir / "certificate.csv") == list(ctx["certificate"].windows)
         assert manifest.extra["certified_bound"] == ctx["certificate"].bound
+
+
+def test_every_csv_cell_reads_back_exactly(tmp_path, monkeypatch):
+    """Parsed back, each cell of series.csv, certificate.csv and the report's
+    summary equals the value the run held: a float, by ``==``, to the bit."""
+    held = {}
+
+    def keep(name, fn):
+        def wrapped(*args, **kwargs):
+            held[name] = fn(*args, **kwargs)
+            return held[name]
+
+        return wrapped
+
+    monkeypatch.setattr(experiment, "run", keep("record", run))
+    monkeypatch.setattr(degiorgi, "lower_bound_certificate", keep("cert", degiorgi.lower_bound_certificate))
+    manifest = run_experiment(parse_config(EFFECTIVE_2D.format(stride=2)), tmp_path)
+    outdir = Path(manifest.directory)
+    record, cert = held["record"], held["cert"]
+
+    header, *rows = (line.split(",") for line in (outdir / "series.csv").read_text().splitlines())
+    assert header == ["time", *record.scalars]
+    assert len(rows) == len(record.times) == 7
+    for i, (t, *cells) in enumerate(rows):
+        assert float(t) == record.times[i]
+        for name, cell in zip(record.scalars, cells, strict=True):
+            assert float(cell) == record.scalars[name][i]
+
+    assert (outdir / "certificate.csv").read_text().split("\n", 1)[0] == ",".join(experiment.CERTIFICATE_HEADER)
+    assert _read_windows(outdir / "certificate.csv") == list(cert.windows)
+    assert cert.windows
+
+    summary = experiment.report([outdir / "manifest.json"], tmp_path / "summary.csv")
+    header, row = (line.split(",") for line in summary.read_text().splitlines())
+    cell = dict(zip(header, row, strict=True))
+    assert (cell.pop("run"), cell.pop("preset"), cell.pop("aborted")) == (outdir.name, manifest.preset, "false")
+    assert (int(cell.pop("audit_total")), int(cell.pop("audit_failures"))) == (manifest.audit_total, manifest.audit_failures)
+    assert float(cell.pop("audit_pass_rate")) == 1.0 - manifest.audit_failures / manifest.audit_total
+    assert float(cell.pop("gamma")) == manifest.gamma
+    assert {key for key, text in cell.items() if text} == set(manifest.extra)
+    for key, value in manifest.extra.items():
+        assert float(cell[key]) == value
 
 
 class TestObserver:
