@@ -89,9 +89,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_audit(args) -> int:
     from .audits import audit_csv_lines
-    from .estimates import jungel_bounds, pi_equivalence_audit, region_split, second_order_terms
     from .fields import PositivityError, VectorField, read_snapshot
-    from .solver import FlowState, check_gamma
+    from .probes import AUDITS, resolve_audits, stored_state_observer
+    from .solver import FlowState, TrajectoryRecord, Workspace, check_gamma
     import numpy as np
 
     try:
@@ -100,13 +100,13 @@ def _cmd_audit(args) -> int:
     except (OSError, FieldError) as err:
         print(f"audit error: {err}", file=sys.stderr)
         return 2
-    gamma = args.gamma
+    # the field audits of one state, those that need gamma > 1 only where it holds
+    names = [n for n in ("jungel", "pi-equivalence", "region-split") if args.gamma > 1 or not AUDITS[n].gamma_above_one]
+    ctx = {"gamma": args.gamma}
     try:
         state = FlowState(t, rho, VectorField(rho.grid, np.zeros((rho.grid.dim,) + rho.grid.shape)))
-        reports = jungel_bounds(second_order_terms(state, identity=False), rho.grid.dim)
-        if gamma > 1.0:
-            reports.extend(pi_equivalence_audit(rho, rho.grid.far_field_density, gamma))
-            reports.append(region_split(state, gamma))
+        stored_state_observer(names, ctx)(Workspace(state))
+        reports = [r for fn in resolve_audits(names).values() for r in fn(TrajectoryRecord(rho.grid), ctx)]
     except PositivityError as err:  # a snapshot that is not a density
         print(f"audit error: {args.snapshot}: {err}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .fields import FieldError, Grid
-from .probes import GROWTH_PROBES, ProbeError, require_finite_weights, resolve_audits, resolve_probes
+from .probes import AUDITS, ProbeError, require_finite_weights, resolve_audits, resolve_probes
 from .solver import PRESET_NAMES, PRESET_PARAMS, SolverConfig, theorem_range_warnings
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
@@ -30,13 +30,6 @@ _SCHEMA = {
     "audits": ("names",),
     "output": ("directory", "state_stride"),
     "rng": ("seed",),
-}
-
-_REQUIRED = {
-    "grid": ("dim", "n", "box_length", "far_field_density"),
-    "preset": ("name",),
-    "solver": ("gamma", "dt", "t_end"),
-    "output": ("directory",),
 }
 
 
@@ -62,7 +55,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
-def _parse_scalar(raw: str, lineno: int):
+def _parse_scalar(raw: str):
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -100,7 +93,7 @@ def _raw_sections(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section_name}]")
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section_name}]")
-        current[key] = (_parse_scalar(raw, lineno), lineno)
+        current[key] = (_parse_scalar(raw), lineno)
     return sections
 
 
@@ -108,7 +101,8 @@ def _take(sections, section, key, expect, required=True, default=None):
     entry = sections.get(section, {}).get(key)
     if entry is None:
         if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
+            what = f"key {key!r} in [{section}]" if section in sections else f"section [{section}]"
+            raise ConfigError(f"missing required {what}")
         return default
     value, lineno = entry
     if expect is float and type(value) is int:
@@ -134,13 +128,6 @@ def _name_list(sections, section) -> tuple:
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _raw_sections(text)
-    for section, keys in _REQUIRED.items():
-        if section not in sections:
-            raise ConfigError(f"missing required section [{section}]")
-        for key in keys:
-            if key not in sections[section]:
-                raise ConfigError(f"missing required key {key!r} in [{section}]")
-
     grid_params = {
         "dim": _take(sections, "grid", "dim", int),
         "n": _take(sections, "grid", "n", int),
@@ -185,13 +172,11 @@ def parse_config(text: str) -> ExperimentConfig:
         resolve_audits(audit_names)
     except ProbeError as err:
         raise ConfigError(str(err)) from err
-    missing = [name for name in GROWTH_PROBES if name not in probe_names]
-    if "growth-law" in audit_names and missing:
-        raise ConfigError(
-            f"audit 'growth-law' reads the probes {', '.join(missing)}; add them to [probes] names"
-        )
-    for name in ("pi-equivalence", "region-split"):
-        if name in audit_names and solver.gamma == 1.0:
+    for name in audit_names:
+        missing = [probe for probe in AUDITS[name].probes if probe not in probe_names]
+        if missing:
+            raise ConfigError(f"audit {name!r} reads the probes {', '.join(missing)}; add them to [probes] names")
+        if AUDITS[name].gamma_above_one and solver.gamma == 1.0:
             raise ConfigError(f"audit {name!r} needs gamma > 1, got gamma = 1")
 
     state_stride = _take(sections, "output", "state_stride", int, required=False, default=1)
@@ -212,9 +197,7 @@ def parse_config(text: str) -> ExperimentConfig:
         directory=_take(sections, "output", "directory", str),
         state_stride=state_stride,
         seed=seed,
-        warnings=theorem_range_warnings(
-            _take(sections, "solver", "gamma", float), grid_params["dim"]
-        ),
+        warnings=theorem_range_warnings(solver.gamma, grid_params["dim"]),
         text=text,
     )
     return cfg

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -50,13 +51,22 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """Raises ValueError on text that is not JSON or not a manifest's keys.
-        The ``q_admissible`` key of older manifests is dropped."""
+        """Raises ValueError on text that is not JSON, not a manifest's keys or
+        a value not of its field's type (a bool is no number, an int serves as
+        a float).  The ``q_admissible`` key of older manifests is dropped."""
         data = json.loads(text)
         try:
-            return cls(**{key: value for key, value in data.items() if key != "q_admissible"})
+            manifest = cls(**{key: value for key, value in data.items() if key != "q_admissible"})
         except (AttributeError, TypeError) as err:
             raise ValueError(f"not a run manifest: {err}") from None
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            value, types = getattr(manifest, f.name), get_args(hints[f.name]) or (hints[f.name],)
+            # a bool is no int, though bool subclasses int; an int serves as a float
+            numeric = (*types, int) if float in types else types
+            if isinstance(value, bool) != (bool in types) or not isinstance(value, numeric):
+                raise ValueError(f"not a run manifest: {f.name!r} must be {f.type}, got {value!r}")
+        return manifest
 
 
 CERTIFICATE_HEADER = ("window", "t_start", "t_end", "k0", "U0", "v_inf", "M", "B", "observed_sup_inv_rho", "sound")

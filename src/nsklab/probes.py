@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import difflib
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +28,6 @@ __all__ = [
     "resolve_audits",
     "stored_state_observer",
     "known_probe_names",
-    "known_audit_names",
 ]
 
 
@@ -172,7 +173,9 @@ def _log_power_sum(a: float, k: int) -> float:
 def require_finite_weights(names, grid) -> None:
     """ProbeError unless the weight each named Sobolev or Besov probe puts on
     the grid's top mode lies within e^(+-700): sum_{m<=k} |xi|^(2m) for
-    ``sobolev.*.H<k>``, 2^(j s) for each block j <= j_max for ``besov.rho.<s>.*``."""
+    ``sobolev.*.H<k>``; for ``besov.rho.<s>.<p>.<r>``, 2^(j s r) for each block
+    j <= j_max, as its l^r sum raises each weighted block to the power r
+    (2^(j s) for r = inf)."""
     for name in names:
         if name.startswith(("sobolev.rho.H", "sobolev.v.H")):
             try:
@@ -180,7 +183,8 @@ def require_finite_weights(names, grid) -> None:
             except OverflowError:  # an order beyond the float range
                 log_weight = math.inf
         elif name.startswith("besov.rho."):
-            log_weight = top_block(grid) * _parse_exponent(name.split(".")[2]) * math.log(2.0)
+            s, _, r = map(_parse_exponent, name.split(".")[2:])
+            log_weight = (1.0 if r == math.inf else r) * top_block(grid) * s * math.log(2.0)
         else:
             continue
         if not abs(log_weight) < _LOG_RANGE:
@@ -232,83 +236,35 @@ def growth_law_audit(record) -> AuditReport:
     )
 
 
-# An audit is a per-state part and a finish.  The per-state part runs on the
-# workspace of each stored state as the run stores it (``run(observe=...)``)
-# and keeps what the finish needs of that state in the run's audit ``ctx``:
-# floats and audit rows only, except the certificate's, which keeps the
-# state's 1/rho because its windows need c_v from the whole run.  The finish,
-# ``fn(record, ctx)``, runs once the run is over and reads only ctx and the
-# record's per-step columns.
+@dataclass(frozen=True)
+class Audit:
+    """One trajectory audit, all of it in one ``AUDITS`` entry.
 
-# the reverse-Hoelder audit's p, and the psi exponents its per-state part reads
-REVERSE_HOLDER_PS = (1, 2, 3)
-_RH_EXPONENTS = estimates.reverse_holder_exponents(REVERSE_HOLDER_PS)
-# each audit's per-state part and the ctx key it keeps its results under;
-# bd-identity and jungel share one, which computes what each of them reads
-_PER_STATE = {
-    "pi-equivalence": (
-        "pi_rows",
-        lambda ws, ctx: estimates.pi_equivalence_audit(ws.state.rho, ws.state.grid.far_field_density, ctx["gamma"]),
-    ),
-    "region-split": ("region_rows", lambda ws, ctx: estimates.region_split(ws.state, ctx["gamma"])),
-    "reverse-holder": ("velocity_moments", lambda ws, ctx: estimates.velocity_moments(ws, _RH_EXPONENTS)),
-    "certificate": ("inverse_density", lambda ws, ctx: degiorgi.inverse_density(ws.state)),
-}
-# audits that read second_order_terms, with the flag each one needs
-SECOND_ORDER = {"bd-identity": "identity", "jungel": "convexity"}
+    ``part(ws, ctx)`` runs on the workspace of each stored state as the run
+    stores it (``run(observe=...)``) and its result is appended to ``ctx[key]``:
+    floats and audit rows only, except the certificate's 1/rho, as its windows
+    need c_v from the whole run.  An audit with ``second_order`` reads instead
+    the stored states' ``second_order_terms`` with that flag set, one derivation
+    per state for every such audit of a run.  ``finish(record, ctx)`` runs once
+    the run is over and reads only ctx and the record's per-step columns: those
+    of ``probes``, which a config must record.  ``gamma_above_one``: a config
+    must have gamma > 1.
+    """
+
+    finish: Callable
+    part: Callable | None = None
+    key: str | None = None
+    second_order: str | None = None
+    probes: tuple = ()
+    gamma_above_one: bool = False
 
 
-def stored_state_observer(names, ctx):
-    """``observe(ws)`` for ``run()``: the per-state parts of the named audits
-    on a stored state's workspace, each result appended to its list in
-    ``ctx``, and the state's time to ``ctx["stored_times"]``."""
-    flags = {flag: name in names for name, flag in SECOND_ORDER.items()}
-    parts = dict(_PER_STATE[name] for name in names if name in _PER_STATE)
-    if flags["identity"] or flags["convexity"]:
-        parts["second_order_terms"] = lambda ws, ctx: estimates.second_order_terms(ws.state, **flags)
-    kept = {key: ctx.setdefault(key, []) for key in ("stored_times", *parts)}
-
-    def observe(ws):
-        kept["stored_times"].append(ws.state.t)
-        for key, fn in parts.items():
-            kept[key].append(fn(ws, ctx))
-
-    return observe
+def _merged(key):
+    """The finish that keeps, per inequality id, the worst row kept under ``key``."""
+    return lambda record, ctx: _merge_worst([r for rows in ctx[key] for r in rows])
 
 
-def _audit_pi(record, ctx):
-    return _merge_worst([r for rows in ctx["pi_rows"] for r in rows])
-
-
-def _audit_jungel(record, ctx):
-    reports = []
-    for t in ctx["second_order_terms"]:
-        reports.extend(estimates.jungel_bounds(t, record.grid.dim))
-    return _merge_worst(reports)
-
-
-def _audit_region(record, ctx):
-    return _merge_worst(ctx["region_rows"])
-
-
-def _audit_bd(record, ctx):
-    return [estimates.bd_identity_audit(ctx["second_order_terms"])]
-
-
-def _audit_loglaw(record, ctx):
-    return [estimates.log_law_audit(record, preset=ctx.get("preset"))]
-
-
-def _audit_reverse_holder(record, ctx):
-    stored = ctx["stored_times"], ctx["velocity_moments"]
-    return _merge_worst(estimates.reverse_holder_audit(record, REVERSE_HOLDER_PS, stored, preset=ctx.get("preset")))
-
-
-def _audit_growth(record, ctx):
-    return [growth_law_audit(record)]
-
-
-def _audit_certificate(record, ctx):
+def _certificate(record, ctx):
     cert = degiorgi.lower_bound_certificate(record, ctx["c_v"], (ctx["stored_times"], ctx["inverse_density"]))
     ctx["certificate"] = cert
     if not cert.certified:
@@ -326,32 +282,71 @@ def _audit_certificate(record, ctx):
     ]
 
 
+# the reverse-Hoelder audit's p, and the psi exponents its per-state part reads
+REVERSE_HOLDER_PS = (1, 2, 3)
+_RH_EXPONENTS = estimates.reverse_holder_exponents(REVERSE_HOLDER_PS)
+
 AUDITS = {
-    "pi-equivalence": _audit_pi,
-    "jungel": _audit_jungel,
-    "region-split": _audit_region,
-    "bd-identity": _audit_bd,
-    "log-law": _audit_loglaw,
-    "reverse-holder": _audit_reverse_holder,
-    "growth-law": _audit_growth,
-    "certificate": _audit_certificate,
+    "pi-equivalence": Audit(
+        _merged("pi_rows"),
+        lambda ws, ctx: estimates.pi_equivalence_audit(ws.state.rho, ws.state.grid.far_field_density, ctx["gamma"]),
+        "pi_rows",
+        gamma_above_one=True,
+    ),
+    "jungel": Audit(
+        lambda record, ctx: _merge_worst(
+            [r for terms in ctx["second_order_terms"] for r in estimates.jungel_bounds(terms, record.grid.dim)]
+        ),
+        second_order="convexity",
+    ),
+    "region-split": Audit(
+        _merged("region_rows"),
+        lambda ws, ctx: [estimates.region_split(ws.state, ctx["gamma"])],
+        "region_rows",
+        gamma_above_one=True,
+    ),
+    "bd-identity": Audit(
+        lambda record, ctx: [estimates.bd_identity_audit(ctx["second_order_terms"])], second_order="identity"
+    ),
+    "log-law": Audit(lambda record, ctx: [estimates.log_law_audit(record, preset=ctx.get("preset"))]),
+    "reverse-holder": Audit(
+        lambda record, ctx: _merge_worst(
+            estimates.reverse_holder_audit(
+                record, REVERSE_HOLDER_PS, (ctx["stored_times"], ctx["velocity_moments"]), preset=ctx.get("preset")
+            )
+        ),
+        lambda ws, ctx: estimates.velocity_moments(ws, _RH_EXPONENTS),
+        "velocity_moments",
+    ),
+    "growth-law": Audit(lambda record, ctx: [growth_law_audit(record)], probes=GROWTH_PROBES),
+    "certificate": Audit(_certificate, lambda ws, ctx: degiorgi.inverse_density(ws.state), "inverse_density"),
 }
 
 
-def known_audit_names() -> list[str]:
-    return sorted(AUDITS)
+def stored_state_observer(names, ctx):
+    """``observe(ws)`` for ``run()``: the per-state parts of the named audits
+    on a stored state's workspace, each result appended to its list in
+    ``ctx``, and the state's time to ``ctx["stored_times"]``."""
+    named = [audit for name, audit in AUDITS.items() if name in names]
+    parts = {audit.key: audit.part for audit in named if audit.part is not None}
+    flags = {flag: any(audit.second_order == flag for audit in named) for flag in ("identity", "convexity")}
+    if any(flags.values()):
+        parts["second_order_terms"] = lambda ws, ctx: estimates.second_order_terms(ws.state, **flags)
+    kept = {key: ctx.setdefault(key, []) for key in ("stored_times", *parts)}
+
+    def observe(ws):
+        kept["stored_times"].append(ws.state.t)
+        for key, fn in parts.items():
+            kept[key].append(fn(ws, ctx))
+
+    return observe
 
 
 def resolve_audits(names) -> dict:
-    """Audit finishes ``fn(record, ctx)`` by name.
-
-    Each reads what its per-state part kept in the run's ``ctx`` (see
-    ``stored_state_observer``); the second-order audits share one derivation
-    per stored state.
-    """
+    """Audit finishes ``fn(record, ctx)`` by name (see ``Audit``)."""
     for name in names:
         if name not in AUDITS:
-            near = difflib.get_close_matches(name, known_audit_names(), n=3)
+            near = difflib.get_close_matches(name, sorted(AUDITS), n=3)
             hint = f"; nearest valid names: {', '.join(near)}" if near else ""
             raise ProbeError(f"unknown audit {name!r}{hint}")
-    return {name: AUDITS[name] for name in names}
+    return {name: AUDITS[name].finish for name in names}

@@ -11,6 +11,7 @@ from nsklab.cli import main as cli_main
 from nsklab.config import ConfigError, parse_config
 from nsklab.experiment import RunManifest, report, run_experiment, sweep
 from nsklab.fields import FieldError, ScalarField, make_grid, read_snapshot, write_snapshot
+from nsklab.probes import AUDITS
 from nsklab.solver import SolverConfig
 
 MINIMAL = """
@@ -65,6 +66,17 @@ seed = 7
 """
 
 
+def _missing_probe_cases():
+    """For each audit that reads probe columns: a config that records none of
+    them, and one that records all but the last."""
+    for audit, entry in AUDITS.items():
+        if not entry.probes:
+            continue
+        for recorded in (("venergy",), entry.probes[:-1]):
+            names, missing = ", ".join(recorded), ", ".join(p for p in entry.probes if p not in recorded)
+            yield pytest.param(audit, names, missing, id=f"{names}-{missing}")
+
+
 class TestParse:
     def test_minimal_with_defaults(self):
         cfg = parse_config(MINIMAL.format(outdir="out"))
@@ -106,27 +118,35 @@ class TestParse:
         assert f"line {lineno}: unknown key 'snapshots'" in capsys.readouterr().err
         assert not (tmp_path / "snap").exists()
 
-    @pytest.mark.parametrize(
-        "names,missing",
-        [
-            ("venergy", "norm.weighted.p2, norm.weighted.p6, norm.weighted.p14, norm.weighted.p30"),
-            ("norm.weighted.p2, norm.weighted.p6, norm.weighted.p14", "norm.weighted.p30"),
-        ],
-    )
-    def test_growth_law_needs_its_four_probes(self, tmp_path, capsys, names, missing):
-        text = MINIMAL.format(outdir="growth") + f"\n[probes]\nnames = {names}\n\n[audits]\nnames = growth-law\n"
-        with pytest.raises(ConfigError, match=f"audit 'growth-law' reads the probes {missing};"):
+    def test_the_audit_table_declares_each_prerequisite(self):
+        assert {name: audit.probes for name, audit in AUDITS.items() if audit.probes} == {
+            "growth-law": ("norm.weighted.p2", "norm.weighted.p6", "norm.weighted.p14", "norm.weighted.p30")
+        }
+        assert [name for name, audit in AUDITS.items() if audit.gamma_above_one] == ["pi-equivalence", "region-split"]
+        assert {name: audit.second_order for name, audit in AUDITS.items() if audit.second_order} == {
+            "jungel": "convexity",
+            "bd-identity": "identity",
+        }
+        # a per-state part is kept under its own key, and no audit has both kinds
+        keys = [audit.key for audit in AUDITS.values() if audit.part is not None]
+        assert len(set(keys)) == len(keys) and None not in keys
+        assert not any(audit.part and audit.second_order for audit in AUDITS.values())
+
+    @pytest.mark.parametrize("audit,names,missing", list(_missing_probe_cases()))
+    def test_growth_law_needs_its_four_probes(self, tmp_path, capsys, audit, names, missing):
+        text = MINIMAL.format(outdir="growth") + f"\n[probes]\nnames = {names}\n\n[audits]\nnames = {audit}\n"
+        with pytest.raises(ConfigError, match=f"audit '{audit}' reads the probes {missing};"):
             parse_config(text)
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(text)
         assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
         assert missing in capsys.readouterr().err
         assert not (tmp_path / "growth").exists()
-        # with the four probes recorded the audit is accepted
-        complete = text.replace(names, "norm.weighted.p2, norm.weighted.p6, norm.weighted.p14, norm.weighted.p30")
-        assert parse_config(complete).audit_names == ("growth-law",)
+        # with its probes recorded the audit is accepted
+        complete = text.replace(f"names = {names}\n", f"names = {', '.join(AUDITS[audit].probes)}\n")
+        assert parse_config(complete).audit_names == (audit,)
 
-    @pytest.mark.parametrize("audit", ["pi-equivalence", "region-split"])
+    @pytest.mark.parametrize("audit", [name for name, audit in AUDITS.items() if audit.gamma_above_one])
     def test_gamma_one_audit_is_config_error(self, tmp_path, capsys, audit):
         # both audits read the potential energy's gamma > 1 branch at every stored state
         text = MINIMAL.format(outdir="gamma1").replace("gamma = 2.0", "gamma = 1.0") + f"\n[audits]\nnames = {audit}\n"
@@ -355,6 +375,36 @@ class TestReport:
         assert report([manifest_path], tmp_path / "old.csv").read_text() == current
         assert "q_admissible" not in current
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("extra", 5),
+            ("audit_total", "x"),
+            ("files", 3),
+            ("gamma", "two"),
+            ("audit_total", True),
+            ("aborted", 1),
+            ("abort_time", "soon"),
+        ],
+    )
+    def test_mistyped_manifest_is_report_error(self, tmp_path, capsys, key, value):
+        cfg = parse_config(MINIMAL.format(outdir="typed"))
+        manifest_path = Path(run_experiment(cfg, tmp_path).directory) / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data[key] = value
+        manifest_path.write_text(json.dumps(data))
+        assert cli_main(["report", str(manifest_path), "-o", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report error: {manifest_path}: not a run manifest: {key!r} must be ")
+        assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
+
+    def test_manifest_takes_an_int_for_a_float(self, tmp_path):
+        cfg = parse_config(MINIMAL.format(outdir="loose"))
+        manifest_path = Path(run_experiment(cfg, tmp_path).directory) / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data["gamma"], data["wall_time_s"] = 2, 1
+        assert RunManifest.from_json(json.dumps(data)).gamma == 2
+
     def test_c_v_is_the_runs_log_law_constant(self, tmp_path):
         from nsklab.estimates import log_law_constant
         from nsklab.probes import resolve_probes
@@ -470,12 +520,27 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "name",
-        ["sobolev.rho.H94", "sobolev.v.H94", f"sobolev.rho.H{10**400}", "besov.rho.205.2.2", "besov.rho.-205.2.2"],
-        ids=["sobolev.rho.H94", "sobolev.v.H94", "sobolev.rho.H1e400", "besov.rho.205.2.2", "besov.rho.-205.2.2"],
+        [
+            "sobolev.rho.H94",
+            "sobolev.v.H94",
+            f"sobolev.rho.H{10**400}",
+            "besov.rho.205.2.2",
+            "besov.rho.-205.2.2",
+            "besov.rho.200.2.2",
+        ],
+        ids=[
+            "sobolev.rho.H94",
+            "sobolev.v.H94",
+            "sobolev.rho.H1e400",
+            "besov.rho.205.2.2",
+            "besov.rho.-205.2.2",
+            "besov.rho.200.2.2",
+        ],
     )
     def test_probe_weight_beyond_the_float_range_is_config_error(self, tmp_path, capsys, name):
         # on demo's 128^2 grid these weights pass e^700 at the top mode: the
-        # run used to end in an OverflowError or record inf at every step
+        # run used to end in an OverflowError or record inf at every step;
+        # besov.rho.200.2.2's 2^(j_max s) = e^693 passes it once its l^2 sum squares it
         root = tmp_path / "root"
         assert cli_main(["run", str(self._demo_with_probe(tmp_path, name)), "--output-root", str(root)]) == 2
         err = capsys.readouterr().err
@@ -491,7 +556,7 @@ class TestCli:
             direct = math.log(sum(math.exp(m * a) for m in range(k + 1)))
             assert _log_power_sum(a, k) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("name", ["sobolev.rho.H3", "besov.rho.2.2.2"])
+    @pytest.mark.parametrize("name", ["sobolev.rho.H3", "besov.rho.2.2.2", "besov.rho.200.2.1", "besov.rho.200.2.inf"])
     def test_probe_weight_inside_the_float_range_runs(self, tmp_path, name):
         root = tmp_path / "root"
         assert cli_main(["run", str(self._demo_with_probe(tmp_path, name)), "--output-root", str(root)]) == 0
@@ -520,6 +585,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("inequality_id,")
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.0])
+    def test_audit_verb_prints_the_field_audits_of_the_state(self, tmp_path, capsys, gamma):
+        from nsklab.audits import audit_csv_lines
+        from nsklab.estimates import jungel_bounds, pi_equivalence_audit, region_split, second_order_terms
+        from nsklab.fields import VectorField
+        from nsklab.solver import FlowState
+
+        # a bump up to 5.5 rho_bar, so that both density ranges hold points
+        g = make_grid(2, 32, 4 * np.pi, 1.0)
+        x, y = g.meshgrid()
+        path = tmp_path / "bump.rho.nskf"
+        write_snapshot(ScalarField(g, 1.0 + 4.5 * np.exp(-((x - 2 * np.pi) ** 2 + (y - 2 * np.pi) ** 2))), 0.25, path)
+        code = cli_main(["audit", str(path), "--gamma", str(gamma)])
+        rho, t = read_snapshot(path)
+        state = FlowState(t, rho, VectorField(g, np.zeros((2,) + g.shape)))
+        expected = jungel_bounds(second_order_terms(state, identity=False), 2)
+        if gamma > 1.0:
+            expected += [*pi_equivalence_audit(rho, 1.0, gamma), region_split(state, gamma)]
+        assert capsys.readouterr().out.splitlines() == audit_csv_lines(expected)
+        assert len(expected) == (5 if gamma > 1.0 else 2)
+        assert code == (0 if all(r.passed for r in expected) else 1)
 
     def test_audit_of_a_non_positive_snapshot_is_audit_error(self, tmp_path, capsys):
         # a velocity component is no density: the audits' positivity check refuses it
