@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .degiorgi import truncate, truncation_terms
+from .degiorgi import inverse_density, truncate, truncation_terms
 from .dyadic import (
     BesovIndex,
     TimeSeriesField,
@@ -131,8 +131,10 @@ def calibrate_heat(out):
 
 def _preset_runs():
     """Each calibration run's ``(record, ctx)``.  ctx holds the initial energy
-    ``e0`` and what the reverse-Hoelder and certificate audits' per-state parts
-    kept of each stored state: the calibration reads no stored state otherwise."""
+    ``e0``, what the reverse-Hoelder audit's per-state part kept of each stored
+    state and each stored state's 1/rho (the certificate sweep reads levels
+    below any window's base, so it needs every one): the calibration reads no
+    stored state otherwise."""
     # canonical mild runs plus the near-vacuum bump variant, so the frozen
     # trajectory constants envelope both regimes
     runs = {}
@@ -141,8 +143,13 @@ def _preset_runs():
     dip = {"amplitude": -0.99, "width": 0.08 * grid.box_length}
     for key, params in (("gaussian-bump", None), ("random-large", None), (("gaussian-bump", "dip"), dip)):
         state = to_effective(make_preset(key if isinstance(key, str) else key[0], grid, params, seed=12))
-        ctx = {"e0": energy(state, 2.0).total}
-        observe = stored_state_observer(("reverse-holder", "certificate"), ctx)
+        ctx = {"e0": energy(state, 2.0).total, "inverse_density": []}
+        moments = stored_state_observer(("reverse-holder",), ctx)
+
+        def observe(ws):
+            moments(ws)
+            ctx["inverse_density"].append(inverse_density(ws.state))
+
         runs[key] = run(state, cfg, state_stride=25, observe=observe), ctx
     return runs
 

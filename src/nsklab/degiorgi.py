@@ -33,6 +33,7 @@ __all__ = [
     "ladder",
     "flat_aware_gradient",
     "inverse_density",
+    "readable_inverse_density",
     "truncation_terms",
     "WindowCertificate",
     "CertificateReport",
@@ -180,12 +181,34 @@ def inverse_density(s) -> ScalarField:
     return ScalarField(s.grid, 1.0 / s.rho.values)
 
 
+def _first_base(min_rho: float) -> float:
+    """The first window's truncation level: twice 1/min rho at the first stored state."""
+    return 2.0 * (1.0 / min_rho)
+
+
+def readable_inverse_density(ws, ctx: dict):
+    """The certificate's per-state part: the 1/rho of the workspace's state
+    where a window can read it, else None, with no 1/rho formed.  Each window
+    truncates at a level k at or above the first base, which
+    ``ctx["certificate_floor"]`` keeps from the first stored state (later
+    bases are M + base >= 3 base), and (1/rho - k)_+ = 0 where 1/min rho,
+    max 1/rho bit for bit, is <= k."""
+    min_rho = float(np.min(ws.state.rho.values))
+    floor = ctx.setdefault("certificate_floor", _first_base(min_rho))
+    return inverse_density(ws.state) if 1.0 / min_rho > floor else None
+
+
 def truncation_terms(inverse, times, k: float) -> tuple[float, float]:
     """Over inverse densities w at ``times``: sup in time of the squared L2 norm
     of (w - k)_+, and the time integral of its squared flat-aware gradient.
-    ``inverse`` is read once, in order, so it may form each w on demand."""
+    ``inverse`` is read once, in order, so it may form each w on demand.  A
+    None w is one with max w <= k: it adds the 0.0 a zero (w - k)_+ adds to
+    both, with no field read."""
     sup_l2_sq, grad_sq = 0.0, []
     for w in inverse:
+        if w is None:
+            grad_sq.append(0.0)
+            continue
         w = truncate(w, k)
         cell = w.grid.cell_volume
         sup_l2_sq = max(sup_l2_sq, float(np.sum(w.values**2) * cell))
@@ -256,7 +279,8 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, stored):
     The base, |v|_inf and the observed sup 1/rho come from the record's
     per-step ``density.min`` and ``veff.max`` columns at the stored rows; U0
     reads the stored states' inverse densities.  ``stored`` is the stored
-    states' times and inverse densities, as a run's audit observer keeps them.
+    states' times and inverse densities, as a run's audit observer keeps them
+    (``readable_inverse_density``: None where no window can read one).
     """
     constant = calibrated("certificate.C")
     times, inverse = stored
@@ -265,10 +289,11 @@ def lower_bound_certificate(trajectory, c_v_estimate: float, stored):
     horizon = times[-1] - times[0]
     rows = trajectory.stored_rows(times)
     # max(1/rho) is 1/min(rho) bit for bit: correctly rounded division is monotone
-    sup_inv = [1.0 / m for m in trajectory.scalars["density.min"][rows].tolist()]
+    minima = trajectory.scalars["density.min"][rows].tolist()
+    sup_inv = [1.0 / m for m in minima]
     v_inf = trajectory.scalars["veff.max"][rows].tolist()
 
-    base = 2.0 * sup_inv[0]
+    base = _first_base(minima[0])
     if c_v_estimate < 0 or not math.isfinite(c_v_estimate):
         return CertificateReport(
             False, f"invalid velocity-control estimate c_v={c_v_estimate}", (), math.inf, math.inf, False, constant

@@ -53,7 +53,9 @@ class RunManifest:
     def from_json(cls, text: str) -> "RunManifest":
         """Raises ValueError on text that is not JSON, not a manifest's keys or
         a value not of its field's type (a bool is no number, an int serves as
-        a float).  The ``q_admissible`` key of older manifests is dropped."""
+        a float), and on an ``extra`` value that is no number, as the summary
+        writes each one in a column of its own.  The ``q_admissible`` key of
+        older manifests is dropped."""
         data = json.loads(text)
         try:
             manifest = cls(**{key: value for key, value in data.items() if key != "q_admissible"})
@@ -66,6 +68,9 @@ class RunManifest:
             numeric = (*types, int) if float in types else types
             if isinstance(value, bool) != (bool in types) or not isinstance(value, numeric):
                 raise ValueError(f"not a run manifest: {f.name!r} must be {f.type}, got {value!r}")
+        for key, value in manifest.extra.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"not a run manifest: 'extra' value {key!r} must be a number, got {value!r}")
         return manifest
 
 

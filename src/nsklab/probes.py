@@ -46,6 +46,16 @@ def _shared(key, fn):
     return get
 
 
+def _second_order(identity: bool, convexity: bool):
+    """``second_order_terms`` of a workspace's state with these flags, kept in
+    its ``floats`` under one key per pair of flags: the ``jungel.*`` probes and
+    the stored-state observer share it where their flags agree."""
+    return _shared(
+        ("second_order_terms", identity, convexity),
+        lambda ws: estimates.second_order_terms(ws.state, identity=identity, convexity=convexity),
+    )
+
+
 _WEIGHTED = "norm.weighted.p"
 _PSI = "psi.p"
 
@@ -65,7 +75,7 @@ def _simple_probes(gamma: float, moment_names=()) -> dict:
     qs = tuple(exponents.values())
     energy = _shared(("energy", gamma), lambda ws: estimates.energy(ws.primitive, gamma))
     vdiss = _shared(("vdiss", gamma), lambda ws: estimates.v_energy_dissipations(ws.effective, gamma))
-    jungel = _shared("jungel", lambda ws: estimates.second_order_terms(ws.state, identity=False))
+    jungel = _second_order(identity=False, convexity=True)
     moments = _shared(("moments", qs), lambda ws: estimates.velocity_moments(ws, qs))
     simple = {
         "energy.total": lambda ws: energy(ws).total,
@@ -242,13 +252,15 @@ class Audit:
 
     ``part(ws, ctx)`` runs on the workspace of each stored state as the run
     stores it (``run(observe=...)``) and its result is appended to ``ctx[key]``:
-    floats and audit rows only, except the certificate's 1/rho, as its windows
-    need c_v from the whole run.  An audit with ``second_order`` reads instead
-    the stored states' ``second_order_terms`` with that flag set, one derivation
-    per state for every such audit of a run.  ``finish(record, ctx)`` runs once
-    the run is over and reads only ctx and the record's per-step columns: those
-    of ``probes``, which a config must record.  ``gamma_above_one``: a config
-    must have gamma > 1.
+    floats and audit rows only, except the certificate's 1/rho where a window
+    can read it (``degiorgi.readable_inverse_density``), as its windows need
+    c_v from the whole run.  An audit with ``second_order`` reads instead the
+    stored states' ``second_order_terms`` with that flag set, one derivation
+    per state for every such audit of a run (and the ``jungel.*`` probes, if
+    the flags agree).  ``finish(record, ctx)`` runs once the run is over and
+    reads only ctx and the record's per-step columns: those of ``probes``,
+    which a config must record.  ``gamma_above_one``: a config must have
+    gamma > 1.
     """
 
     finish: Callable
@@ -319,7 +331,7 @@ AUDITS = {
         "velocity_moments",
     ),
     "growth-law": Audit(lambda record, ctx: [growth_law_audit(record)], probes=GROWTH_PROBES),
-    "certificate": Audit(_certificate, lambda ws, ctx: degiorgi.inverse_density(ws.state), "inverse_density"),
+    "certificate": Audit(_certificate, degiorgi.readable_inverse_density, "inverse_density"),
 }
 
 
@@ -331,7 +343,8 @@ def stored_state_observer(names, ctx):
     parts = {audit.key: audit.part for audit in named if audit.part is not None}
     flags = {flag: any(audit.second_order == flag for audit in named) for flag in ("identity", "convexity")}
     if any(flags.values()):
-        parts["second_order_terms"] = lambda ws, ctx: estimates.second_order_terms(ws.state, **flags)
+        second_order = _second_order(**flags)
+        parts["second_order_terms"] = lambda ws, ctx: second_order(ws)
     kept = {key: ctx.setdefault(key, []) for key in ("stored_times", *parts)}
 
     def observe(ws):

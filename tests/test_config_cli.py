@@ -398,6 +398,30 @@ class TestReport:
         assert err.startswith(f"report error: {manifest_path}: not a run manifest: {key!r} must be ")
         assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("value", [[1, 2], "1,2", True, None], ids=["list", "comma", "bool", "null"])
+    def test_extra_value_that_is_no_number_is_report_error(self, tmp_path, capsys, value):
+        cfg = parse_config(MINIMAL.format(outdir="extra"))
+        manifest_path = Path(run_experiment(cfg, tmp_path).directory) / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data["extra"]["c_v"] = value  # a list or a comma would split the summary's c_v cell
+        manifest_path.write_text(json.dumps(data))
+        assert cli_main(["report", str(manifest_path), "-o", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report error: {manifest_path}: not a run manifest: 'extra' value 'c_v' must be ")
+        assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
+
+    def test_valid_manifest_gives_one_cell_per_column(self, tmp_path):
+        cfg = parse_config(MINIMAL.format(outdir="valid"))
+        manifest_path = Path(run_experiment(cfg, tmp_path).directory) / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data["extra"]["growth.p2"] = 3  # an int is a number too
+        manifest_path.write_text(json.dumps(data))
+        assert cli_main(["report", str(manifest_path), "-o", str(tmp_path / "s.csv")]) == 0
+        header, row = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()]
+        assert len(header) == len(row) == 16
+        assert float(row[header.index("c_v")]) == data["extra"]["c_v"]
+        assert row[header.index("growth.p2")] == "3"
+
     def test_manifest_takes_an_int_for_a_float(self, tmp_path):
         cfg = parse_config(MINIMAL.format(outdir="loose"))
         manifest_path = Path(run_experiment(cfg, tmp_path).directory) / "manifest.json"

@@ -372,15 +372,20 @@ class TestCertificateReadsTheRecord:
         cert = lower_bound_certificate(rec, c_v_estimate=0.0, stored=stored)
         assert cert.windows[0].base == 2.0 / rec.scalars["density.min"][0]
 
-    @pytest.mark.parametrize("c_v", [0.0, 2.0])
-    def test_one_inverse_density_per_stored_state(self, grid64, observed, c_v):
+    @pytest.mark.parametrize(
+        "c_v,rate", [(0.0, 1.0), (2.0, 1.0), (0.0, 3.0), (2.0, 3.0)], ids=["0.0", "2.0", "0.0-rate3", "2.0-rate3"]
+    )
+    def test_one_inverse_density_per_stored_state(self, grid64, observed, c_v, rate):
+        # one 1/rho per state a window can read, none for the others: 1/rho =
+        # 1 + rate t tops the first base 2 for t > 1/rate only (at rate 1 it
+        # reaches 2 at t = 1, which truncates to zero at every window's level)
         times = np.linspace(0.0, 1.0, 11)
-        states = [_const_state(grid64, 1.0 / (1.0 + t), t) for t in times]
+        states = [_const_state(grid64, 1.0 / (1.0 + rate * t), t) for t in times]
         rec = _traj(states)
         arrays = _counted(states)
         cert = lower_bound_certificate(rec, c_v_estimate=c_v, stored=_inverse(observed, states))
         assert len(cert.windows) == (1 if c_v == 0.0 else 8)
-        assert [a.divisions for a in arrays] == [1] * len(times)
+        assert [a.divisions for a in arrays] == [int(t > 1.0 / rate) for t in times]
 
     def test_stored_state_without_a_row_is_an_error(self, grid64, observed):
         states = [_const_state(grid64, 1.0, t) for t in (0.0, 1.0)]
@@ -388,6 +393,49 @@ class TestCertificateReadsTheRecord:
         rec.times = np.array([0.0, 0.5])
         with pytest.raises(FieldError, match="no row"):
             lower_bound_certificate(rec, c_v_estimate=0.0, stored=_inverse(observed, states))
+
+
+class TestCertificateKeepsWhatItsWindowsRead:
+    """The certificate's per-state part keeps a state's 1/rho only where it
+    tops the first base, and the certificate is the one every 1/rho gives."""
+
+    @pytest.mark.parametrize("c_v", [0.0, 1.0, 2.0])
+    def test_kept_fields_give_the_certificate_of_every_field(self, observed, c_v):
+        # 1/rho = (1 + 3t)(1 + tent) tops the first base 3 (twice its first max) for t > 1/3
+        g, h, _, _ = _tent_field()
+        vel = VectorField(g, np.full((2,) + g.shape, 0.5))
+        states = [
+            FlowState(t, ScalarField(g, 1.0 / ((1.0 + 3.0 * t) * (1.0 + h))), vel, "effective")
+            for t in np.linspace(0.0, 1.0, 11)
+        ]
+        rec = _traj(states)
+        times, kept = _inverse(observed, states)
+        assert [w is not None for w in kept] == [t > 1.0 / 3.0 for t in times]
+        cert = lower_bound_certificate(rec, c_v_estimate=c_v, stored=(times, kept))
+        every = [inverse_density(s) for s in states]
+        assert cert == lower_bound_certificate(rec, c_v_estimate=c_v, stored=(times, every))
+        assert cert.windows[0].u0 > 0.0 or c_v == 2.0  # at c_v = 2 the first window ends at t = 1/8
+
+    def test_none_adds_what_a_field_below_the_level_adds(self):
+        g, h, _, _ = _tent_field()
+        w, below = ScalarField(g, 2.0 + h), ScalarField(g, 1.0 + h)
+        times = [0.0, 0.3, 1.0]
+        assert truncation_terms([None, w, None], times, 1.5) == truncation_terms([below, w, below], times, 1.5)
+
+    def test_run_like_demo_keeps_no_field(self):
+        g = make_grid(2, 32, 4 * np.pi, 1.0)
+        bump = make_preset("gaussian-bump", g, {"amplitude": 0.5, "width": 0.1 * g.box_length})
+        ctx, every = {}, []
+        part = stored_state_observer(("certificate",), ctx)
+
+        def observe(ws):
+            part(ws)
+            every.append(inverse_density(ws.state))
+
+        rec = run(to_effective(bump), SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02), state_stride=5, observe=observe)
+        times, kept = ctx["stored_times"], ctx["inverse_density"]
+        assert kept == [None] * 5
+        assert lower_bound_certificate(rec, 1.0, (times, kept)) == lower_bound_certificate(rec, 1.0, (times, every))
 
 
 def _manufactured_states(grid, times, mu=2.0, amp=0.4):

@@ -9,7 +9,8 @@ output bit, and no derived array may outlive the step it belongs to.  The
 run loop carries the spectra of rho and v from one effective step to the
 next, which moves the trajectory by round-off only.  The bd-identity and
 jungel audits share one derivation per stored state through the run's audit
-context, in either order, and keep only its floats.
+context, in either order, and keep only its floats; the ``jungel.*`` probes
+share it too where their flags agree.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import pytest
 
 from nsklab import estimates, solver
 from nsklab.fields import hessian, jacobian, log_field, make_grid
-from nsklab.probes import resolve_audits, resolve_probes
+from nsklab.probes import resolve_audits, resolve_probes, stored_state_observer
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -400,6 +401,35 @@ class TestSecondOrderAudits:
 
         t = estimates.second_order_terms(s)
         assert (t["D"], t["u"], t["lhs"]) == (weighted(hess), weighted(jac), weighted(jac + hess))
+
+    @pytest.mark.parametrize("audit,calls", [("jungel", 51), ("bd-identity", 57)])
+    def test_jungel_probes_share_the_stored_states_derivation(self, monkeypatch, audit, calls):
+        # jungel's flags are the probes' (no identity, convexity): its 6 stored
+        # states reuse the probes' derivation; bd-identity's flags differ
+        original, seen = estimates.second_order_terms, []
+        monkeypatch.setattr(
+            estimates, "second_order_terms", lambda s, **flags: seen.append(flags) or original(s, **flags)
+        )
+
+        def audited(probes):
+            ctx = {}
+            rec = run(
+                make_preset("random-large", make_grid(2, 64, 4 * np.pi, 1.0), seed=3),
+                SolverConfig(gamma=2.0, dt=1e-3, t_end=0.05),
+                probes=resolve_probes(probes, 2.0),
+                state_stride=10,
+                observe=stored_state_observer((audit,), ctx),
+            )
+            return rec, ctx, resolve_audits((audit,))[audit](rec, ctx)
+
+        rec, ctx, rows = audited(("jungel.D", "jungel.A", "jungel.Bp"))
+        assert (len(rec.times), len(ctx["stored_times"])) == (51, 6)
+        assert len(seen) == calls
+        stored = rec.stored_rows(ctx["stored_times"])
+        assert rec.scalars["jungel.D"][stored].tolist() == [terms["D"] for terms in ctx["second_order_terms"]]
+        seen.clear()
+        assert audited(())[2] == rows  # the rows the audit gives without the probes
+        assert len(seen) == 6
 
     def test_memo_does_not_keep_states_alive(self, observed):
         ctx = {}
