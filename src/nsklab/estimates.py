@@ -25,6 +25,7 @@ from .fields import (
     ScalarField,
     VectorField,
     gradient,
+    gradient_energy,
     hessian_energy,
     integral,
     jacobian,
@@ -175,8 +176,7 @@ def energy(s: FlowState, gamma: float) -> EnergyBreakdown:
     pi = potential_energy_density(rho, rho.grid.far_field_density, gamma)
     factor = 1.0 if gamma == 1.0 else gamma / (gamma - 1.0)
     potential = factor * integral(pi)
-    grad_sqrt = gradient(sqrt_field(rho))
-    fisher = 2.0 * float(np.sum(grad_sqrt.components**2) * rho.grid.cell_volume)
+    fisher = 2.0 * gradient_energy(rho.grid, rho.grid.rfft(sqrt_field(rho).values))
     return EnergyBreakdown(kinetic, potential, fisher)
 
 
@@ -193,17 +193,26 @@ def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
     """``(int rho |v|^2, {q: int rho |v|^q for q in exponents})`` in effective
     form, all from the workspace's |v|^2: the one source of every rho |v|^q
     integral."""
-    rho, cell = ws.state.rho.values, ws.state.grid.cell_volume
-    mag = np.sqrt(ws.v2) if exponents else None
-    return float(np.sum(rho * ws.v2) * cell), {q: float(np.sum(rho * mag**q) * cell) for q in exponents}
+    rho, v2, cell = ws.state.rho.values, ws.v2, ws.state.grid.cell_volume
+    return float(np.sum(rho * v2) * cell), {q: float(np.sum(rho * _v_power(v2, q)) * cell) for q in exponents}
+
+
+def _v_power(v2: np.ndarray, q: float) -> np.ndarray:
+    """|v|^q from |v|^2: by repeated multiplication for an even integer q > 0,
+    else by one power."""
+    if not (q > 0 and q % 2 == 0):
+        return v2 ** (q / 2.0)
+    power = v2
+    for _ in range(int(q) // 2 - 1):
+        power = power * v2
+    return power
 
 
 def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:
     """The two dissipation integrands paired with the v-energy:
     |grad rho^(gamma/2)|^2 and rho |grad v|^2."""
     s = Workspace(s).effective
-    gp = gradient(power_field(s.rho, gamma / 2.0))
-    a = float(np.sum(gp.components**2) * s.grid.cell_volume)
+    a = gradient_energy(s.grid, s.grid.rfft(power_field(s.rho, gamma / 2.0).values))
     jv = jacobian(s.vel)
     b = float(np.sum(s.rho.values * np.sum(jv**2, axis=(0, 1))) * s.grid.cell_volume)
     return a, b

@@ -35,6 +35,7 @@ __all__ = [
     "divergence",
     "laplacian",
     "hessian",
+    "gradient_energy",
     "hessian_energy",
     "log_field",
     "sqrt_field",
@@ -388,6 +389,16 @@ def _spectral_quadrature(grid: Grid, hat: np.ndarray, symbol) -> float:
 def _parseval(f: ScalarField, symbol) -> float:
     """sqrt of the quadrature of sum symbol * |hat f|^2 over the full lattice."""
     return float(np.sqrt(_spectral_quadrature(f.grid, f.grid.rfft(f.values), symbol)))
+
+
+def gradient_energy(grid: Grid, hat: np.ndarray) -> float:
+    """Integral of |grad f|^2 from the half-lattice spectrum of f, with no inverse transform.
+
+    The symbol is sum_i rwavevectors[i]^2, the one ``gradient`` applies, so
+    this equals the quadrature of ``gradient(f).components**2`` to round-off.
+    ``rk2`` would not: it keeps the Nyquist modes, which ``gradient`` zeroes.
+    """
+    return _spectral_quadrature(grid, hat, sum(k * k for k in grid.rwavevectors))
 
 
 def hessian_energy(grid: Grid, hat: np.ndarray) -> float:

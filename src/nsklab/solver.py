@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -68,6 +69,12 @@ _RIM_CELLS = 2
 
 # the per-step columns run() records for every run, whatever the probes
 ALWAYS_RECORDED = ("density.min", "density.max", "veff.max")
+
+# glibc's malloc: the ceiling of its own dynamic mmap threshold, and the trim
+# threshold it pairs with it (twice the mmap threshold)
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 class SolverError(RuntimeError):
@@ -457,6 +464,29 @@ def require_far_field(state: FlowState) -> None:
         )
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep the fields a run frees for the next ones.
+
+    By default glibc hands the top of its heap back to the kernel once more
+    than 128 KiB lies free there, which two or three freed 2D 128^2 fields
+    already exceed, and the next allocation faults the same pages in again.
+    Raising the trim threshold alone would freeze glibc's dynamic mmap
+    threshold where it stands (128 KiB at start), so larger fields would be
+    mmapped and faulted in anew; both are raised, the mmap threshold first.
+    Elsewhere than on glibc this does nothing.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes  # only a run on glibc reads it
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None and mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def run(
     initial: FlowState,
     cfg: SolverConfig,
@@ -476,10 +506,13 @@ def run(
     |v|^2.  By default the record collects the stored states in ``states``.
     A step the guard refuses, positivity loss and non-finite fields abort
     cleanly and are recorded on the trajectory; other stepper failures
-    propagate.  The minimum density is always monitored.
+    propagate.  The minimum density is always monitored.  On glibc, every
+    run first sets the allocator to keep freed memory for reuse
+    (``_keep_freed_memory``); importing nsklab changes nothing.
     """
     if state_stride < 1:
         raise FieldError("state stride must be >= 1")
+    _keep_freed_memory()
     ws = Workspace(initial)
     del initial  # the workspace holds the state until the run steps past it
     if check_far_field and ws.state.t == 0.0:

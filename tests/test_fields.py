@@ -16,6 +16,7 @@ from nsklab.fields import (
     constant_field,
     divergence,
     gradient,
+    gradient_energy,
     hessian,
     hs_norm,
     integral,
@@ -342,6 +343,19 @@ class TestRealTransformLayer:
         assert not np.shares_memory(first, values)
         assert not np.shares_memory(first, second)
         assert values.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_parseval_gradient_energy_is_exact(self, dim, n):
+        g = make_grid(dim, n, 4 * np.pi, 1.0)
+        f = ScalarField(g, np.random.default_rng(n).standard_normal(g.shape))
+        for axis in range(dim):  # white noise carries every Nyquist plane
+            assert np.max(np.abs(np.take(np.fft.fftn(f.values), n // 2, axis=axis))) > 1.0
+        ref = float(np.sum(gradient(f).components ** 2) * g.cell_volume)
+        hat = g.rfft(f.values)
+        assert gradient_energy(g, hat) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        # rk2 keeps the Nyquist planes that gradient zeroes
+        with_nyquist = float(np.sum(g.rk2 * g.rweight * np.abs(hat) ** 2)) * g.cell_volume / f.values.size
+        assert with_nyquist > ref * (1.0 + 1e-3)
 
     @pytest.mark.parametrize("dim,n", [(2, 24), (2, 32), (2, 48), (3, 24)])
     def test_half_spectrum_parseval(self, dim, n):

@@ -161,7 +161,7 @@ class TestCarriedStep:
 class TestRunLoop:
     CFG = SolverConfig(gamma=2.0, dt=1e-3, t_end=6e-3)
 
-    def test_demo_loop_costs_18_transforms_per_step(self, transforms):
+    def test_demo_loop_costs_16_transforms_per_step(self, transforms):
         # one more step costs the step, the next state's grad(log rho) and one sample
         s = _bump(2)
         counts = []
@@ -170,7 +170,7 @@ class TestRunLoop:
             cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=n_steps * 1e-3)
             run(s, cfg, probes=resolve_probes(DEMO_PROBES, 2.0))
             counts.append(len(transforms))
-        assert counts[1] - counts[0] == 18
+        assert counts[1] - counts[0] == 16
 
     def test_stored_states_carry_nothing(self):
         s = _bump(2)
