@@ -192,20 +192,24 @@ def dissipation_rate(s: FlowState) -> float:
 def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
     """``(int rho |v|^2, {q: int rho |v|^q for q in exponents})`` in effective
     form, all from the workspace's |v|^2: the one source of every rho |v|^q
-    integral."""
+    integral.  For an even integer q > 0, |v|^q is a prefix of one
+    left-to-right chain of products v2 * v2 * ..., shared by every such q;
+    any other q takes one power."""
     rho, v2, cell = ws.state.rho.values, ws.v2, ws.state.grid.cell_volume
-    return float(np.sum(rho * v2) * cell), {q: float(np.sum(rho * _v_power(v2, q)) * cell) for q in exponents}
 
+    def moment(power: np.ndarray) -> float:
+        return float(np.sum(rho * power) * cell)
 
-def _v_power(v2: np.ndarray, q: float) -> np.ndarray:
-    """|v|^q from |v|^2: by repeated multiplication for an even integer q > 0,
-    else by one power."""
-    if not (q > 0 and q % 2 == 0):
-        return v2 ** (q / 2.0)
-    power = v2
-    for _ in range(int(q) // 2 - 1):
-        power = power * v2
-    return power
+    def even(q) -> bool:
+        return q > 0 and q % 2 == 0
+
+    prefix, power, reached = {}, v2, 1
+    for half in sorted({int(q) // 2 for q in exponents if even(q)}):
+        for _ in range(half - reached):
+            power = power * v2
+        prefix[half], reached = moment(power), half
+    del power
+    return moment(v2), {q: prefix[int(q) // 2] if even(q) else moment(v2 ** (q / 2.0)) for q in exponents}
 
 
 def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:

@@ -173,9 +173,9 @@ class Grid:
         ``out``, numpy allocates one per axis)."""
         return np.fft.rfftn(values, out=np.empty(self.shape[:-1] + (self.n // 2 + 1,), complex))
 
-    def irfft(self, hat: np.ndarray) -> np.ndarray:
-        """Real samples of a half-lattice spectrum."""
-        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dim)))
+    def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real samples of a half-lattice spectrum, written into ``out`` if given."""
+        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dim)), out=out)
 
     def rmonomial(self, alpha) -> np.ndarray:
         """``xi^alpha`` on the half lattice, for a multi-index with ``|alpha| >= 1``.

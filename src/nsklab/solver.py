@@ -160,7 +160,8 @@ class Workspace:
     the half-lattice ``spectra`` of rho and of each velocity component,
     ``log_rho_hat``, ``grad_log_rho``, ``v2`` (|v|^2 of the effective velocity,
     its squares added in component order) and ``floats``, the per-state results
-    of evaluations that probes share.  ``run()`` builds one per sampled state."""
+    of evaluations that probes share.  ``run()`` builds one per sampled state.
+    An effective step consumes ``grad_log_rho``; a later read derives it again."""
 
     def __init__(self, state: FlowState, carried=None):
         self.state = state
@@ -182,7 +183,7 @@ class Workspace:
         grid = self.state.grid
         grad = np.empty((grid.dim,) + grid.shape)
         for i, k in enumerate(grid.rwavevectors):
-            grad[i] = grid.irfft(1j * k * self.log_rho_hat)
+            grid.irfft(1j * k * self.log_rho_hat, out=grad[i])
         return grad
 
     @cached_property
@@ -283,7 +284,13 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
 
     The step reads the log-density pair and the spectra of s's workspace
     ``ws`` (or of a fresh one), and overwrites the spectra in place with the
-    ones the implicit solve produces, which are the new state's.
+    ones the implicit solve produces, which are the new state's.  It consumes
+    the workspace's grad log rho: that array becomes the transport velocity
+    w = v - 2 grad log rho, so ``ws`` no longer holds it after the step.
+
+    Each field lives only while a later phase reads it: the velocity spectra
+    are updated first, while w lives, the mass next, and every inverse
+    transform runs last, the velocity's into w's storage once no phase reads w.
     """
     if s.formulation != "effective":
         raise FieldError("step_effective needs an effective-form state")
@@ -295,40 +302,54 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     v = s.vel.components
     dt = cfg.dt
 
-    dlog = ws.grad_log_rho
-    _check_cfl(s, cfg, _max_norm(v) + 2.0 * _max_norm(dlog))
+    w = ws.grad_log_rho
+    _check_cfl(s, cfg, _max_norm(v) + 2.0 * _max_norm(w))
+    del ws.grad_log_rho  # overwritten below by w
+    np.multiply(w, 2.0, out=w)
+    np.subtract(v, w, out=w)
     r_hat, v_hat = ws.spectra
 
-    # the pressure force is differentiated on the Fourier side; at gamma = 2
-    # rho^(gamma-1) is rho, whose spectrum is at hand
-    if cfg.gamma == 1.0:
-        p_hat = ws.log_rho_hat
+    # the pressure force is differentiated on the Fourier side, from the
+    # spectrum of log rho at gamma = 1 and of rho^(gamma-1) otherwise; at
+    # gamma = 2 that is rho, whose spectrum r_hat is unmodified until the mass update
+    g = cfg.gamma
+    if g == 1.0:
+        base_hat = None
     else:
         ws.__dict__.pop("log_rho_hat", None)  # read only at gamma = 1
-        g = cfg.gamma
         base_hat = r_hat if g == 2.0 else grid.rfft(r ** (g - 1.0))
-        p_hat = (g / (g - 1.0)) * (base_hat * mask)
 
-    # mass: implicit diffusion, explicit divergence-form transport
-    denom = 1.0 + dt * grid.rk2
-    r_hat += dt * sum(-1j * k * (grid.rfft(r * v[i]) * mask) for i, k in enumerate(ks))
-    r_hat /= denom
-
-    # velocity: implicit Laplacian, explicit pressure and transport by
-    # w = v - 2 grad log rho, each w_j formed where it is used and its term
-    # added into one accumulator, from 0 in increasing j as sum() adds them
-    new_v = np.empty_like(v)
+    # velocity: implicit Laplacian, explicit pressure and transport by w; the
+    # transport terms are added into one accumulator, from 0 in increasing j
+    # as sum() adds them, and the update is formed in the storage of its
+    # transform.  The pressure spectrum and the implicit solve's denominator
+    # 1 + dt |xi|^2 are formed per component, so that neither is held
+    # through the transforms
     for i in range(grid.dim):
         transport = np.zeros(grid.shape)
         for j, k in enumerate(ks):
-            transport += grid.irfft(1j * k * v_hat[i]) * (v[j] - 2.0 * dlog[j])
-        v_hat[i] += dt * (-(grid.rfft(transport) * mask) - 1j * ks[i] * p_hat)
-        v_hat[i] /= denom
-        new_v[i] = grid.irfft(v_hat[i])
-    del transport
-    # transformed last, so that its transform runs while no velocity transient is live
-    new_r = grid.irfft(r_hat)
-    return _new_state(s, cfg, new_r, new_v)
+            transport += grid.irfft(1j * k * v_hat[i]) * w[j]
+        h = grid.rfft(transport)
+        del transport
+        h *= mask
+        np.negative(h, out=h)
+        p_hat = ws.log_rho_hat if base_hat is None else (g / (g - 1.0)) * (base_hat * mask)
+        h -= 1j * ks[i] * p_hat
+        del p_hat
+        np.multiply(dt, h, out=h)
+        v_hat[i] += h
+        del h
+        v_hat[i] /= 1.0 + dt * grid.rk2
+    del base_hat
+
+    # mass: implicit diffusion, explicit divergence-form transport
+    r_hat += dt * sum(-1j * k * (grid.rfft(r * v[i]) * mask) for i, k in enumerate(ks))
+    r_hat /= 1.0 + dt * grid.rk2
+
+    new_v = w  # the new velocity, in w's storage, which no phase reads any more
+    for i in range(grid.dim):
+        grid.irfft(v_hat[i], out=new_v[i])
+    return _new_state(s, cfg, grid.irfft(r_hat), new_v)
 
 
 def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:

@@ -220,6 +220,32 @@ class TestVEnergy:
         assert sup_v <= c_allowed * (1.0 + e0)
 
 
+    @pytest.mark.parametrize(
+        "exponents",
+        [(4, 8, 16, 32), (32, 4.0, 3, 2.5, 8), (1, 2, 0.5, 6.0, 7, 4), (5.5, 12, 10, 2)],
+    )
+    def test_moments_equal_their_own_powers(self, exponents):
+        # every even q's |v|^q is a prefix of one shared chain of products,
+        # so each moment is the one its own chain v2 * v2 * ... gives
+        g = make_grid(2, 32, 4 * np.pi, 1.0)
+        rng = np.random.default_rng(11)
+        rho = 0.5 + rng.random(g.shape)
+        s = _state(g, rho, rng.normal(size=(2,) + g.shape), formulation="effective")
+        ws = Workspace(s)
+        energy_v, moments = velocity_moments(ws, exponents)
+        v2 = ws.v2
+        assert energy_v == float(np.sum(rho * v2) * g.cell_volume)
+        assert list(moments) == list(exponents)
+        for q in exponents:
+            if q % 2 == 0:
+                power = v2
+                for _ in range(int(q) // 2 - 1):
+                    power = power * v2
+            else:
+                power = v2 ** (q / 2.0)
+            assert moments[q] == float(np.sum(rho * power) * g.cell_volume), q
+
+
 class TestBdIdentity:
     def test_constant_state(self, grid64_wide, observed):
         rep = bd_identity_audit(_bd_terms(observed, [make_preset("constant", grid64_wide)]))

@@ -118,6 +118,23 @@ class TestCarriedStep:
             scale = np.max(np.abs(recomputed))
             assert np.max(np.abs(carried - recomputed)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("gamma,budget", [(1.0, (14, 23)), (2.0, (14, 23)), (2.5, (15, 24))])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_step_consumes_grad_log_rho(self, transforms, dim, gamma, budget):
+        # the step forms v - 2 grad log rho in grad log rho's storage and takes
+        # it out of the workspace, so a later read derives it afresh; each
+        # gamma forms its pressure from another spectrum (log rho, rho, rho^(gamma-1))
+        s = _bump(dim)
+        cfg = SolverConfig(gamma=gamma, dt=1e-3, t_end=1e-3)
+        fresh = Workspace(s)
+        for read in (lambda ws: ws.grad_log_rho, lambda ws: ws.primitive.vel.components):
+            ws = _carried(s, spectra=False)
+            transforms.clear()
+            step(s, cfg, ws)
+            assert len(transforms) == budget[dim - 2]
+            assert "grad_log_rho" not in _held(ws)
+            assert np.array_equal(read(ws), read(fresh))
+
     @pytest.mark.parametrize("formulation", ["effective", "primitive"])
     def test_step_builds_its_state_without_revalidating(self, monkeypatch, formulation):
         # _new_state has checked positivity and finiteness once; the
