@@ -354,7 +354,15 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
 
 def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
     """One IMEX step of the primitive system; it reads the log-density
-    spectrum of s's workspace ``ws`` (or of a fresh one)."""
+    spectrum of s's workspace ``ws`` (or of a fresh one).
+
+    Each field lives only while a later phase reads it: the new density is
+    formed first, from the momentum spectra m_hat; then y = m_hat + dt rhs is
+    built in m_hat's storage, the pressure force and the linearized stress
+    from the unmodified m_hat first, then the divergence of each stress pair
+    i <= j, with one inverse transform per pair; the new momentum comes last,
+    divided by the new density in place.
+    """
     if s.formulation != "primitive":
         raise FieldError("step_primitive needs a primitive-form state")
     ws = ws or Workspace(s)
@@ -371,49 +379,46 @@ def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     m_hat = [grid.rfft(r * u[i]) * mask for i in range(d)]
     m_real = [grid.irfft(h) for h in m_hat]
 
-    # explicit momentum right-hand side, every term in divergence form:
-    # -rho u_i u_j + 2 rho D(u)_ij + rho (hess log rho)_ij.  The symmetric part
-    # is formed once per pair i <= j from transient derivatives, each dropped as
-    # soon as it is used, so no d x d field tensor is held; each row still adds
-    # its columns in increasing j, one transform per (i, j).  The Hessian entry
-    # is transformed first, while no velocity derivative is live.
+    # mass: explicit divergence-form transport
+    new_r = grid.irfft(grid.rfft(r) - dt * sum(1j * ks[j] * m_hat[j] for j in range(d)))
+
+    # the pressure force and the linearized stress that the implicit solve
+    # adds back; each component reads every m_hat, so all are formed before y
+    p_hat = grid.rfft(r**cfg.gamma) * mask
+    dy = [
+        dt * (grid.rk2 * m_hat[i] + sum(kk[i][j] * m_hat[j] for j in range(d)) - 1j * ks[i] * p_hat)
+        for i in range(d)
+    ]
+    y = m_hat
+    del p_hat, m_hat
+    for i in range(d):
+        y[i] += dy[i]
+    del dy
+
+    # the divergence of -rho u_i u_j + 2 rho D(u)_ij + rho (hess log rho)_ij.
+    # The symmetric part of pair i <= j is linear in the spectra up to the
+    # product with rho, so it is one inverse transform, of
+    # i xi_j u_hat_i + i xi_i u_hat_j - xi_i xi_j log_hat, and no d x d field
+    # tensor is held
     u_hat = [grid.rfft(c) for c in u]
     log_hat = ws.log_rho_hat
-    p_hat = grid.rfft(r**cfg.gamma) * mask
-    rhs_hat = [-1j * k * p_hat for k in ks]
-    del p_hat
     for i in range(d):
         for j in range(i, d):
-            hess = grid.irfft(-kk[i][j] * log_hat)
-            du_ij = grid.irfft(1j * ks[j] * u_hat[i])
-            du_ji = du_ij if j == i else grid.irfft(1j * ks[i] * u_hat[j])
-            sym = r * (du_ij + du_ji + hess)
-            del hess, du_ij, du_ji
-            rhs_hat[i] += 1j * ks[j] * (grid.rfft(sym - m_real[i] * u[j]) * mask)
+            sym = grid.irfft(1j * ks[j] * u_hat[i] + 1j * ks[i] * u_hat[j] - kk[i][j] * log_hat)
+            sym *= r
+            y[i] += dt * (1j * ks[j] * (grid.rfft(sym - m_real[i] * u[j]) * mask))
             if j > i:
-                rhs_hat[j] += 1j * ks[i] * (grid.rfft(sym - m_real[j] * u[i]) * mask)
+                y[j] += dt * (1j * ks[i] * (grid.rfft(sym - m_real[j] * u[i]) * mask))
             del sym
-        # subtract the linearized stress that the implicit solve adds back
-        rhs_hat[i] += grid.rk2 * m_hat[i]
-        rhs_hat[i] += sum(kk[i][j] * m_hat[j] for j in range(d))
     del u_hat, m_real
 
-    div_m = sum(1j * ks[j] * m_hat[j] for j in range(d))
-    new_r = grid.irfft(grid.rfft(r) - dt * div_m)
-    del div_m
-
-    # y = m_hat + dt rhs_hat, formed in rhs_hat's storage so that m_hat dies here
-    y = rhs_hat
-    for i in range(d):
-        y[i] *= dt
-        y[i] += m_hat[i]
-    del rhs_hat, m_hat
+    # momentum: implicit viscous and linearized capillary stress
     a = 1.0 + dt * grid.rk2
     a_full = a + dt * grid.rk2
     new_m = np.empty_like(u)
     for i in range(d):
         kky = sum(kk[i][j] * y[j] for j in range(d))
-        new_m[i] = grid.irfft((y[i] - dt * kky / a_full) / a)
+        grid.irfft((y[i] - dt * kky / a_full) / a, out=new_m[i])
     del y
     new_m /= new_r  # the new velocity, in the new momentum's storage
     return _new_state(s, cfg, new_r, new_m)

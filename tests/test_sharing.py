@@ -70,7 +70,7 @@ class TestCarriedStep:
         step(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3), ws)
         assert len(transforms) == expected
 
-    @pytest.mark.parametrize("dim,expected", [(2, 22), (3, 39)])
+    @pytest.mark.parametrize("dim,expected", [(2, 18), (3, 30)])
     def test_sampled_primitive_state_steps_with_one_transform_fewer(self, transforms, dim, expected):
         # the sample's veff.max formed the log-density spectrum the step reads
         s = from_effective(_bump(dim))
