@@ -29,7 +29,7 @@ from .dyadic import (
 from .estimates import energy, log_law_constant, reverse_holder_terms
 from .fields import ScalarField, hs_norm, make_grid, random_band_limited
 from .probes import REVERSE_HOLDER_PS, stored_state_observer
-from .solver import SolverConfig, make_preset, run, to_effective
+from .solver import SolverConfig, Workspace, make_preset, run, to_effective
 
 
 def _field_corpus(grid, count, seed):
@@ -143,7 +143,7 @@ def _preset_runs():
     dip = {"amplitude": -0.99, "width": 0.08 * grid.box_length}
     for key, params in (("gaussian-bump", None), ("random-large", None), (("gaussian-bump", "dip"), dip)):
         state = to_effective(make_preset(key if isinstance(key, str) else key[0], grid, params, seed=12))
-        ctx = {"e0": energy(state, 2.0).total, "inverse_density": []}
+        ctx = {"e0": energy(Workspace(state), 2.0).total, "inverse_density": []}
         moments = stored_state_observer(("reverse-holder",), ctx)
 
         def observe(ws):

@@ -71,6 +71,8 @@ def _parse_scalar(raw: str):
 
 
 def _raw_sections(text: str) -> dict:
+    """``{section: {key: (raw text, line number)}}``; a value is parsed only
+    once its key's type is known."""
     sections: dict[str, dict] = {}
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -93,7 +95,7 @@ def _raw_sections(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section_name}]")
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section_name}]")
-        current[key] = (_parse_scalar(raw), lineno)
+        current[key] = (raw, lineno)
     return sections
 
 
@@ -104,7 +106,10 @@ def _take(sections, section, key, expect, required=True, default=None):
             what = f"key {key!r} in [{section}]" if section in sections else f"section [{section}]"
             raise ConfigError(f"missing required {what}")
         return default
-    value, lineno = entry
+    raw, lineno = entry
+    if expect is str:
+        return raw
+    value = _parse_scalar(raw)
     if expect is float and type(value) is int:
         try:
             value = float(value)
@@ -117,13 +122,8 @@ def _take(sections, section, key, expect, required=True, default=None):
 
 
 def _name_list(sections, section) -> tuple:
-    entry = sections.get(section, {}).get("names")
-    if entry is None:
-        return ()
-    value, _ = entry
-    if not isinstance(value, str):
-        value = str(value)
-    return tuple(tok.strip() for tok in value.split(",") if tok.strip())
+    names = _take(sections, section, "names", str, required=False, default="")
+    return tuple(tok.strip() for tok in names.split(",") if tok.strip())
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -143,12 +143,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if preset_name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset_name!r}; choose one of {', '.join(PRESET_NAMES)}")
     preset_params = {}
-    for key, (value, lineno) in sections.get("preset", {}).items():
+    for key, (raw, lineno) in sections.get("preset", {}).items():
         if key == "name":
             continue
         if key not in PRESET_PARAMS[preset_name]:
             raise ConfigError(f"line {lineno}: preset {preset_name!r} takes no parameter {key!r}")
-        preset_params[key] = value
+        preset_params[key] = _parse_scalar(raw)
 
     try:
         solver = SolverConfig(

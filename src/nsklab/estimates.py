@@ -23,17 +23,15 @@ from .fields import (
     FieldError,
     PositivityError,
     ScalarField,
-    VectorField,
     gradient,
     gradient_energy,
     hessian_energy,
     integral,
     jacobian,
-    log_field,
     power_field,
     sqrt_field,
 )
-from .solver import FlowState, Workspace, from_effective
+from .solver import FlowState, Workspace
 
 __all__ = [
     "EnergyBreakdown",
@@ -60,10 +58,6 @@ __all__ = [
 
 HOLDER_EXPONENT = 5.0 / 3.0
 LOG_FLOOR = math.exp(HOLDER_EXPONENT**2)  # e^(25/9), additive floor of V_T
-
-
-def _as_primitive(s: FlowState) -> FlowState:
-    return s if s.formulation == "primitive" else from_effective(s)
 
 
 # ----------------------------------------------------------------------
@@ -168,9 +162,9 @@ class EnergyBreakdown:
         return self.kinetic + self.potential + self.fisher
 
 
-def energy(s: FlowState, gamma: float) -> EnergyBreakdown:
-    """Kinetic + pressure-potential + density-gradient energy of a state."""
-    s = _as_primitive(s)
+def energy(ws: Workspace, gamma: float) -> EnergyBreakdown:
+    """Kinetic + pressure-potential + density-gradient energy of a workspace's state."""
+    s = ws.primitive
     rho = s.rho
     kinetic = 0.5 * float(np.sum(rho.values * np.sum(s.vel.components**2, axis=0)) * rho.grid.cell_volume)
     pi = potential_energy_density(rho, rho.grid.far_field_density, gamma)
@@ -180,9 +174,9 @@ def energy(s: FlowState, gamma: float) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic, potential, fisher)
 
 
-def dissipation_rate(s: FlowState) -> float:
+def dissipation_rate(ws: Workspace) -> float:
     """2 * integral of rho |D(u)|^2, the decay rate of the total energy."""
-    s = _as_primitive(s)
+    s = ws.primitive
     jac = jacobian(s.vel)
     d = 0.5 * (jac + np.swapaxes(jac, 0, 1))
     dens = np.sum(d**2, axis=(0, 1)) * s.rho.values
@@ -212,17 +206,37 @@ def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
     return moment(v2), {q: prefix[int(q) // 2] if even(q) else moment(v2 ** (q / 2.0)) for q in exponents}
 
 
-def v_energy_dissipations(s: FlowState, gamma: float) -> tuple[float, float]:
+def v_energy_dissipations(ws: Workspace, gamma: float) -> tuple[float, float]:
     """The two dissipation integrands paired with the v-energy:
     |grad rho^(gamma/2)|^2 and rho |grad v|^2."""
-    s = Workspace(s).effective
+    s = ws.effective
     a = gradient_energy(s.grid, s.grid.rfft(power_field(s.rho, gamma / 2.0).values))
     jv = jacobian(s.vel)
     b = float(np.sum(s.rho.values * np.sum(jv**2, axis=(0, 1))) * s.grid.cell_volume)
     return a, b
 
 
-def _second_order(rho: ScalarField, u: VectorField | None, convexity: bool) -> dict[str, float]:
+def second_order_terms(ws: Workspace, identity: bool = True, convexity: bool = True) -> dict[str, float]:
+    """The integrals of a workspace's state that the bd-identity and jungel
+    audits and the ``jungel.*`` probes read, derived from the workspace's
+    spectrum of log rho, with no d x d field tensor.
+
+    Always "D" = int rho |hess log rho|^2.  With ``identity``: "lhs" =
+    int rho |grad v|^2, "u" = int rho |grad u|^2 and "dt" = 4 int div(rho u)
+    lap(sqrt rho)/sqrt rho, u read from ``ws.primitive``.  With
+    ``convexity``: "A" = int |hess sqrt rho|^2 (by Parseval, from the
+    spectrum of sqrt rho that "dt" also uses) and "Bp" = int
+    |grad rho^(1/4)|^4.  Only these floats outlive the call.
+
+    grad v is formed as grad u + hess log rho, not by differentiating
+    v = u + grad log rho.  The two differ only through the Nyquist-plane
+    content of log rho: the second-derivative symbol ``Grid.rsecond`` keeps
+    the products n_i n_j there, while two first derivatives (each with its
+    Nyquist entry zeroed) drop them.  On run states that is round-off (at most
+    1.8e-15 relative).
+    """
+    rho = ws.state.rho
+    u = ws.primitive.vel if identity else None
     grid = rho.grid
     cell = grid.cell_volume
     r = rho.values
@@ -232,7 +246,7 @@ def _second_order(rho: ScalarField, u: VectorField | None, convexity: bool) -> d
     # order: the order in which numpy sums a d x d tensor over both axes, so
     # the floats are those of the full tensors.  An off-diagonal H_ij is held
     # only until row j reads it as H_ji.
-    log_hat = grid.rfft(log_field(rho).values)
+    log_hat = ws.log_rho_hat
     squares = {"D": 0.0} if u is None else {"D": 0.0, "u": 0.0, "lhs": 0.0}
     held = {}
     for i in range(grid.dim):
@@ -263,28 +277,6 @@ def _second_order(rho: ScalarField, u: VectorField | None, convexity: bool) -> d
         lap_s = grid.irfft(-grid.rk2 * s_hat)
         out["dt"] = 4.0 * float(np.sum(div_m * lap_s / srho.values) * cell)
     return out
-
-
-def second_order_terms(s: FlowState, identity: bool = True, convexity: bool = True) -> dict[str, float]:
-    """The integrals of one state that the bd-identity and jungel audits and
-    the ``jungel.*`` probes read, derived from one spectrum of log rho, with
-    no d x d field tensor.
-
-    Always "D" = int rho |hess log rho|^2.  With ``identity``: "lhs" =
-    int rho |grad v|^2, "u" = int rho |grad u|^2 and "dt" = 4 int div(rho u)
-    lap(sqrt rho)/sqrt rho.  With ``convexity``: "A" = int |hess sqrt rho|^2
-    (by Parseval, from the spectrum of sqrt rho that "dt" also uses) and
-    "Bp" = int |grad rho^(1/4)|^4.  Only these floats outlive the call.
-
-    grad v is formed as grad u + hess log rho, not by differentiating
-    v = u + grad log rho.  The two differ only through the Nyquist-plane
-    content of log rho: the second-derivative symbol ``Grid.rsecond`` keeps
-    the products n_i n_j there, while two first derivatives (each with its
-    Nyquist entry zeroed) drop them.  On run states that is round-off (at most
-    1.8e-15 relative).
-    """
-    u = _as_primitive(s).vel if identity else None
-    return _second_order(s.rho, u, convexity)
 
 
 def bd_identity_audit(terms, tolerance: float = 1e-8) -> AuditReport:

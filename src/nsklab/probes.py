@@ -47,12 +47,12 @@ def _shared(key, fn):
 
 
 def _second_order(identity: bool, convexity: bool):
-    """``second_order_terms`` of a workspace's state with these flags, kept in
+    """``second_order_terms`` of a workspace with these flags, kept in
     its ``floats`` under one key per pair of flags: the ``jungel.*`` probes and
     the stored-state observer share it where their flags agree."""
     return _shared(
         ("second_order_terms", identity, convexity),
-        lambda ws: estimates.second_order_terms(ws.state, identity=identity, convexity=convexity),
+        lambda ws: estimates.second_order_terms(ws, identity=identity, convexity=convexity),
     )
 
 
@@ -73,8 +73,8 @@ def _simple_probes(gamma: float, moment_names=()) -> dict:
     ``venergy``."""
     exponents = {name: _moment_exponent(name) for name in moment_names}
     qs = tuple(exponents.values())
-    energy = _shared(("energy", gamma), lambda ws: estimates.energy(ws.primitive, gamma))
-    vdiss = _shared(("vdiss", gamma), lambda ws: estimates.v_energy_dissipations(ws.effective, gamma))
+    energy = _shared(("energy", gamma), lambda ws: estimates.energy(ws, gamma))
+    vdiss = _shared(("vdiss", gamma), lambda ws: estimates.v_energy_dissipations(ws, gamma))
     jungel = _second_order(identity=False, convexity=True)
     moments = _shared(("moments", qs), lambda ws: estimates.velocity_moments(ws, qs))
     simple = {
@@ -82,7 +82,7 @@ def _simple_probes(gamma: float, moment_names=()) -> dict:
         "energy.kinetic": lambda ws: energy(ws).kinetic,
         "energy.potential": lambda ws: energy(ws).potential,
         "energy.fisher": lambda ws: energy(ws).fisher,
-        "energy.dissipation": lambda ws: estimates.dissipation_rate(ws.primitive),
+        "energy.dissipation": lambda ws: estimates.dissipation_rate(ws),
         "venergy": lambda ws: moments(ws)[0],
         "venergy.pressure_dissipation": lambda ws: vdiss(ws)[0],
         "venergy.velocity_dissipation": lambda ws: vdiss(ws)[1],

@@ -52,6 +52,7 @@ from nsklab.probes import resolve_probes, stored_state_observer
 from nsklab.solver import (
     FlowState,
     SolverConfig,
+    Workspace,
     from_effective,
     make_preset,
     run,
@@ -279,7 +280,7 @@ def test_criterion_07_jungel_3d():
     for _ in range(100):
         f = random_band_limited(g, rng, max_mode=int(rng.integers(3, 9)), amplitude=0.5)
         rho = ScalarField(g, 1.0 + f.values)
-        t = second_order_terms(FlowState(0.0, rho, VectorField(g, np.zeros((3,) + g.shape))), identity=False)
+        t = second_order_terms(Workspace(FlowState(0.0, rho, VectorField(g, np.zeros((3,) + g.shape)))), identity=False)
         d_val, a_val, b_val = t["D"], t["A"], t["Bp"]
         scale = max(d_val, 1.0)
         worst = max(worst, a_val / 7.0 - d_val, b_val / 8.0 - d_val)
@@ -327,7 +328,7 @@ def test_criterion_08_solver():
             rec = run(
                 state,
                 SolverConfig(gamma=2.0, dt=dt, t_end=0.2),
-                probes={"E": lambda ws: energy(ws.state, 2.0).total},
+                probes={"E": lambda ws: energy(ws, 2.0).total},
                 state_stride=10**9,
             )
             incs[dt] = float(np.max(np.diff(rec.scalars["E"]), initial=-math.inf))

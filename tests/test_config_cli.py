@@ -210,6 +210,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="takes no parameter"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("directory", ["2024", "nan", "inf", "1e3", "true"])
+    def test_a_numeric_looking_string_value_is_its_text(self, tmp_path, directory):
+        # a string-valued key reads its raw text, whatever number it looks like
+        text = MINIMAL.format(outdir=directory)
+        assert parse_config(text).directory == directory
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path / "root")]) == 0
+        assert (tmp_path / "root" / directory / "manifest.json").exists()
+
+    @pytest.mark.parametrize("line", ["n = 32.0", "n = 3e1", "n = nan"])
+    def test_an_int_key_takes_only_an_int(self, line):
+        with pytest.raises(ConfigError, match=r"'n' must be int, got "):
+            parse_config(MINIMAL.format(outdir="out").replace("n = 32", line))
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# top comment\n" + MINIMAL.format(outdir="out") + "\n# trailing\n"
         parse_config(text)
@@ -615,7 +630,7 @@ class TestCli:
         from nsklab.audits import audit_csv_lines
         from nsklab.estimates import jungel_bounds, pi_equivalence_audit, region_split, second_order_terms
         from nsklab.fields import VectorField
-        from nsklab.solver import FlowState
+        from nsklab.solver import FlowState, Workspace
 
         # a bump up to 5.5 rho_bar, so that both density ranges hold points
         g = make_grid(2, 32, 4 * np.pi, 1.0)
@@ -625,7 +640,7 @@ class TestCli:
         code = cli_main(["audit", str(path), "--gamma", str(gamma)])
         rho, t = read_snapshot(path)
         state = FlowState(t, rho, VectorField(g, np.zeros((2,) + g.shape)))
-        expected = jungel_bounds(second_order_terms(state, identity=False), 2)
+        expected = jungel_bounds(second_order_terms(Workspace(state), identity=False), 2)
         if gamma > 1.0:
             expected += [*pi_equivalence_audit(rho, 1.0, gamma), region_split(state, gamma)]
         assert capsys.readouterr().out.splitlines() == audit_csv_lines(expected)

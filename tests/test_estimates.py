@@ -68,7 +68,7 @@ def _v_energy(s):
 
 def _jungel_terms(rho):
     """A density's D, A and B', as the jungel probes and audit read them."""
-    return second_order_terms(_state(rho.grid, rho.values), identity=False)
+    return second_order_terms(Workspace(_state(rho.grid, rho.values)), identity=False)
 
 
 def _jungel(rho):
@@ -160,7 +160,7 @@ class TestEquivalence:
 
 class TestEnergy:
     def test_constant_state_zero(self, grid64_wide):
-        eb = energy(make_preset("constant", grid64_wide), 2.0)
+        eb = energy(Workspace(make_preset("constant", grid64_wide)), 2.0)
         assert eb.kinetic == eb.potential == eb.fisher == 0.0
         assert eb.total == 0.0
 
@@ -168,7 +168,7 @@ class TestEnergy:
         x, _ = grid64.meshgrid()
         vel = np.zeros((2,) + grid64.shape)
         vel[0] = np.sin(x)
-        eb = energy(_state(grid64, np.ones(grid64.shape), vel), 2.0)
+        eb = energy(Workspace(_state(grid64, np.ones(grid64.shape), vel)), 2.0)
         assert eb.kinetic == pytest.approx(0.25 * grid64.volume, rel=1e-12)
         assert eb.potential == 0.0
         assert eb.fisher == 0.0
@@ -181,7 +181,7 @@ class TestEnergy:
         values = []
         for n in (64, 128):
             g = make_grid(2, n, 4 * np.pi, 1.0)
-            values.append(energy(make_preset("gaussian-bump", g), 2.0).total)
+            values.append(energy(Workspace(make_preset("gaussian-bump", g)), 2.0).total)
         assert abs(values[0] - values[1]) <= 1e-6 * values[1]
 
     def test_dissipation_balances_energy_rate(self, grid64_wide):
@@ -191,9 +191,9 @@ class TestEnergy:
         errs = []
         for dt in (2e-4, 1e-4):
             cfg = SolverConfig(gamma=gamma, dt=dt, t_end=dt)
-            rec = run(s, cfg, probes={"E": lambda ws: energy(ws.state, gamma).total})
+            rec = run(s, cfg, probes={"E": lambda ws: energy(ws, gamma).total})
             rate = (rec.scalars["E"][1] - rec.scalars["E"][0]) / dt
-            errs.append(abs(rate + dissipation_rate(s)) / dissipation_rate(s))
+            errs.append(abs(rate + dissipation_rate(Workspace(s))) / dissipation_rate(Workspace(s)))
         assert errs[1] <= 0.6 * errs[0]
         assert errs[1] <= 0.05
 
@@ -214,7 +214,7 @@ class TestVEnergy:
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.1)
         s = to_effective(make_preset("gaussian-bump", grid64_wide))
         rec = run(s, cfg, state_stride=10)
-        e0 = energy(rec.states[0], 2.0).total
+        e0 = energy(Workspace(rec.states[0]), 2.0).total
         sup_v = max(_v_energy(st) for st in rec.states)
         c_allowed = DRIFT_FACTOR * calibrated("venergy.C.gaussian-bump")
         assert sup_v <= c_allowed * (1.0 + e0)
@@ -316,7 +316,7 @@ class TestBdExpansion:
             s = _band_limited_state(g, seed)
             if formulation == "effective":
                 s = to_effective(s)
-            lhs = second_order_terms(s, convexity=False)["lhs"]
+            lhs = second_order_terms(Workspace(s), convexity=False)["lhs"]
             assert lhs == pytest.approx(_explicit_lhs(s), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("preset", ["gaussian-bump", "random-large"])
@@ -328,12 +328,12 @@ class TestBdExpansion:
         rec = run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.01), state_stride=2)
         assert len(rec.states) == 6
         for st in rec.states:
-            lhs = second_order_terms(st, convexity=False)["lhs"]
+            lhs = second_order_terms(Workspace(st), convexity=False)["lhs"]
             assert lhs == pytest.approx(_explicit_lhs(st), rel=1e-12, abs=0.0)
 
     def test_audit_reads_the_shared_terms(self, grid64_wide, observed):
         s = make_preset("random-large", grid64_wide, seed=8)
-        t = second_order_terms(s)
+        t = second_order_terms(Workspace(s))
         rep = bd_identity_audit(_bd_terms(observed, [s]))
         assert (rep.lhs, rep.rhs) == (t["lhs"], t["u"] + t["D"] + t["dt"])
 
@@ -407,7 +407,7 @@ class TestJungel:
         ref = float(np.sum(hessian(srho) ** 2) * g.cell_volume)
         _, a_val, _ = _jungel(rho)
         assert a_val == pytest.approx(ref, rel=1e-13, abs=0.0)
-        assert a_val == second_order_terms(_state(g, rho.values))["A"]
+        assert a_val == second_order_terms(Workspace(_state(g, rho.values)))["A"]
 
     def test_2d_reports_without_assertion(self, grid64):
         rng = np.random.default_rng(78)

@@ -14,6 +14,7 @@ share it too where their flags agree.
 """
 
 import dataclasses
+import sys
 import weakref
 
 import numpy as np
@@ -290,8 +291,8 @@ class TestProbeFamiliesEvaluateOnce:
         a = _bump(2)
         b = step(a, SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3))
         ea, eb = probes["energy.total"](Workspace(a)), probes["energy.total"](Workspace(b))
-        assert ea == estimates.energy(a, 2.0).total
-        assert eb == estimates.energy(b, 2.0).total
+        assert ea == estimates.energy(Workspace(a), 2.0).total
+        assert eb == estimates.energy(Workspace(b), 2.0).total
         assert ea != eb
 
     def test_memo_does_not_keep_states_alive(self):
@@ -355,7 +356,9 @@ class TestSecondOrderAudits:
     run's audit context, floats only."""
 
     # transforms per stored state (before sharing, 3D: 41, 18, 59 primitive
-    # and 45, 18, 63 effective; 2D: 24, 11, 35 and 27, 11, 38)
+    # and 45, 18, 63 effective; 2D: 24, 11, 35 and 27, 11, 38).  An effective
+    # state took one more, 33 and 21, while the pass formed its own spectrum
+    # of log rho beside the workspace's
     @pytest.mark.parametrize(
         "dim,formulation,names,expected",
         [
@@ -363,12 +366,12 @@ class TestSecondOrderAudits:
             (3, "primitive", ("jungel",), 12),
             (3, "primitive", ("bd-identity", "jungel"), 29),
             (3, "primitive", ("jungel", "bd-identity"), 29),
-            (3, "effective", ("bd-identity", "jungel"), 33),
+            (3, "effective", ("bd-identity", "jungel"), 32),
             (2, "primitive", ("bd-identity",), 15),
             (2, "primitive", ("jungel",), 8),
             (2, "primitive", ("bd-identity", "jungel"), 18),
             (2, "primitive", ("jungel", "bd-identity"), 18),
-            (2, "effective", ("bd-identity", "jungel"), 21),
+            (2, "effective", ("bd-identity", "jungel"), 20),
         ],
     )
     def test_transforms_per_stored_state(self, transforms, observed, dim, formulation, names, expected):
@@ -393,9 +396,9 @@ class TestSecondOrderAudits:
         original = estimates.second_order_terms
         seen = []
 
-        def counted(s, **flags):
-            out = original(s, **flags)
-            seen.append((s, out))
+        def counted(ws, **flags):
+            out = original(ws, **flags)
+            seen.append((ws.state, out))
             return out
 
         monkeypatch.setattr(estimates, "second_order_terms", counted)
@@ -416,7 +419,7 @@ class TestSecondOrderAudits:
         def weighted(tensor):
             return float(np.sum(s.rho.values * np.sum(tensor**2, axis=(0, 1))) * g.cell_volume)
 
-        t = estimates.second_order_terms(s)
+        t = estimates.second_order_terms(Workspace(s))
         assert (t["D"], t["u"], t["lhs"]) == (weighted(hess), weighted(jac), weighted(jac + hess))
 
     @pytest.mark.parametrize("audit,calls", [("jungel", 51), ("bd-identity", 57)])
@@ -425,7 +428,7 @@ class TestSecondOrderAudits:
         # states reuse the probes' derivation; bd-identity's flags differ
         original, seen = estimates.second_order_terms, []
         monkeypatch.setattr(
-            estimates, "second_order_terms", lambda s, **flags: seen.append(flags) or original(s, **flags)
+            estimates, "second_order_terms", lambda ws, **flags: seen.append(flags) or original(ws, **flags)
         )
 
         def audited(probes):
@@ -457,3 +460,51 @@ class TestSecondOrderAudits:
         refs = [weakref.ref(s) for s in rec.states]
         del rec
         assert all(r() is None for r in refs)
+
+
+class TestEstimatesReadTheWorkspace:
+    """Every estimate that derives a field from a state reads the state's
+    workspace: no estimate builds a workspace or converts a state of its own."""
+
+    def test_one_workspace_per_sample_and_no_conversion(self, monkeypatch):
+        s = _bump(2)
+        built, converted = [], []
+        init = Workspace.__init__
+        monkeypatch.setattr(Workspace, "__init__", lambda ws, *a, **k: built.append(ws) or init(ws, *a, **k))
+        # every module that binds from_effective, under whatever name it imported
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("nsklab") and hasattr(module, "from_effective"):
+                original = module.from_effective
+                monkeypatch.setattr(module, "from_effective", lambda s, _f=original: converted.append(s) or _f(s))
+        ctx = {}
+        # the far-field check converts the initial state through a workspace of its own
+        rec = run(
+            s,
+            SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3),
+            probes=resolve_probes(("energy.total",), 2.0),
+            check_far_field=False,
+            observe=stored_state_observer(("bd-identity", "jungel"), ctx),
+        )
+        assert len(ctx["second_order_terms"]) == len(rec.times) == 5
+        assert len(built) == 5
+        assert converted == []
+
+    @pytest.mark.parametrize("probes", [(), ("energy.total",)], ids=["bare", "energy"])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("formulation", ["effective", "primitive"])
+    def test_run_terms_equal_those_of_a_fresh_workspace(self, formulation, dim, gamma, probes):
+        # the energy probe decides whether the workspace already holds
+        # grad(log rho) when the observer reads it
+        s = _bump(dim) if formulation == "effective" else from_effective(_bump(dim))
+        ctx, states = {}, []
+        observe = stored_state_observer(("bd-identity", "jungel"), ctx)
+        run(
+            s,
+            SolverConfig(gamma=gamma, dt=1e-3, t_end=3e-3),
+            probes=resolve_probes(probes, gamma),
+            check_far_field=False,  # the 3D test bump on 16^3 sits above the tolerance at the rim
+            observe=lambda ws: states.append(ws.state) or observe(ws),
+        )
+        assert len(states) == 4
+        assert ctx["second_order_terms"] == [estimates.second_order_terms(Workspace(st)) for st in states]

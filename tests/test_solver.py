@@ -394,7 +394,7 @@ class TestRun:
         rec = run(
             make_preset("constant", grid64_wide),
             cfg,
-            probes={"E": lambda ws: energy(ws.state, 2.0).total},
+            probes={"E": lambda ws: energy(ws, 2.0).total},
         )
         assert np.max(np.abs(rec.scalars["E"])) == 0.0
         assert np.all(rec.scalars["density.min"] == 1.0)
