@@ -28,7 +28,7 @@ from .dyadic import (
 )
 from .estimates import energy, log_law_constant, reverse_holder_terms
 from .fields import ScalarField, hs_norm, make_grid, random_band_limited
-from .probes import REVERSE_HOLDER_PS, stored_state_observer
+from .probes import REVERSE_HOLDER_PS, audit_observer
 from .solver import SolverConfig, Workspace, make_preset, run, to_effective
 
 
@@ -144,11 +144,12 @@ def _preset_runs():
     for key, params in (("gaussian-bump", None), ("random-large", None), (("gaussian-bump", "dip"), dip)):
         state = to_effective(make_preset(key if isinstance(key, str) else key[0], grid, params, seed=12))
         ctx = {"e0": energy(Workspace(state), 2.0).total, "inverse_density": []}
-        moments = stored_state_observer(("reverse-holder",), ctx)
+        moments = audit_observer(("reverse-holder",), ctx)
 
-        def observe(ws):
-            moments(ws)
-            ctx["inverse_density"].append(inverse_density(ws.state))
+        def observe(ws, stored):
+            moments(ws, stored)
+            if stored:
+                ctx["inverse_density"].append(inverse_density(ws.state))
 
         runs[key] = run(state, cfg, state_stride=25, observe=observe), ctx
     return runs

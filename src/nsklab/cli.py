@@ -90,7 +90,7 @@ def _cmd_report(args) -> int:
 def _cmd_audit(args) -> int:
     from .audits import audit_csv_lines
     from .fields import PositivityError, VectorField, read_snapshot
-    from .probes import AUDITS, resolve_audits, stored_state_observer
+    from .probes import AUDITS, audit_observer, resolve_audits
     from .solver import FlowState, TrajectoryRecord, Workspace, check_gamma
     import numpy as np
 
@@ -105,7 +105,7 @@ def _cmd_audit(args) -> int:
     ctx = {"gamma": args.gamma}
     try:
         state = FlowState(t, rho, VectorField(rho.grid, np.zeros((rho.grid.dim,) + rho.grid.shape)))
-        stored_state_observer(names, ctx)(Workspace(state))
+        audit_observer(names, ctx)(Workspace(state), True)
         reports = [r for fn in resolve_audits(names).values() for r in fn(TrajectoryRecord(rho.grid), ctx)]
     except PositivityError as err:  # a snapshot that is not a density
         print(f"audit error: {args.snapshot}: {err}", file=sys.stderr)

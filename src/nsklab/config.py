@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .fields import FieldError, Grid
 from .probes import AUDITS, ProbeError, require_finite_weights, resolve_audits, resolve_probes
@@ -185,6 +186,9 @@ def parse_config(text: str) -> ExperimentConfig:
     seed = _take(sections, "rng", "seed", int, required=False, default=0)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    directory = _take(sections, "output", "directory", str)
+    if Path(directory) == Path("."):  # '', '.' and './' would write into the output root
+        raise ConfigError(f"[output] directory must name a directory, got {directory!r}")
 
     cfg = ExperimentConfig(
         grid_params=grid_params,
@@ -194,7 +198,7 @@ def parse_config(text: str) -> ExperimentConfig:
         formulation=formulation,
         probe_names=probe_names,
         audit_names=audit_names,
-        directory=_take(sections, "output", "directory", str),
+        directory=directory,
         state_stride=state_stride,
         seed=seed,
         warnings=theorem_range_warnings(solver.gamma, grid_params["dim"]),

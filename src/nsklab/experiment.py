@@ -21,7 +21,7 @@ from .audits import audit_csv_lines, csv_line
 from .config import ConfigError, ExperimentConfig, parse_config
 from .estimates import log_law_constant
 from .fields import FieldError, ScalarField, sobolev_norm, write_snapshot
-from .probes import GROWTH_EXPONENTS, growth_constant, resolve_audits, resolve_probes, stored_state_observer
+from .probes import GROWTH_EXPONENTS, audit_observer, growth_constant, resolve_audits, resolve_probes
 from .solver import SolverError, make_preset, require_far_field, run, to_effective
 
 __all__ = ["RunManifest", "run_experiment", "sweep", "report", "SweepResult"]
@@ -156,7 +156,7 @@ def run_experiment(config: ExperimentConfig, output_root: Path | str | None = No
         probes=probes,
         state_stride=config.state_stride,
         check_far_field=False,  # checked on the preset itself
-        observe=stored_state_observer(config.audit_names, ctx),
+        observe=audit_observer(config.audit_names, ctx),
     )
 
     series_path = outdir / "series.csv"
@@ -227,17 +227,12 @@ class SweepResult:
 
 def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResult]:
     """Independent runs; duplicate output directories are rejected before launch."""
-    parsed = []
-    for path in config_paths:
-        text = Path(path).read_text()
-        parsed.append((str(path), parse_config(text)))
-    seen: dict[str, str] = {}
+    parsed = [(str(path), parse_config(Path(path).read_text())) for path in config_paths]
+    seen: dict[Path, str] = {}
     for path, cfg in parsed:
-        key = cfg.directory
+        key = Path(cfg.directory)  # 'a', 'a/' and './a' are one directory
         if key in seen:
-            raise ConfigError(
-                f"duplicate output directory {key!r} in {path} and {seen[key]}"
-            )
+            raise ConfigError(f"duplicate output directory {cfg.directory!r} in {path} and {seen[key]}")
         seen[key] = path
     results = []
     for path, cfg in parsed:

@@ -26,7 +26,7 @@ __all__ = [
     "resolve_probes",
     "require_finite_weights",
     "resolve_audits",
-    "stored_state_observer",
+    "audit_observer",
     "known_probe_names",
 ]
 
@@ -49,7 +49,7 @@ def _shared(key, fn):
 def _second_order(identity: bool, convexity: bool):
     """``second_order_terms`` of a workspace with these flags, kept in
     its ``floats`` under one key per pair of flags: the ``jungel.*`` probes and
-    the stored-state observer share it where their flags agree."""
+    the audit observer share it where their flags agree."""
     return _shared(
         ("second_order_terms", identity, convexity),
         lambda ws: estimates.second_order_terms(ws, identity=identity, convexity=convexity),
@@ -251,7 +251,7 @@ class Audit:
     """One trajectory audit, all of it in one ``AUDITS`` entry.
 
     ``part(ws, ctx)`` runs on the workspace of each stored state as the run
-    stores it (``run(observe=...)``) and its result is appended to ``ctx[key]``:
+    stores it (``audit_observer``) and its result is appended to ``ctx[key]``:
     floats and audit rows only, except the certificate's 1/rho where a window
     can read it (``degiorgi.readable_inverse_density``), as its windows need
     c_v from the whole run.  An audit with ``second_order`` reads instead the
@@ -335,10 +335,10 @@ AUDITS = {
 }
 
 
-def stored_state_observer(names, ctx):
-    """``observe(ws)`` for ``run()``: the per-state parts of the named audits
-    on a stored state's workspace, each result appended to its list in
-    ``ctx``, and the state's time to ``ctx["stored_times"]``."""
+def audit_observer(names, ctx):
+    """The run's one audit observer ``observe(ws, stored)``: on a stored
+    state's workspace, the named audits' per-state parts, each result appended
+    to its list in ``ctx``, and the state's time to ``ctx["stored_times"]``."""
     named = [audit for name, audit in AUDITS.items() if name in names]
     parts = {audit.key: audit.part for audit in named if audit.part is not None}
     flags = {flag: any(audit.second_order == flag for audit in named) for flag in ("identity", "convexity")}
@@ -347,10 +347,11 @@ def stored_state_observer(names, ctx):
         parts["second_order_terms"] = lambda ws, ctx: second_order(ws)
     kept = {key: ctx.setdefault(key, []) for key in ("stored_times", *parts)}
 
-    def observe(ws):
-        kept["stored_times"].append(ws.state.t)
-        for key, fn in parts.items():
-            kept[key].append(fn(ws, ctx))
+    def observe(ws, stored):
+        if stored:
+            kept["stored_times"].append(ws.state.t)
+            for key, fn in parts.items():
+                kept[key].append(fn(ws, ctx))
 
     return observe
 

@@ -437,14 +437,14 @@ def step(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowSt
 
 @dataclass
 class TrajectoryRecord:
-    """Per-step scalar diagnostics of one run, the states it collected and the
-    last state it reached (``final``: the state at the horizon or, on an abort,
-    the state the run stopped at)."""
+    """Per-step scalar diagnostics of one run and the last state it reached
+    (``final``: the state at the horizon or, on an abort, the state the run
+    stopped at).  Any other state leaves ``run()`` only through its observer."""
 
     grid: Grid
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     scalars: dict = field(default_factory=dict)
-    states: list = field(default_factory=list)
+    states: list = field(default_factory=list)  # always empty; perfbench/spans.py reads its length
     final: FlowState | None = None
     aborted: bool = False
     abort_reason: str = ""
@@ -526,10 +526,10 @@ def run(
     Each sampled state gets one ``Workspace``, which the probes (``fn(ws)``)
     read and which keeps after the sample only what the step reads.  An
     effective step leaves the new state's spectra in it, and they pass to the
-    next workspace.  The initial state, every ``state_stride``-th one and the
-    one at the horizon are stored: ``observe(ws)`` gets the workspace of each
-    at the moment it is stored, after its sample and while it still holds
-    |v|^2.  By default the record collects the stored states in ``states``.
+    next workspace.  ``observe(ws, stored)`` gets every sample's workspace
+    after its probes, while it still holds |v|^2, and is the only way a state
+    other than ``final`` leaves the run; ``stored`` is true on the initial
+    state, every ``state_stride``-th one and the one at the horizon.
     A step the guard refuses, positivity loss and non-finite fields abort
     cleanly and are recorded on the trajectory; other stepper failures
     propagate.  The minimum density is always monitored.  On glibc, every
@@ -545,8 +545,6 @@ def run(
         require_far_field(ws.primitive)
     probes = dict(probes or {})
     record = TrajectoryRecord(ws.state.grid)
-    if observe is None:
-        observe = lambda ws: record.states.append(ws.state)
     series: dict[str, list] = {name: [] for name in (*ALWAYS_RECORDED, *probes)}
     times: list[float] = []
 
@@ -557,8 +555,8 @@ def run(
             series[name].append(float(value))
         for name, fn in probes.items():
             series[name].append(float(fn(ws)))
-        if stored:
-            observe(ws)
+        if observe is not None:
+            observe(ws, stored)
         ws.drop_sample_data()
 
     n_steps = round(cfg.t_end / cfg.dt)

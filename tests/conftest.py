@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nsklab.fields import make_grid, random_band_limited
-from nsklab.probes import stored_state_observer
+from nsklab.probes import audit_observer
 from nsklab.solver import Workspace
 
 
@@ -48,13 +48,31 @@ def transforms(monkeypatch):
 @pytest.fixture(scope="session")
 def observed():
     """``observed(states, names, ctx)``: the audit ``ctx`` once the named
-    audits' per-state parts (``probes.stored_state_observer``) have seen each
+    audits' per-state parts (``probes.audit_observer``) have seen each
     state's ``Workspace``, as a run hands them the states it stores."""
 
     def feed(states, names, ctx):
-        observe = stored_state_observer(names, ctx)
+        observe = audit_observer(names, ctx)
         for s in states:
-            observe(Workspace(s))
+            observe(Workspace(s), True)
         return ctx
 
     return feed
+
+
+@pytest.fixture(scope="session")
+def collecting():
+    """``collecting(states, observe=None)``: an observer for ``run()`` that
+    appends each state the run stores to the list ``states``, then hands the
+    sample on to ``observe``."""
+
+    def observer(states, observe=None):
+        def collect(ws, stored):
+            if stored:
+                states.append(ws.state)
+            if observe is not None:
+                observe(ws, stored)
+
+        return collect
+
+    return observer

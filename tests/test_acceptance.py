@@ -48,7 +48,7 @@ from nsklab.fields import (
     random_band_limited,
     spectral_l2_norm,
 )
-from nsklab.probes import resolve_probes, stored_state_observer
+from nsklab.probes import audit_observer, resolve_probes
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -310,8 +310,8 @@ def test_criterion_08_solver():
             state = to_effective(state)
         rec = run(state, SolverConfig(gamma=2.0, dt=1e-3, t_end=1.0), state_stride=10**9)
         assert rec.times.size == 1001  # 1000 steps
-        m0 = float(np.sum(rec.states[0].rho.values - 1.0) * gm.cell_volume)
-        mT = float(np.sum(rec.states[-1].rho.values - 1.0) * gm.cell_volume)
+        m0 = float(np.sum(state.rho.values - 1.0) * gm.cell_volume)
+        mT = float(np.sum(rec.final.rho.values - 1.0) * gm.cell_volume)
         mass_dev = max(mass_dev, abs(mT - m0))
 
     energy_ok = True
@@ -344,9 +344,9 @@ def test_criterion_08_solver():
     diffs = []
     for dt in (4e-4, 2e-4, 1e-4):
         cfg = SolverConfig(gamma=2.0, dt=dt, t_end=0.04)
-        a = run(make_preset("gaussian-bump", gm), cfg, state_stride=10**9).states[-1]
+        a = run(make_preset("gaussian-bump", gm), cfg, state_stride=10**9).final
         b = from_effective(
-            run(to_effective(make_preset("gaussian-bump", gm)), cfg, state_stride=10**9).states[-1]
+            run(to_effective(make_preset("gaussian-bump", gm)), cfg, state_stride=10**9).final
         )
         diffs.append(
             float(np.max(np.abs(a.rho.values - b.rho.values)))
@@ -364,7 +364,7 @@ def test_criterion_08_solver():
     )
 
 
-def test_criterion_09_level_set_machinery():
+def test_criterion_09_level_set_machinery(collecting):
     g = make_grid(2, 64, 4 * np.pi, 1.0)
     rng = np.random.default_rng(1009)
     vals = rng.normal(size=g.shape)
@@ -387,7 +387,7 @@ def test_criterion_09_level_set_machinery():
     ):
         state = to_effective(make_preset(preset, g, params, seed=12))
         ctx = {}
-        observe = stored_state_observer(("certificate",), ctx)
+        observe = audit_observer(("certificate",), ctx)
         rec = run(state, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.3), state_stride=10, observe=observe)
         stored = ctx["stored_times"], ctx["inverse_density"]
         cert = lower_bound_certificate(rec, c_v_estimate=log_law_constant(rec), stored=stored)
@@ -397,12 +397,14 @@ def test_criterion_09_level_set_machinery():
 
     res = {}
     for dt in (2e-3, 1e-3):
-        rec = run(
+        states = []
+        run(
             to_effective(make_preset("gaussian-bump", g)),
             SolverConfig(gamma=2.0, dt=dt, t_end=0.08),
             state_stride=1,
+            observe=collecting(states),
         )
-        _, series = inverse_density_pde_residual(rec.states)
+        _, series = inverse_density_pde_residual(states)
         res[dt] = float(np.max(series))
     order = math.log2(res[2e-3] / res[1e-3])
 

@@ -220,6 +220,17 @@ class TestParse:
         assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path / "root")]) == 0
         assert (tmp_path / "root" / directory / "manifest.json").exists()
 
+    @pytest.mark.parametrize("directory", ["", ".", "./"])
+    def test_a_directory_that_names_the_output_root_is_refused(self, tmp_path, directory):
+        # the run would write its files straight into the output root
+        text = MINIMAL.format(outdir=directory)
+        with pytest.raises(ConfigError, match=r"\[output\] directory must name a directory"):
+            parse_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path / "root")]) == 2
+        assert not (tmp_path / "root").exists()
+
     @pytest.mark.parametrize("line", ["n = 32.0", "n = 3e1", "n = nan"])
     def test_an_int_key_takes_only_an_int(self, line):
         with pytest.raises(ConfigError, match=r"'n' must be int, got "):
@@ -320,6 +331,15 @@ class TestSweep:
         p2.write_text(MINIMAL.format(outdir="same"))
         with pytest.raises(ConfigError, match="duplicate output directory"):
             sweep([p1, p2], tmp_path)
+
+    def test_outdirs_that_differ_only_in_spelling_are_duplicates(self, tmp_path):
+        paths = []
+        for i, outdir in enumerate(("a", "a/", "./a")):
+            paths.append(tmp_path / f"{i}.cfg")
+            paths[-1].write_text(MINIMAL.format(outdir=outdir))
+        with pytest.raises(ConfigError, match="duplicate output directory 'a/'"):
+            sweep(paths, tmp_path / "root")
+        assert not (tmp_path / "root").exists()  # refused before any run starts
 
     def test_gamma_sweep_records_each_gamma(self, tmp_path):
         paths = []

@@ -26,7 +26,7 @@ from nsklab.degiorgi import (
 )
 from nsklab.experiment import CERTIFICATE_HEADER
 from nsklab.fields import FieldError, ScalarField, VectorField, constant_field, make_grid
-from nsklab.probes import stored_state_observer
+from nsklab.probes import audit_observer
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -343,7 +343,7 @@ class TestCertificateReadsTheRecord:
         g = make_grid(2, 32, 4 * np.pi, 1.0)
         s = to_effective(make_preset("gaussian-bump", g))
         ctx = {}
-        observe = stored_state_observer(("certificate",), ctx)
+        observe = audit_observer(("certificate",), ctx)
         rec = run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3), state_stride=2, observe=observe)
         return rec, (ctx["stored_times"], ctx["inverse_density"])
 
@@ -426,11 +426,12 @@ class TestCertificateKeepsWhatItsWindowsRead:
         g = make_grid(2, 32, 4 * np.pi, 1.0)
         bump = make_preset("gaussian-bump", g, {"amplitude": 0.5, "width": 0.1 * g.box_length})
         ctx, every = {}, []
-        part = stored_state_observer(("certificate",), ctx)
+        part = audit_observer(("certificate",), ctx)
 
-        def observe(ws):
-            part(ws)
-            every.append(inverse_density(ws.state))
+        def observe(ws, stored):
+            part(ws, stored)
+            if stored:
+                every.append(inverse_density(ws.state))
 
         rec = run(to_effective(bump), SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02), state_stride=5, observe=observe)
         times, kept = ctx["stored_times"], ctx["inverse_density"]

@@ -35,7 +35,7 @@ from nsklab.fields import (
     random_band_limited,
     sqrt_field,
 )
-from nsklab.probes import REVERSE_HOLDER_PS, ProbeError, _merge_worst, resolve_probes, stored_state_observer
+from nsklab.probes import REVERSE_HOLDER_PS, ProbeError, _merge_worst, audit_observer, resolve_probes
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -210,12 +210,13 @@ class TestVEnergy:
         s = _state(grid64, np.ones(grid64.shape), vel, formulation="effective")
         assert _v_energy(s) == pytest.approx(0.5 * grid64.volume, rel=1e-12)
 
-    def test_trajectory_bound_with_frozen_constant(self, grid64_wide):
+    def test_trajectory_bound_with_frozen_constant(self, grid64_wide, collecting):
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.1)
         s = to_effective(make_preset("gaussian-bump", grid64_wide))
-        rec = run(s, cfg, state_stride=10)
-        e0 = energy(Workspace(rec.states[0]), 2.0).total
-        sup_v = max(_v_energy(st) for st in rec.states)
+        states = []
+        run(s, cfg, state_stride=10, observe=collecting(states))
+        e0 = energy(Workspace(s), 2.0).total
+        sup_v = max(_v_energy(st) for st in states)
         c_allowed = DRIFT_FACTOR * calibrated("venergy.C.gaussian-bump")
         assert sup_v <= c_allowed * (1.0 + e0)
 
@@ -267,7 +268,7 @@ class TestBdIdentity:
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.05)
         for preset in ("gaussian-bump", "random-large"):
             ctx = {}
-            observe = stored_state_observer(("bd-identity",), ctx)
+            observe = audit_observer(("bd-identity",), ctx)
             run(make_preset(preset, grid64_wide, seed=12), cfg, state_stride=10, observe=observe)
             rep = bd_identity_audit(ctx["second_order_terms"], tolerance=1e-6)
             assert rep.passed, (preset, rep)
@@ -321,13 +322,14 @@ class TestBdExpansion:
 
     @pytest.mark.parametrize("preset", ["gaussian-bump", "random-large"])
     @pytest.mark.parametrize("formulation", ["primitive", "effective"])
-    def test_along_run(self, grid64_wide, preset, formulation):
+    def test_along_run(self, grid64_wide, collecting, preset, formulation):
         s = make_preset(preset, grid64_wide, seed=12)
         if formulation == "effective":
             s = to_effective(s)
-        rec = run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.01), state_stride=2)
-        assert len(rec.states) == 6
-        for st in rec.states:
+        states = []
+        run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.01), state_stride=2, observe=collecting(states))
+        assert len(states) == 6
+        for st in states:
             lhs = second_order_terms(Workspace(st), convexity=False)["lhs"]
             assert lhs == pytest.approx(_explicit_lhs(st), rel=1e-12, abs=0.0)
 
@@ -508,7 +510,7 @@ class TestPsiAndLogLaw:
     def test_preset_run_audits(self, grid64_wide):
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.1)
         ctx = {}
-        observe = stored_state_observer(("reverse-holder",), ctx)
+        observe = audit_observer(("reverse-holder",), ctx)
         rec = run(to_effective(make_preset("gaussian-bump", grid64_wide)), cfg, state_stride=10, observe=observe)
         assert log_law_audit(rec, preset="gaussian-bump").passed
         stored = ctx["stored_times"], ctx["velocity_moments"]
@@ -520,7 +522,7 @@ class TestPsiAndLogLaw:
         # no psi.C3.<preset> or loglaw.cv.<preset> key: the rows record their
         # value and assert nothing, for both audits alike
         ctx = {}
-        observe = stored_state_observer(("reverse-holder",), ctx)
+        observe = audit_observer(("reverse-holder",), ctx)
         s = to_effective(make_preset("gaussian-bump", grid64_wide))
         rec = run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02), state_stride=10, observe=observe)
         stored = ctx["stored_times"], ctx["velocity_moments"]

@@ -210,7 +210,7 @@ def test_run_lets_go_of_its_initial_state(monkeypatch, formulation):
     gone = _watch_steps(monkeypatch, refs)
     cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=3e-3)
     # the state reaches run() through no named reference
-    solver.run(_tracked(refs, _bump(formulation)), cfg, observe=lambda ws: None)
+    solver.run(_tracked(refs, _bump(formulation)), cfg)
     assert gone == [[False], [True], [True]]
 
 
@@ -245,7 +245,7 @@ def _demo_bump(n: int) -> solver.FlowState:
 
 def _demo_run(state, steps: int) -> solver.TrajectoryRecord:
     cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=steps * 1e-3)
-    return solver.run(state, cfg, probes=resolve_probes(DEMO_PROBES, 2.0), observe=lambda ws: None)
+    return solver.run(state, cfg, probes=resolve_probes(DEMO_PROBES, 2.0))
 
 
 @pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is set on glibc only")

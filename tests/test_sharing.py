@@ -22,7 +22,7 @@ import pytest
 
 from nsklab import estimates, solver
 from nsklab.fields import hessian, jacobian, log_field, make_grid
-from nsklab.probes import resolve_audits, resolve_probes, stored_state_observer
+from nsklab.probes import audit_observer, resolve_audits, resolve_probes
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -190,24 +190,43 @@ class TestRunLoop:
             counts.append(len(transforms))
         assert counts[1] - counts[0] == 16
 
-    def test_stored_states_carry_nothing(self):
+    @pytest.mark.parametrize("formulation,horizon", [("effective", 3), ("primitive", 0)])
+    def test_a_per_step_read_costs_no_transform_per_step(self, transforms, formulation, horizon):
+        # an observer that reads the log-density pair and |v|^2 on every sample
+        # reads what the sample or the next step forms anyway.  Only the
+        # effective horizon state, which no step follows, forms its log
+        # spectrum and both gradient components for the read: 3 transforms per run
+        s = _bump(2) if formulation == "effective" else from_effective(_bump(2))
+        extra = []
+        for n_steps in (5, 10):
+            counts = []
+            for observe in (None, lambda ws, stored: (ws.grad_log_rho, ws.log_rho_hat, ws.v2)):
+                transforms.clear()
+                run(s, SolverConfig(gamma=2.0, dt=1e-3, t_end=n_steps * 1e-3), observe=observe)
+                counts.append(len(transforms))
+            extra.append(counts[1] - counts[0])
+        assert extra == [horizon, horizon]
+
+    def test_stored_states_carry_nothing(self, collecting):
         s = _bump(2)
-        rec = run(s, self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
-        assert len(rec.states) == 7
-        assert rec.states[0] is s
+        states = []
+        run(s, self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0), observe=collecting(states))
+        assert len(states) == 7
+        assert states[0] is s
         fields = [f.name for f in dataclasses.fields(FlowState)]
         assert fields == ["t", "rho", "vel", "formulation"]
-        assert all(sorted(vars(st)) == sorted(fields) for st in rec.states)
+        assert all(sorted(vars(st)) == sorted(fields) for st in states)
 
-    def test_trajectory_matches_bare_stepping(self):
+    def test_trajectory_matches_bare_stepping(self, collecting):
         # run() is stepping with carried spectra, bit for bit
         s = _bump(2)
-        rec = run(s, self.CFG)
+        states = []
+        run(s, self.CFG, observe=collecting(states))
         ws = Workspace(s)
         for k in range(6):
             new = step(ws.state, self.CFG, ws)
-            assert np.array_equal(rec.states[k + 1].rho.values, new.rho.values)
-            assert np.array_equal(rec.states[k + 1].vel.components, new.vel.components)
+            assert np.array_equal(states[k + 1].rho.values, new.rho.values)
+            assert np.array_equal(states[k + 1].vel.components, new.vel.components)
             ws = Workspace(new, ws.spectra)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -219,16 +238,17 @@ class TestRunLoop:
         bare = s
         for _ in range(20):
             bare = step(bare, cfg)
-        last = rec.states[-1]
+        last = rec.final
         pairs = ((last.rho.values, bare.rho.values), (last.vel.components, bare.vel.components))
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_series_match_probes_on_fresh_states(self):
-        rec = run(_bump(2), self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0))
-        assert len(rec.states) == len(rec.times)
+    def test_series_match_probes_on_fresh_states(self, collecting):
+        states = []
+        rec = run(_bump(2), self.CFG, probes=resolve_probes(DEMO_PROBES, 2.0), observe=collecting(states))
+        assert len(states) == len(rec.times)
         fresh_probes = resolve_probes(DEMO_PROBES, 2.0)
-        for i, s in enumerate(rec.states):
+        for i, s in enumerate(states):
             assert rec.scalars["veff.max"][i] == solver.veff_max(Workspace(s))
             for name, fn in fresh_probes.items():
                 assert rec.scalars[name][i] == fn(Workspace(s)), (name, i)
@@ -284,7 +304,7 @@ class TestProbeFamiliesEvaluateOnce:
         monkeypatch.setattr(estimates, attr, original)
         fresh = resolve_probes(names, 2.0)
         for name in names:
-            assert rec.scalars[name][-1] == fresh[name](Workspace(rec.states[-1]))
+            assert rec.scalars[name][-1] == fresh[name](Workspace(rec.final))
 
     def test_memo_tells_states_apart(self):
         probes = resolve_probes(("energy.total",), 2.0)
@@ -311,7 +331,7 @@ class TestVelocityFunctionalsReadOnePass:
     """The reverse-Hoelder audit reads its six psi exponents and c4's initial
     v-energy in one pass."""
 
-    def test_one_velocity_moments_call_per_stored_state(self, monkeypatch, observed):
+    def test_one_velocity_moments_call_per_stored_state(self, monkeypatch, observed, collecting):
         original = estimates.velocity_moments
         seen = []
 
@@ -320,34 +340,35 @@ class TestVelocityFunctionalsReadOnePass:
             return original(ws, exponents)
 
         monkeypatch.setattr(estimates, "velocity_moments", counted)
-        rec = run(_bump(2), SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02))
-        assert len(rec.states) == 21
+        states = []
+        rec = run(_bump(2), SolverConfig(gamma=2.0, dt=1e-3, t_end=0.02), observe=collecting(states))
+        assert len(states) == 21
         audit = resolve_audits(("reverse-holder",))["reverse-holder"]
-        rows = audit(rec, observed(rec.states, ("reverse-holder",), {"preset": "gaussian-bump"}))
+        rows = audit(rec, observed(states, ("reverse-holder",), {"preset": "gaussian-bump"}))
         assert [row.inequality_id for row in rows] == ["psi.reverse_holder"]
         # one pass over the stored states, which also gives c4 the initial v-energy
         assert len(seen) == 21
-        assert [s for s, _ in seen] == rec.states
+        assert [s for s, _ in seen] == states
         assert all(len(exps) == 5 for _, exps in seen)  # q = 5/3 * 3 = 5 is shared
 
 
 
-def _record(dim: int, formulation: str, n_steps: int = 2) -> TrajectoryRecord:
+def _record(dim: int, formulation: str, n_steps: int = 2) -> tuple[TrajectoryRecord, list]:
+    """An empty record of the bump's grid and the bump's states at each step."""
     s = _bump(dim)
     if formulation == "primitive":
         s = from_effective(s)
-    rec = TrajectoryRecord(s.grid)
-    rec.states = [s]
+    states = [s]
     for _ in range(n_steps):
-        rec.states.append(step(rec.states[-1], SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3)))
-    return rec
+        states.append(step(states[-1], SolverConfig(gamma=2.0, dt=1e-3, t_end=1e-3)))
+    return TrajectoryRecord(s.grid), states
 
 
-def _audit_rows(observed, names, record, ctx=None):
-    """The rows of the named audits, run as one run's audits: the record's
-    states fed to their per-state parts, then their finishes, with one context."""
+def _audit_rows(observed, names, record, states, ctx=None):
+    """The rows of the named audits, run as one run's audits: the states fed
+    to their per-state parts, then their finishes, with one context."""
     audits = resolve_audits(names)
-    ctx = observed(record.states, names, {} if ctx is None else ctx)
+    ctx = observed(states, names, {} if ctx is None else ctx)
     return [row for name in names for row in audits[name](record, ctx)]
 
 
@@ -375,22 +396,23 @@ class TestSecondOrderAudits:
         ],
     )
     def test_transforms_per_stored_state(self, transforms, observed, dim, formulation, names, expected):
-        rec = _record(dim, formulation)
-        assert len(rec.states) == 3
+        rec, states = _record(dim, formulation)
+        assert len(states) == 3
         transforms.clear()
-        _audit_rows(observed, names, rec)
+        _audit_rows(observed, names, rec, states)
         assert len(transforms) == 3 * expected
         assert set(transforms) == {"rfftn", "irfftn"}
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("formulation", ["primitive", "effective"])
     def test_rows_do_not_depend_on_order_or_sharing(self, observed, dim, formulation):
-        rec = _record(dim, formulation)
-        first = _audit_rows(observed, ("bd-identity", "jungel"), rec)
-        second = _audit_rows(observed, ("jungel", "bd-identity"), rec)
+        rec, states = _record(dim, formulation)
+        first = _audit_rows(observed, ("bd-identity", "jungel"), rec, states)
+        second = _audit_rows(observed, ("jungel", "bd-identity"), rec, states)
         assert first == second[2:] + second[:2]
         # and each audit alone gives the rows it gives when shared
-        assert first == _audit_rows(observed, ("bd-identity",), rec) + _audit_rows(observed, ("jungel",), rec)
+        alone = _audit_rows(observed, ("bd-identity",), rec, states) + _audit_rows(observed, ("jungel",), rec, states)
+        assert first == alone
 
     def test_one_derivation_per_stored_state_and_only_floats_kept(self, monkeypatch, observed):
         original = estimates.second_order_terms
@@ -402,9 +424,9 @@ class TestSecondOrderAudits:
             return out
 
         monkeypatch.setattr(estimates, "second_order_terms", counted)
-        rec = _record(2, "primitive", n_steps=4)
-        _audit_rows(observed, ("jungel", "bd-identity"), rec)
-        assert [s for s, _ in seen] == rec.states
+        rec, states = _record(2, "primitive", n_steps=4)
+        _audit_rows(observed, ("jungel", "bd-identity"), rec, states)
+        assert [s for s, _ in seen] == states
         for _, out in seen:
             assert sorted(out) == ["A", "Bp", "D", "dt", "lhs", "u"]
             assert all(type(v) is float for v in out.values())
@@ -438,7 +460,7 @@ class TestSecondOrderAudits:
                 SolverConfig(gamma=2.0, dt=1e-3, t_end=0.05),
                 probes=resolve_probes(probes, 2.0),
                 state_stride=10,
-                observe=stored_state_observer((audit,), ctx),
+                observe=audit_observer((audit,), ctx),
             )
             return rec, ctx, resolve_audits((audit,))[audit](rec, ctx)
 
@@ -453,12 +475,12 @@ class TestSecondOrderAudits:
 
     def test_memo_does_not_keep_states_alive(self, observed):
         ctx = {}
-        rec = _record(2, "primitive")
-        _audit_rows(observed, ("bd-identity", "jungel"), rec, ctx)
-        assert len(ctx["second_order_terms"]) == len(rec.states)
+        rec, states = _record(2, "primitive")
+        _audit_rows(observed, ("bd-identity", "jungel"), rec, states, ctx)
+        assert len(ctx["second_order_terms"]) == len(states)
         assert all(type(v) is float for t in ctx["second_order_terms"] for v in t.values())
-        refs = [weakref.ref(s) for s in rec.states]
-        del rec
+        refs = [weakref.ref(s) for s in states]
+        del rec, states
         assert all(r() is None for r in refs)
 
 
@@ -483,7 +505,7 @@ class TestEstimatesReadTheWorkspace:
             SolverConfig(gamma=2.0, dt=1e-3, t_end=4e-3),
             probes=resolve_probes(("energy.total",), 2.0),
             check_far_field=False,
-            observe=stored_state_observer(("bd-identity", "jungel"), ctx),
+            observe=audit_observer(("bd-identity", "jungel"), ctx),
         )
         assert len(ctx["second_order_terms"]) == len(rec.times) == 5
         assert len(built) == 5
@@ -493,18 +515,18 @@ class TestEstimatesReadTheWorkspace:
     @pytest.mark.parametrize("gamma", [1.0, 2.0, 2.5])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("formulation", ["effective", "primitive"])
-    def test_run_terms_equal_those_of_a_fresh_workspace(self, formulation, dim, gamma, probes):
+    def test_run_terms_equal_those_of_a_fresh_workspace(self, collecting, formulation, dim, gamma, probes):
         # the energy probe decides whether the workspace already holds
         # grad(log rho) when the observer reads it
         s = _bump(dim) if formulation == "effective" else from_effective(_bump(dim))
         ctx, states = {}, []
-        observe = stored_state_observer(("bd-identity", "jungel"), ctx)
+        observe = audit_observer(("bd-identity", "jungel"), ctx)
         run(
             s,
             SolverConfig(gamma=gamma, dt=1e-3, t_end=3e-3),
             probes=resolve_probes(probes, gamma),
             check_far_field=False,  # the 3D test bump on 16^3 sits above the tolerance at the rim
-            observe=lambda ws: states.append(ws.state) or observe(ws),
+            observe=collecting(states, observe),
         )
         assert len(states) == 4
         assert ctx["second_order_terms"] == [estimates.second_order_terms(Workspace(st)) for st in states]

@@ -171,8 +171,8 @@ class TestSteppers:
             if form == "effective":
                 s = to_effective(s)
             rec = run(s, cfg, state_stride=10**9)
-            m0 = np.sum(rec.states[0].rho.values - 1.0) * g.cell_volume
-            mT = np.sum(rec.states[-1].rho.values - 1.0) * g.cell_volume
+            m0 = np.sum(s.rho.values - 1.0) * g.cell_volume
+            mT = np.sum(rec.final.rho.values - 1.0) * g.cell_volume
             assert abs(mT - m0) <= 1e-10
 
     def test_momentum_conservation_primitive(self, grid64_wide):
@@ -181,7 +181,7 @@ class TestSteppers:
         s = make_preset("random-large", g, seed=5)
         rec = run(s, cfg, state_stride=10**9)
         mom = []
-        for st in (rec.states[0], rec.states[-1]):
+        for st in (s, rec.final):
             mom.append(np.sum(st.rho.values * st.vel.components, axis=(1, 2)) * g.cell_volume)
         assert np.max(np.abs(mom[1] - mom[0])) <= 1e-10
 
@@ -196,7 +196,7 @@ class TestSteppers:
         for dt in (4e-4, 2e-4, 1e-4):
             cfg = SolverConfig(gamma=2.0, dt=dt, t_end=0.04)
             s = make_preset("gaussian-bump", grid64_wide)
-            sols[dt] = run(s, cfg, state_stride=10**9).states[-1]
+            sols[dt] = run(s, cfg, state_stride=10**9).final
         e1 = np.max(np.abs(sols[4e-4].rho.values - sols[2e-4].rho.values))
         e2 = np.max(np.abs(sols[2e-4].rho.values - sols[1e-4].rho.values))
         assert 1.6 <= e1 / e2 <= 2.6
@@ -338,10 +338,11 @@ class TestStepperProperties:
 
     @given(grid=_GRIDS, gamma=_GAMMAS, formulation=_FORMULATIONS, seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
-    def test_mass_is_conserved(self, grid, gamma, formulation, seed):
+    def test_mass_is_conserved(self, collecting, grid, gamma, formulation, seed):
         s = _random_state(*grid, formulation, seed)
-        rec = run(s, SolverConfig(gamma=gamma, dt=1e-3, t_end=3e-3), check_far_field=False)
-        mass = [float(np.sum(st.rho.values)) for st in rec.states]
+        states = []
+        rec = run(s, SolverConfig(gamma=gamma, dt=1e-3, t_end=3e-3), check_far_field=False, observe=collecting(states))
+        mass = [float(np.sum(st.rho.values)) for st in states]
         assert len(mass) == 4 and not rec.aborted
         assert max(abs(m - mass[0]) for m in mass) <= 1e-13 * mass[0]
 
@@ -381,10 +382,11 @@ class TestNonFinite:
 
 
 class TestRun:
-    def test_zero_horizon(self, grid64_wide):
+    def test_zero_horizon(self, grid64_wide, collecting):
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.0)
-        rec = run(make_preset("constant", grid64_wide), cfg)
-        assert len(rec.states) == 1
+        states = []
+        rec = run(make_preset("constant", grid64_wide), cfg, observe=collecting(states))
+        assert len(states) == 1
         assert rec.times.tolist() == [0.0]
 
     def test_constant_run_flat_diagnostics(self, grid64_wide):
@@ -400,10 +402,11 @@ class TestRun:
         assert np.all(rec.scalars["density.min"] == 1.0)
         assert np.all(rec.scalars["density.max"] == 1.0)
 
-    def test_state_stride(self, grid64_wide):
+    def test_state_stride(self, grid64_wide, collecting):
         cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.01)
-        rec = run(make_preset("gaussian-bump", grid64_wide), cfg, state_stride=5)
-        assert [round(s.t, 6) for s in rec.states] == [0.0, 0.005, 0.01]
+        states = []
+        rec = run(make_preset("gaussian-bump", grid64_wide), cfg, state_stride=5, observe=collecting(states))
+        assert [round(s.t, 6) for s in states] == [0.0, 0.005, 0.01]
         assert rec.times.size == 11
 
     def test_far_field_violation_rejected(self, grid64_wide):

@@ -1,10 +1,10 @@
 """Audits that stream: each stored state is audited as the run stores it.
 
-``run()`` hands each stored state's workspace to an observer; the default one
-collects the states on the record.  ``run_experiment`` passes the audits'
-per-state parts instead and keeps no stored state, so its rows must equal,
-field for field, the rows of a direct ``run()`` whose observer collects the
-stored states and runs the same per-state parts.
+``run()`` hands every sample's workspace to one observer, with a flag that
+says whether the state is stored; no other route takes a state out of the
+run.  ``run_experiment`` passes the audit observer and keeps no stored state,
+so its rows must equal, field for field, the rows of a direct ``run()`` whose
+observer collects the stored states and runs the same per-state parts.
 """
 
 from pathlib import Path
@@ -12,15 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsklab import degiorgi, experiment
+from nsklab import degiorgi, experiment, solver
 from nsklab.audits import AuditReport
 from nsklab.config import parse_config
 from nsklab.degiorgi import WindowCertificate
 from nsklab.estimates import log_law_constant
 from nsklab.experiment import run_experiment
 from nsklab.fields import make_grid
-from nsklab.probes import resolve_audits, resolve_probes, stored_state_observer
-from nsklab.solver import SolverConfig, make_preset, run, to_effective
+from nsklab.probes import audit_observer, resolve_audits, resolve_probes
+from nsklab.solver import CflError, SolverConfig, make_preset, run, to_effective
 
 EFFECTIVE_2D = """
 [grid]
@@ -109,7 +109,7 @@ def _read_windows(path: Path) -> list[WindowCertificate]:
     return windows
 
 
-def _collected(cfg):
+def _collected(cfg, collecting):
     """The configured run by a direct ``run()`` whose observer collects the
     stored states and runs the audits' per-state parts on each: the states,
     the audits' rows and their context."""
@@ -117,19 +117,13 @@ def _collected(cfg):
     if cfg.formulation == "effective":
         state = to_effective(state)
     ctx = {"gamma": cfg.solver.gamma, "preset": cfg.preset_name}
-    parts = stored_state_observer(cfg.audit_names, ctx)
     states = []
-
-    def observe(ws):
-        states.append(ws.state)
-        parts(ws)
-
     record = run(
         state,
         cfg.solver,
         probes=resolve_probes(cfg.probe_names, cfg.solver.gamma),
         state_stride=cfg.state_stride,
-        observe=observe,
+        observe=collecting(states, audit_observer(cfg.audit_names, ctx)),
     )
     ctx["c_v"] = log_law_constant(record)
     rows = [row for fn in resolve_audits(cfg.audit_names).values() for row in fn(record, ctx)]
@@ -138,11 +132,11 @@ def _collected(cfg):
 
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("template", [EFFECTIVE_2D, PRIMITIVE_3D], ids=["effective-2d", "primitive-3d"])
-def test_streamed_rows_equal_collected_rows(tmp_path, template, stride):
+def test_streamed_rows_equal_collected_rows(tmp_path, collecting, template, stride):
     cfg = parse_config(template.format(stride=stride))
     manifest = run_experiment(cfg, tmp_path)
     outdir = Path(manifest.directory)
-    states, rows, ctx = _collected(cfg)
+    states, rows, ctx = _collected(cfg, collecting)
     n_steps = round(cfg.solver.t_end / cfg.solver.dt)
     assert len(states) == len(range(0, n_steps + 1, stride)) + (n_steps % stride != 0)
     # %.17g round-trips every float, so the parsed rows are the streamed ones
@@ -201,25 +195,58 @@ class TestObserver:
     CFG = SolverConfig(gamma=2.0, dt=1e-3, t_end=5e-3)
 
     @staticmethod
-    def _bump():
-        return to_effective(make_preset("gaussian-bump", make_grid(2, 32, 4 * np.pi, 1.0)))
+    def _bump(formulation="effective"):
+        bump = make_preset("gaussian-bump", make_grid(2, 32, 4 * np.pi, 1.0))
+        return to_effective(bump) if formulation == "effective" else bump
+
+    @staticmethod
+    def _observer(calls):
+        """``observe(ws, stored)`` that records each call's state, flag and
+        whether the workspace still holds the sample's |v|^2."""
+        return lambda ws, stored: calls.append((ws.state, stored, "v2" in vars(ws)))
 
     def test_observer_sees_each_stored_state_once_with_its_sample_data(self):
         seen = []
 
-        def observe(ws):
-            seen.append((ws.state.t, "v2" in vars(ws)))
+        def observe(ws, stored):
+            if stored:
+                seen.append((ws.state.t, "v2" in vars(ws)))
 
-        rec = run(self._bump(), self.CFG, state_stride=2, observe=observe)
-        assert rec.states == []
+        run(self._bump(), self.CFG, state_stride=2, observe=observe)
         assert [t for t, _ in seen] == [0.0, 2e-3, 4e-3, 5e-3]
         assert all(held for _, held in seen)  # the sample's |v|^2, not yet dropped
 
-    def test_default_observer_collects_the_states(self):
-        s = self._bump()
-        rec = run(s, self.CFG, state_stride=2)
-        assert [st.t for st in rec.states] == [0.0, 2e-3, 4e-3, 5e-3]
-        assert rec.states[0] is s and rec.final is rec.states[-1]
+    @pytest.mark.parametrize("stride", [1, 3, 10**9])
+    @pytest.mark.parametrize("formulation", ["effective", "primitive"])
+    def test_one_call_per_sample_stored_on_the_stride_and_the_horizon(self, formulation, stride):
+        s, calls = self._bump(formulation), []
+        rec = run(s, self.CFG, state_stride=stride, observe=self._observer(calls))
+        assert not rec.aborted
+        assert [st.t for st, _, _ in calls] == rec.times.tolist() and len(calls) == 6
+        horizon = len(calls) - 1
+        assert [stored for _, stored, _ in calls] == [i % stride == 0 or i == horizon for i in range(len(calls))]
+        assert all(held for *_, held in calls)
+        assert calls[0][0] is s and calls[-1][0] is rec.final
+
+    @pytest.mark.parametrize("stride", [1, 3, 10**9])
+    @pytest.mark.parametrize("formulation", ["effective", "primitive"])
+    def test_calls_stop_at_the_last_sampled_state_after_an_abort(self, monkeypatch, formulation, stride):
+        bare, taken = solver.step, []
+
+        def step(s, cfg, ws=None):
+            if len(taken) == 3:
+                raise CflError("the guard refuses the fourth step")
+            taken.append(s.t)
+            return bare(s, cfg, ws)
+
+        monkeypatch.setattr(solver, "step", step)
+        calls = []
+        rec = run(self._bump(formulation), self.CFG, state_stride=stride, observe=self._observer(calls))
+        assert rec.aborted and rec.abort_time == 3e-3
+        assert [st.t for st, _, _ in calls] == rec.times.tolist() and len(calls) == 4
+        assert [stored for _, stored, _ in calls] == [i % stride == 0 for i in range(4)]
+        assert all(held for *_, held in calls)
+        assert calls[-1][0] is rec.final
 
     def test_final_is_the_last_state_reached(self):
         # the guard refuses the first step: the run stops at its initial state
