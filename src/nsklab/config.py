@@ -189,6 +189,8 @@ def parse_config(text: str) -> ExperimentConfig:
     directory = _take(sections, "output", "directory", str)
     if Path(directory) == Path("."):  # '', '.' and './' would write into the output root
         raise ConfigError(f"[output] directory must name a directory, got {directory!r}")
+    if ".." in Path(directory).parts:  # 'b/../a' would alias 'a', and '..' leave the output root
+        raise ConfigError(f"[output] directory must have no '..' part, got {directory!r}")
 
     cfg = ExperimentConfig(
         grid_params=grid_params,

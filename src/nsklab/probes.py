@@ -338,13 +338,21 @@ AUDITS = {
 def audit_observer(names, ctx):
     """The run's one audit observer ``observe(ws, stored)``: on a stored
     state's workspace, the named audits' per-state parts, each result appended
-    to its list in ``ctx``, and the state's time to ``ctx["stored_times"]``."""
+    to its list in ``ctx``, and the state's time to ``ctx["stored_times"]``.
+    The second-order terms come last, after the workspace has dropped its
+    sample data (``Workspace.drop_sample_data``), which they do not read: the
+    pass then runs without |v|^2 and a primitive state's grad log rho."""
     named = [audit for name, audit in AUDITS.items() if name in names]
     parts = {audit.key: audit.part for audit in named if audit.part is not None}
     flags = {flag: any(audit.second_order == flag for audit in named) for flag in ("identity", "convexity")}
     if any(flags.values()):
         second_order = _second_order(**flags)
-        parts["second_order_terms"] = lambda ws, ctx: second_order(ws)
+
+        def lean_second_order(ws, ctx):
+            ws.drop_sample_data()
+            return second_order(ws)
+
+        parts["second_order_terms"] = lean_second_order
     kept = {key: ctx.setdefault(key, []) for key in ("stored_times", *parts)}
 
     def observe(ws, stored):

@@ -210,7 +210,10 @@ class Workspace:
         return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - self.grad_log_rho), "primitive")
 
     def drop_sample_data(self) -> None:
-        """Forget |v|^2 and, for a primitive state, grad log rho: its step reads neither."""
+        """Forget |v|^2 and, for a primitive state, grad log rho: its step reads neither.
+        ``run()`` calls it once a sample's observer is done; the audit observer
+        calls it earlier on a stored state, before the second-order pass, so
+        the second call pops nothing."""
         effective = self.state.formulation == "effective"
         for name in ("v2",) if effective else ("v2", "grad_log_rho"):
             self.__dict__.pop(name, None)
@@ -529,7 +532,9 @@ def run(
     next workspace.  ``observe(ws, stored)`` gets every sample's workspace
     after its probes, while it still holds |v|^2, and is the only way a state
     other than ``final`` leaves the run; ``stored`` is true on the initial
-    state, every ``state_stride``-th one and the one at the horizon.
+    state, every ``state_stride``-th one and the one at the horizon.  The
+    sample data goes (``Workspace.drop_sample_data``) once the observer is
+    done, or earlier if the observer drops it itself.
     A step the guard refuses, positivity loss and non-finite fields abort
     cleanly and are recorded on the trajectory; other stepper failures
     propagate.  The minimum density is always monitored.  On glibc, every

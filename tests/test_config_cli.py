@@ -231,6 +231,22 @@ class TestParse:
         assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path / "root")]) == 2
         assert not (tmp_path / "root").exists()
 
+    @pytest.mark.parametrize("directory", ["..", "../out", "a/../..", "b/../a"])
+    def test_a_directory_with_a_parent_part_is_refused(self, tmp_path, directory):
+        # '..' would write beside the output root, and 'b/../a' alias 'a'
+        text = MINIMAL.format(outdir=directory)
+        with pytest.raises(ConfigError, match=r"\[output\] directory must have no '\.\.' part"):
+            parse_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        root = tmp_path / "root"
+        assert cli_main(["run", str(cfg_path), "--output-root", str(root / "sub")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+    def test_an_absolute_directory_is_kept(self, tmp_path):
+        text = MINIMAL.format(outdir=tmp_path / "abs")
+        assert parse_config(text).directory == str(tmp_path / "abs")
+
     @pytest.mark.parametrize("line", ["n = 32.0", "n = 3e1", "n = nan"])
     def test_an_int_key_takes_only_an_int(self, line):
         with pytest.raises(ConfigError, match=r"'n' must be int, got "):
@@ -340,6 +356,15 @@ class TestSweep:
         with pytest.raises(ConfigError, match="duplicate output directory 'a/'"):
             sweep(paths, tmp_path / "root")
         assert not (tmp_path / "root").exists()  # refused before any run starts
+
+    def test_an_alias_through_a_parent_part_is_refused_before_any_run(self, tmp_path):
+        paths = []
+        for i, outdir in enumerate(("a", "b/../a")):
+            paths.append(tmp_path / f"{i}.cfg")
+            paths[-1].write_text(MINIMAL.format(outdir=outdir))
+        with pytest.raises(ConfigError, match=r"must have no '\.\.' part, got 'b/\.\./a'"):
+            sweep(paths, tmp_path / "sw")
+        assert not (tmp_path / "sw").exists()
 
     def test_gamma_sweep_records_each_gamma(self, tmp_path):
         paths = []

@@ -432,6 +432,29 @@ class TestSecondOrderAudits:
             assert all(type(v) is float for v in out.values())
 
     @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_stored_pass_runs_without_the_sample_data(self, monkeypatch, dim, formulation):
+        # the workspace as the pass leaves it holds all it held during the
+        # pass: no |v|^2, and grad log rho only where the step consumes it
+        original, held = estimates.second_order_terms, []
+
+        def recorded(ws, **flags):
+            out = original(ws, **flags)
+            held.append({"v2", "grad_log_rho"} & set(ws.__dict__))
+            return out
+
+        monkeypatch.setattr(estimates, "second_order_terms", recorded)
+        s = _bump(dim)
+        if formulation == "primitive":
+            s = from_effective(s)
+        ctx = {}
+        cfg = SolverConfig(gamma=2.0, dt=1e-3, t_end=3e-3)
+        run(s, cfg, check_far_field=False, observe=audit_observer(("bd-identity", "jungel"), ctx))
+        assert len(held) == len(ctx["stored_times"]) == 4
+        expected = set() if formulation == "primitive" else {"grad_log_rho"}
+        assert held == [expected] * 4
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_entrywise_sums_equal_the_full_tensors(self, dim):
         # the reference builds the d x d tensors that the pass adds up one entry at a time
         g = make_grid(dim, 32 if dim == 2 else 16, 4 * np.pi, 1.0)
