@@ -394,7 +394,7 @@ def heat_evolve(u0: ScalarField, forcing: TimeSeriesField, mu: float) -> TimeSer
         df = f_hats[m + 1] - f_hats[m]
         # integral of the decaying propagator against a linear-in-time source
         hat = decay * hat + h * (f_hats[m] * p1 + df * (p1 - p2))
-        snaps.append(ScalarField(grid, grid.irfft(hat)))
+        snaps.append(ScalarField(grid, grid.irfft(hat.copy())))
     return TimeSeriesField(times, snaps)
 
 

@@ -61,6 +61,9 @@ class PositivityError(FieldError):
     """A field that must be strictly positive is not."""
 
 
+# the width, in cells, of the rim of the box that stands in for the far field
+_RIM_CELLS = 2
+
 # the exponent range, on either side of 1, in which derived powers are kept:
 # exp() of it neither overflows nor leaves the normal floats
 _LOG_RANGE = 700.0
@@ -97,7 +100,8 @@ class Grid:
     Nyquist mode), both special cases of ``rmonomial``, then ``rk2``, the
     2/3-rule ``rdealias_mask`` shared by all nonlinear products, and the
     Parseval weights ``rweight`` (1 on the zero and Nyquist columns of the
-    last axis, 2 on the conjugate-pair columns).
+    last axis, 2 on the conjugate-pair columns).  ``rim_mask`` marks the cells
+    within two of a face of the box, where the far-field check reads a state.
     """
 
     dim: int
@@ -156,6 +160,12 @@ class Grid:
         weight = np.full(nyq + 1, 2.0)
         weight[0] = weight[nyq] = 1.0
 
+        # built with the symbols, before a run allocates its fields, so that
+        # it never sits in the heap between them
+        index = np.arange(n)
+        edge = (index < _RIM_CELLS) | (index >= n - _RIM_CELLS)
+        rim = reduce(np.logical_or, (_on_axis(edge, i, dim) for i in range(dim)))
+
         x1 = np.arange(n) * (L / n)
         object.__setattr__(self, "shape", (n,) * dim)
         object.__setattr__(self, "frequencies", k1)
@@ -167,6 +177,7 @@ class Grid:
         object.__setattr__(self, "volume", L**dim)
         object.__setattr__(self, "dx", L / n)
         object.__setattr__(self, "coordinates", x1)
+        object.__setattr__(self, "rim_mask", rim)
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Half-lattice spectrum of real samples, in one new array (without
@@ -174,8 +185,18 @@ class Grid:
         return np.fft.rfftn(values, out=np.empty(self.shape[:-1] + (self.n // 2 + 1,), complex))
 
     def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Real samples of a half-lattice spectrum, written into ``out`` if given."""
-        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dim)), out=out)
+        """Real samples of a half-lattice spectrum, written into ``out`` if given.
+
+        Overwrites ``hat``: its leading axes are transformed in its own
+        storage, then its last axis into the real output, the axes in the
+        order ``numpy.fft.irfftn`` takes them, so the samples are the same
+        bit for bit and the output is the only new array (``irfftn``
+        allocates one complex intermediate per leading axis).  A caller that
+        reads the spectrum again passes a copy.
+        """
+        for axis in range(self.dim - 1):
+            np.fft.ifft(hat, axis=axis, out=hat)
+        return np.fft.irfft(hat, n=self.n, axis=-1, out=out)
 
     def rmonomial(self, alpha) -> np.ndarray:
         """``xi^alpha`` on the half lattice, for a multi-index with ``|alpha| >= 1``.

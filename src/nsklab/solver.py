@@ -65,7 +65,6 @@ __all__ = [
 FAR_FIELD_TOL = 1e-8
 # the most steps a run may take: its per-step columns alone then hold over 1 GB
 MAX_STEPS = 10**7
-_RIM_CELLS = 2
 
 # the per-step columns run() records for every run, whatever the probes
 ALWAYS_RECORDED = ("density.min", "density.max", "veff.max")
@@ -331,7 +330,10 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     for i in range(grid.dim):
         transport = np.zeros(grid.shape)
         for j, k in enumerate(ks):
-            transport += grid.irfft(1j * k * v_hat[i]) * w[j]
+            dv = grid.irfft(1j * k * v_hat[i])
+            dv *= w[j]
+            transport += dv
+            del dv
         h = grid.rfft(transport)
         del transport
         h *= mask
@@ -345,14 +347,27 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
         v_hat[i] /= 1.0 + dt * grid.rk2
     del base_hat
 
-    # mass: implicit diffusion, explicit divergence-form transport
-    r_hat += dt * sum(-1j * k * (grid.rfft(r * v[i]) * mask) for i, k in enumerate(ks))
+    # mass: implicit diffusion, explicit divergence-form transport; the flux
+    # spectra are added into one accumulator, from 0 in increasing i as sum()
+    # adds them
+    flux = np.zeros_like(r_hat)
+    for i, k in enumerate(ks):
+        h = grid.rfft(r * v[i])
+        h *= mask
+        h *= -1j * k
+        flux += h
+        del h
+    flux *= dt
+    r_hat += flux
+    del flux
     r_hat /= 1.0 + dt * grid.rk2
 
+    # the spectra pass on to the next state's workspace, so each inverse
+    # transform overwrites a copy
     new_v = w  # the new velocity, in w's storage, which no phase reads any more
     for i in range(grid.dim):
-        grid.irfft(v_hat[i], out=new_v[i])
-    return _new_state(s, cfg, grid.irfft(r_hat), new_v)
+        grid.irfft(v_hat[i].copy(), out=new_v[i])
+    return _new_state(s, cfg, grid.irfft(r_hat.copy()), new_v)
 
 
 def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
@@ -380,7 +395,7 @@ def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
     _check_cfl(s, cfg, _max_norm(u))
 
     m_hat = [grid.rfft(r * u[i]) * mask for i in range(d)]
-    m_real = [grid.irfft(h) for h in m_hat]
+    m_real = [grid.irfft(h.copy()) for h in m_hat]  # the transform overwrites its input
 
     # mass: explicit divergence-form transport
     new_r = grid.irfft(grid.rfft(r) - dt * sum(1j * ks[j] * m_hat[j] for j in range(d)))
@@ -476,8 +491,7 @@ def far_field_defect(state: FlowState) -> float:
     """
     state = Workspace(state).primitive
     grid = state.grid
-    index = np.indices(grid.shape)
-    rim = np.any((index < _RIM_CELLS) | (index >= grid.n - _RIM_CELLS), axis=0)
+    rim = grid.rim_mask
     dev_rho = float(np.max(np.abs(state.rho.values[rim] - grid.far_field_density)))
     dev_vel = float(np.max(state.vel.magnitude()[rim]))
     return max(dev_rho, dev_vel)

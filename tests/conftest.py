@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsklab.fields import make_grid, random_band_limited
+from nsklab.fields import Grid, make_grid, random_band_limited
 from nsklab.probes import audit_observer
 from nsklab.solver import Workspace
 
@@ -35,14 +35,37 @@ FFT_NAMES = (
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """A list that records the name of every numpy.fft call made from now on."""
-    calls = []
+    """A list that records ``"rfft"`` or ``"irfft"`` for every ``Grid.rfft``/
+    ``Grid.irfft`` call made from now on.  A ``numpy.fft`` function entered
+    outside those two methods fails the test, so no transform goes uncounted."""
+    calls, stray, depth = [], [], [0]
+
+    def counted(name, method):
+        def call(self, *a, **k):
+            calls.append(name)
+            depth[0] += 1
+            try:
+                return method(self, *a, **k)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    def guarded(name, fn):
+        def call(*a, **k):
+            if not depth[0]:
+                stray.append(name)
+                raise AssertionError(f"numpy.fft.{name} entered outside Grid.rfft/Grid.irfft")
+            return fn(*a, **k)
+
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(Grid, name, counted(name, getattr(Grid, name)))
     for name in FFT_NAMES:
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(
-            np.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
-        )
-    return calls
+        monkeypatch.setattr(np.fft, name, guarded(name, getattr(np.fft, name)))
+    yield calls
+    assert not stray, f"numpy.fft entered outside Grid.rfft/Grid.irfft: {stray}"
 
 
 @pytest.fixture(scope="session")

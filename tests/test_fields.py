@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ class TestGrid:
     def test_rejects_nonpositive_box(self):
         with pytest.raises(FieldError, match="box length"):
             make_grid(2, 16, 0.0, 1.0)
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 36), (3, 12), (3, 24)])
+    def test_rim_mask_is_the_index_construction(self, dim, n):
+        g = make_grid(dim, n, 3.0, 1.0)
+        index = np.indices(g.shape)
+        expected = np.any((index < 2) | (index >= n - 2), axis=0)
+        assert g.rim_mask.dtype == bool
+        assert np.array_equal(g.rim_mask, expected)
 
     def test_cell_volume(self):
         g = make_grid(2, 16, 4.0, 1.0)
@@ -325,6 +334,36 @@ class TestRealTransformLayer:
         for new, old in cases:
             old = np.asarray(old)
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("dim,n", [(2, 24), (2, 36), (3, 24), (3, 36)])
+    def test_irfft_is_numpys_irfftn(self, dim, n):
+        g = make_grid(dim, n, 3.0, 1.0)
+        rng = np.random.default_rng(5)
+        half = g.shape[:-1] + (n // 2 + 1,)
+        # any half-lattice spectrum: its zero and Nyquist columns need not be
+        # Hermitian, and every Nyquist plane carries content
+        hat = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        for axis in range(dim):
+            assert np.min(np.abs(np.take(hat, n // 2, axis=axis))) > 0.0
+        reference = np.fft.irfftn(hat, s=g.shape, axes=tuple(range(dim)))
+        out = np.empty(g.shape)
+        assert g.irfft(hat.copy()).tobytes() == reference.tobytes()
+        assert g.irfft(hat.copy(), out=out) is out
+        assert out.tobytes() == reference.tobytes()
+
+    def test_irfft_allocates_only_its_output(self, grid3d):
+        # numpy's irfftn allocates one complex intermediate per leading axis,
+        # about 2R at 32^3 on top of the output R
+        hat = grid3d.rfft(np.random.default_rng(7).standard_normal(grid3d.shape))
+        grid3d.irfft(hat.copy())  # the first call may fill the FFT library's caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = grid3d.irfft(hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.1 * samples.nbytes
 
     @pytest.mark.parametrize("dim,n", [(2, 24), (2, 36), (2, 128), (3, 24), (3, 36)])
     def test_rfft_is_numpys_in_a_fresh_array(self, dim, n):

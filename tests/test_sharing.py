@@ -16,6 +16,7 @@ share it too where their flags agree.
 import dataclasses
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from nsklab.solver import (
     step,
     to_effective,
 )
+
+pytest_plugins = ["pytester"]
 
 DEMO_PROBES = (
     "energy.total", "energy.kinetic", "venergy",
@@ -60,6 +63,39 @@ def _carried(s: FlowState, spectra: bool = True) -> Workspace:
 def _held(ws: Workspace) -> set:
     """The names of the derived arrays ws holds."""
     return set(vars(ws)) - {"state", "floats"}
+
+
+COUNTED = """
+import numpy as np
+from nsklab.fields import make_grid
+
+
+def test_counted(transforms):
+    g = make_grid(3, 8, 1.0, 1.0)
+    g.irfft(g.rfft(np.zeros(g.shape)))
+    assert transforms == ["rfft", "irfft"]
+
+
+def test_stray(transforms):
+    np.fft.rfftn(np.zeros((8, 8)))
+
+
+def test_stray_swallowed(transforms):
+    try:
+        np.fft.ifft(np.zeros(8))
+    except AssertionError:
+        pass
+"""
+
+
+def test_the_counter_fails_a_transform_it_cannot_count(pytester):
+    # the ``transforms`` fixture counts Grid.rfft/Grid.irfft calls, and a
+    # numpy.fft call from anywhere else fails the test, even when the code
+    # under test swallows the error
+    pytester.makeconftest(Path(__file__).with_name("conftest.py").read_text())
+    pytester.makepyfile(COUNTED)
+    result = pytester.runpytest_inprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(passed=2, failed=1, errors=2)
 
 
 class TestCarriedStep:
@@ -88,7 +124,7 @@ class TestCarriedStep:
         transforms.clear()
         step(s, SolverConfig(gamma=1.0, dt=1e-3, t_end=1e-3))
         assert len(transforms) == expected
-        assert set(transforms) == {"rfftn", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     @pytest.mark.parametrize("dim,expected", [(2, 17), (3, 27)])
     def test_gamma_one_carry_plus_step_keeps_budget(self, transforms, dim, expected):
@@ -401,7 +437,7 @@ class TestSecondOrderAudits:
         transforms.clear()
         _audit_rows(observed, names, rec, states)
         assert len(transforms) == 3 * expected
-        assert set(transforms) == {"rfftn", "irfftn"}
+        assert set(transforms) == {"rfft", "irfft"}
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("formulation", ["primitive", "effective"])
