@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, load_config
 from .experiment import report, run_experiment, sweep
 from .fields import FieldError
 from .probes import ProbeError
@@ -29,7 +29,7 @@ def _output_root(args) -> str | None:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = load_config(args.config)
     except (OSError, ConfigError, ProbeError, FieldError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -8,7 +8,6 @@ must be explicit, never defaulted.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +15,17 @@ from .fields import FieldError, Grid
 from .probes import AUDITS, ProbeError, require_finite_weights, resolve_audits, resolve_probes
 from .solver import PRESET_NAMES, PRESET_PARAMS, SolverConfig, theorem_range_warnings
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
+# CPython's built-in sha256, as random.py takes its seed digest: hashlib maps
+# OpenSSL's libcrypto, 3.3 MB resident, for this one digest
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -53,7 +62,7 @@ class ExperimentConfig:
         return Grid(**self.grid_params)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+        return sha256(self.text.encode("utf-8")).hexdigest()
 
 
 def _parse_scalar(raw: str):
@@ -125,6 +134,17 @@ def _take(sections, section, key, expect, required=True, default=None):
 def _name_list(sections, section) -> tuple:
     names = _take(sections, section, "names", str, required=False, default="")
     return tuple(tok.strip() for tok in names.split(",") if tok.strip())
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse the config file at ``path``, read as UTF-8, the encoding its
+    hash is taken in, with universal newlines; bytes that are not UTF-8 are a
+    ConfigError naming the path and the byte offset."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 at byte {err.start}") from None
+    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .audits import audit_csv_lines, csv_line
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .estimates import log_law_constant
 from .fields import FieldError, ScalarField, sobolev_norm, write_snapshot
 from .probes import GROWTH_EXPONENTS, audit_observer, growth_constant, resolve_audits, resolve_probes
@@ -227,7 +227,7 @@ class SweepResult:
 
 def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResult]:
     """Independent runs; duplicate output directories are rejected before launch."""
-    parsed = [(str(path), parse_config(Path(path).read_text())) for path in config_paths]
+    parsed = [(str(path), load_config(path)) for path in config_paths]
     seen: dict[Path, str] = {}
     for path, cfg in parsed:
         key = Path(cfg.directory)  # 'a', 'a/' and './a' are one directory

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from nsklab.cli import main as cli_main
-from nsklab.config import ConfigError, parse_config
+from nsklab.config import ConfigError, load_config, parse_config
 from nsklab.experiment import RunManifest, report, run_experiment, sweep
 from nsklab.fields import FieldError, ScalarField, make_grid, read_snapshot, write_snapshot
 from nsklab.probes import AUDITS
@@ -64,6 +65,9 @@ state_stride = 2
 [rng]
 seed = 7
 """
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _missing_probe_cases():
@@ -255,6 +259,23 @@ class TestParse:
     def test_comments_and_blank_lines_ignored(self):
         text = "# top comment\n" + MINIMAL.format(outdir="out") + "\n# trailing\n"
         parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *(pytest.param(path.read_text(encoding="utf-8"), id=path.name) for path in sorted(CONFIGS.rglob("*.cfg"))),
+            pytest.param("#\n" + MINIMAL.format(outdir="out") + "#", id="empty-comment"),
+            pytest.param(MINIMAL.format(outdir="out") + "# ρ ≥ ρ̄ > 0, Jüngel's γ\n", id="non-ascii-comment"),
+        ],
+    )
+    def test_config_hash_is_the_sha256_of_the_utf8_text(self, text):
+        assert parse_config(text).config_hash() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_a_config_file_is_read_with_universal_newlines(self, tmp_path):
+        text = MINIMAL.format(outdir="out") + "# ρ̄\n"
+        path = tmp_path / "crlf.cfg"
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert load_config(path).config_hash() == parse_config(text).config_hash()
 
     def test_always_recorded_probe_names_accepted(self, tmp_path):
         text = MINIMAL.format(outdir="ar") + "\n[probes]\nnames = density.min, veff.max\n"
@@ -524,6 +545,15 @@ class TestCli:
         cfg_path.write_text("[grid]\ndim = 7\n")
         assert cli_main(["run", str(cfg_path)]) == 2
 
+    def test_run_verb_config_not_utf8_exit_two(self, tmp_path, capsys):
+        data = MINIMAL.format(outdir="latin").encode("utf-8")
+        cfg_path = tmp_path / "latin.cfg"
+        cfg_path.write_bytes(data + "# Jüngel\n".encode("latin-1"))
+        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        offset = len(data) + len("# J")
+        assert capsys.readouterr().err == f"config error: {cfg_path}: not UTF-8 at byte {offset}\n"
+        assert not (tmp_path / "latin").exists()
+
     def test_run_verb_solver_abort_exit_three(self, tmp_path, capsys):
         # violent unguarded transport drains cells within one oversized step
         text = (
@@ -766,6 +796,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw0" / "manifest.json").exists()
         assert (tmp_path / "sw1" / "manifest.json").exists()
+
+    def test_sweep_verb_config_not_utf8_exit_two(self, tmp_path, capsys):
+        (tmp_path / "s0.cfg").write_text(MINIMAL.format(outdir="sw0"), encoding="utf-8")
+        (tmp_path / "s1.cfg").write_bytes(bytes(range(128, 228)))
+        code = cli_main(["sweep", str(tmp_path), "--output-root", str(tmp_path / "root")])
+        assert code == 2
+        assert capsys.readouterr().err == f"sweep error: {tmp_path / 's1.cfg'}: not UTF-8 at byte 0\n"
+        assert not (tmp_path / "root").exists()  # refused before any run starts
 
 
 class TestSolverValueExits:

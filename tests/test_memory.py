@@ -14,14 +14,18 @@ them).  Each bound is the measured peak plus 0.5R.
 
 On glibc a run keeps the memory it frees for the fields it allocates next,
 so a second run faults in next to no fresh pages; elsewhere the run is the
-same run without that policy.
+same run without that policy.  A run whose preset draws no random numbers
+maps no OpenSSL.
 """
 
 import ctypes
 import os
 import resource
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +316,34 @@ def test_run_is_unchanged_off_glibc(monkeypatch, confstr, libc):
     assert all(np.array_equal(record.scalars[k], reference.scalars[k]) for k in record.scalars)
     assert np.array_equal(record.final.rho.values, reference.final.rho.values)
     assert np.array_equal(record.final.vel.components, reference.final.vel.components)
+
+
+_FRESH_RUN = f"""
+import sys, tempfile
+import nsklab.cli
+from nsklab.config import parse_config
+from nsklab.experiment import run_experiment
+
+with tempfile.TemporaryDirectory() as root:
+    assert run_experiment(parse_config({SMALL_RUN.format(formulation='effective')!r}), root).exit_code == 0
+print(sorted(name for name in ("_hashlib", "numpy.random") if name in sys.modules))
+"""
+
+
+def test_a_run_without_random_numbers_loads_no_openssl():
+    """A 2D run's peak RSS is mostly the process: the interpreter and numpy
+    take about 27 MB, and OpenSSL's libcrypto, which `_hashlib` maps, 3.3 MB
+    more; `numpy.random` maps it too, through `secrets` and `hmac`.  The
+    config hash comes from CPython's built-in sha256, so a run whose preset
+    draws no random numbers, here `SMALL_RUN` in effective form with its
+    seven audits, loads neither.  The run goes in a fresh interpreter, since
+    pytest and hypothesis import hashlib themselves."""
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
