@@ -25,7 +25,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config", "read_config"]
 
 
 class ConfigError(ValueError):
@@ -136,15 +136,19 @@ def _name_list(sections, section) -> tuple:
     return tuple(tok.strip() for tok in names.split(",") if tok.strip())
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse the config file at ``path``, read as UTF-8, the encoding its
-    hash is taken in, with universal newlines; bytes that are not UTF-8 are a
-    ConfigError naming the path and the byte offset."""
+def read_config(path) -> str:
+    """The text of the config file at ``path``, read as UTF-8, the encoding
+    its hash is taken in, with universal newlines; bytes that are not UTF-8
+    are a ConfigError naming the path and the byte offset."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 at byte {err.start}") from None
-    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .audits import audit_csv_lines, csv_line
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, parse_config, read_config
 from .estimates import log_law_constant
 from .fields import FieldError, ScalarField, sobolev_norm, write_snapshot
 from .probes import GROWTH_EXPONENTS, audit_observer, growth_constant, resolve_audits, resolve_probes
@@ -226,8 +226,15 @@ class SweepResult:
 
 
 def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResult]:
-    """Independent runs; duplicate output directories are rejected before launch."""
-    parsed = [(str(path), load_config(path)) for path in config_paths]
+    """Independent runs; a config error, named by its path, or duplicate
+    output directories are rejected before launch."""
+    parsed = []
+    for path in config_paths:
+        text = read_config(path)  # its error names the path
+        try:
+            parsed.append((str(path), parse_config(text)))
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
     seen: dict[Path, str] = {}
     for path, cfg in parsed:
         key = Path(cfg.directory)  # 'a', 'a/' and './a' are one directory

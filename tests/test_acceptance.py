@@ -9,23 +9,22 @@ import math
 import numpy as np
 import pytest
 
+from nsklab.calibrate import _block_corpus
 from nsklab.calibration import DRIFT_FACTOR, calibrated
 from nsklab.cli import main as cli_main
 from nsklab.degiorgi import (
     IterationSpec,
-    closed_form_log,
     inverse_density_pde_residual,
     level_set_measure,
     lower_bound_certificate,
-    recurrence_log,
     theta,
     truncate,
 )
 from nsklab.dyadic import (
     BesovIndex,
     bernstein_ratios,
+    besov_norm,
     build_dyadic_family,
-    dyadic_block,
     select_frequency_cut,
 )
 from nsklab.estimates import (
@@ -39,16 +38,16 @@ from nsklab.fields import (
     ScalarField,
     VectorField,
     constant_field,
-    divergence,
     gradient,
     hs_norm,
-    l2_norm,
-    laplacian,
     make_grid,
     random_band_limited,
-    spectral_l2_norm,
 )
 from nsklab.probes import audit_observer, resolve_probes
+from nsklab.selftest import (
+    closed_form_deviation, div_grad_deviation, lower_constant_min, orthogonality_deviation, parseval_deviation,
+    reconstruction_deviation, rfft_round_trip_deviation, steady_state_deviation, threshold_decay_excess,
+)
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -56,8 +55,6 @@ from nsklab.solver import (
     from_effective,
     make_preset,
     run,
-    step_effective,
-    step_primitive,
     to_effective,
 )
 
@@ -74,25 +71,15 @@ def _verdict(number: int, label: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_spectral_core():
     rng = np.random.default_rng(1001)
     cases = [(2, 16, 300), (2, 32, 300), (2, 64, 200), (2, 128, 120), (3, 16, 40), (3, 32, 30), (3, 64, 10)]
-    checked = 0
-    worst_rt = worst_id = worst_pv = 0.0
+    devs = []  # round trip, div grad, Parseval per field; np.max keeps a NaN
     for dim, n, count in cases:
         g = make_grid(dim, n, 2 * np.pi, 1.0)
         for _ in range(count):
             f = random_band_limited(g, rng, max_mode=max(2, n // 3))
-            scale = max(1.0, float(np.max(np.abs(f.values))))
-            back = np.fft.ifftn(np.fft.fftn(f.values)).real
-            worst_rt = max(worst_rt, float(np.max(np.abs(back - f.values))) / scale)
-            lap = laplacian(f)
-            resid = divergence(gradient(f)).values - lap.values
-            lap_scale = max(1.0, float(np.max(np.abs(lap.values))))
-            worst_id = max(worst_id, float(np.max(np.abs(resid))) / lap_scale)
-            worst_pv = max(
-                worst_pv, abs(l2_norm(f) - spectral_l2_norm(f)) / max(1.0, l2_norm(f))
-            )
-            checked += 1
+            devs.append((rfft_round_trip_deviation(f), div_grad_deviation(f), parseval_deviation(f)))
         assert np.all(gradient(constant_field(g, 2.5)).components == 0.0)
-    assert checked == 1000
+    assert len(devs) == 1000
+    worst_rt, worst_id, worst_pv = np.max(devs, axis=0)
     ok = worst_rt <= 1e-12 and worst_id <= 1e-12 and worst_pv <= 1e-10
     _verdict(
         1,
@@ -109,36 +96,23 @@ def test_criterion_02_dyadic_partition_orthogonality_equivalence():
     partition_dev = float(np.max(np.abs(total - 1.0)))
 
     rng = np.random.default_rng(1002)
-    probe = random_band_limited(g, rng)
-    ortho_dev = 0.0
-    scale = float(np.max(np.abs(probe.values)))
-    for j in fam.blocks():
-        for jp in fam.blocks():
-            if abs(j - jp) >= 2:
-                twice = dyadic_block(fam, dyadic_block(fam, probe, j), jp)
-                ortho_dev = max(ortho_dev, float(np.max(np.abs(twice.values))) / scale)
+    ortho_dev = orthogonality_deviation(fam, random_band_limited(g, rng))
 
-    recon_dev = 0.0
+    recon = []
     ratio_ok = True
     detail = {}
     for s in (-1, 0, 1, 2):
         detail[s] = [math.inf, 0.0]
     for _ in range(100):
         f = random_band_limited(g, rng, max_mode=int(rng.integers(2, 42)))
-        rec = sum(dyadic_block(fam, f, j).values for j in fam.blocks())
-        recon_dev = max(
-            recon_dev, float(np.max(np.abs(rec - f.values))) / float(np.max(np.abs(f.values)))
-        )
-        block_l2 = [l2_norm(dyadic_block(fam, f, j)) for j in fam.blocks()]
+        recon.append(reconstruction_deviation(fam, f))
         for s in (-1, 0, 1, 2):
-            weights = [2.0 ** (j * s) if j >= 0 else 1.0 for j in fam.blocks()]
-            besov = math.sqrt(sum((w * b) ** 2 for w, b in zip(weights, block_l2)))
-            ratio = besov / hs_norm(f, s)
+            ratio = besov_norm(fam, f, BesovIndex(s, 2, 2)) / hs_norm(f, s)
             c_allowed = DRIFT_FACTOR * calibrated(f"besov.hs_equiv.s{s}")
             detail[s][0] = min(detail[s][0], ratio)
             detail[s][1] = max(detail[s][1], ratio)
             ratio_ok = ratio_ok and (1.0 / c_allowed <= ratio <= c_allowed)
-    ok = partition_dev <= 1e-12 and ortho_dev <= 1e-12 and recon_dev <= 1e-12 and ratio_ok
+    ok = partition_dev <= 1e-12 and ortho_dev <= 1e-12 and np.max(recon) <= 1e-12 and ratio_ok
     spans = ", ".join(f"s={s}: [{lo:.3f}, {hi:.3f}]" for s, (lo, hi) in detail.items())
     _verdict(
         2,
@@ -161,15 +135,8 @@ def test_criterion_03_bernstein():
             for key in ("ball", "annulus", "multiplier"):
                 exact_dev = max(exact_dev, abs(ratios[key] - 1.0))
 
-    rng = np.random.default_rng(1003)
     corpus_ok = True
-    for _ in range(30):
-        j = int(rng.integers(1, fam.j_max + 1))
-        f = random_band_limited(g, rng, max_mode=g.n // 2 - 1)
-        w = dyadic_block(fam, f, j)
-        hat = g.rfft(w.values)
-        hat[~(fam.multiplier(j) > 0)] = 0.0
-        w = ScalarField(g, g.irfft(hat))
+    for j, w in _block_corpus(fam, 30, seed=1003):
         for k in (1, 2, 3):
             ratios = bernstein_ratios(fam, w, j, k, 2.0, 2.0)
             corpus_ok = corpus_ok and ratios["ball"] <= DRIFT_FACTOR * calibrated(
@@ -198,12 +165,7 @@ def test_criterion_04_frequency_cut():
     for _ in range(100):
         f = random_band_limited(g, rng, max_mode=int(rng.integers(2, 42)))
         for s1, s2 in ((0.0, 2.0), (-1.0, 1.0)):
-            m1 = 0.0
-            m2 = 0.0
-            for j in fam.blocks():
-                b = l2_norm(dyadic_block(fam, f, j))
-                m1 = max(m1, (2.0 ** (j * s1) if j >= 0 else 1.0) * b)
-                m2 = max(m2, (2.0 ** (j * s2) if j >= 0 else 1.0) * b)
+            m1, m2 = (besov_norm(fam, f, BesovIndex(s, 2, math.inf)) for s in (s1, s2))
             gap = s2 - s1
             n_cut = select_frequency_cut(m1, m2, gap)
             ok = ok and (2.0 ** (n_cut * gap) <= m2 / m1 < 2.0 ** ((n_cut + 1) * gap))
@@ -213,7 +175,7 @@ def test_criterion_04_frequency_cut():
 
 def test_criterion_05_iteration_lemma():
     rng = np.random.default_rng(1005)
-    agree_dev = 0.0
+    agree = []
     decay_ok = True
     for _ in range(200):
         base = IterationSpec(
@@ -223,20 +185,9 @@ def test_criterion_05_iteration_lemma():
             X0=0.0,
         )
         spec = IterationSpec(base.K, base.A, base.nu, float(rng.uniform(0.0, 1.0)) * theta(base))
-        logs = recurrence_log(spec, 60)
-        log_theta = math.log(theta(base))
-        log_a = math.log(spec.A)
-        # forward-error allowance: the superlinear update amplifies rounding
-        # by (1 + nu) per step, and the bound is an equality at the threshold
-        err_scale = max(1.0, abs(math.log(spec.K)), abs(log_a), abs(log_theta))
-        for k in range(61):
-            cf = closed_form_log(spec, k)
-            if math.isinf(cf) and math.isinf(logs[k]):
-                continue
-            agree_dev = max(agree_dev, abs(cf - logs[k]) / max(1.0, abs(cf)))
-            if logs[k] != -math.inf:
-                slack = (1.0 + spec.nu) ** k * 64 * np.finfo(float).eps * err_scale + 1e-9
-                decay_ok = decay_ok and logs[k] <= log_theta - (k / spec.nu) * log_a + slack
+        agree.append(closed_form_deviation(spec, 60))
+        decay_ok = decay_ok and threshold_decay_excess(spec, 60) <= 0.0
+    agree_dev = np.max(agree)
     ok = agree_dev <= 1e-12 and decay_ok
     _verdict(
         5,
@@ -259,10 +210,7 @@ def test_criterion_06_explicit_equivalence_constants():
         dev_pow = (rho.values - rho_bar) ** gamma
         violations += int(np.count_nonzero(c1 * dev_pow > pi * (1.0 + 1e-12)))
         violations += int(np.count_nonzero(pi > c2 * dev_pow * (1.0 + 1e-12)))
-    positive = all(
-        equivalence_constants(float(gamma))[0] > 0.0
-        for gamma in np.linspace(1.0, 3.0, 101)[1:]
-    )
+    positive = lower_constant_min(np.linspace(1.0, 3.0, 101)[1:]) > 0.0
     ok = violations == 0 and positive
     _verdict(
         6,
@@ -290,17 +238,7 @@ def test_criterion_07_jungel_3d():
 
 
 def test_criterion_08_solver():
-    g = make_grid(2, 128, 4 * np.pi, 1.0)
-    cfg1 = SolverConfig(gamma=2.0, dt=1e-3, t_end=0.0)
-    s0 = make_preset("constant", g)
-    sp = step_primitive(s0, cfg1)
-    se = step_effective(to_effective(s0), cfg1)
-    steady_dev = max(
-        float(np.max(np.abs(sp.rho.values - 1.0))),
-        float(np.max(np.abs(sp.vel.components))),
-        float(np.max(np.abs(se.rho.values - 1.0))),
-        float(np.max(np.abs(se.vel.components))),
-    )
+    steady_dev = steady_state_deviation(make_grid(2, 128, 4 * np.pi, 1.0))
 
     gm = make_grid(2, 64, 4 * np.pi, 1.0)
     mass_dev = 0.0

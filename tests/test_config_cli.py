@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -13,6 +12,7 @@ from nsklab.config import ConfigError, load_config, parse_config
 from nsklab.experiment import RunManifest, report, run_experiment, sweep
 from nsklab.fields import FieldError, ScalarField, make_grid, read_snapshot, write_snapshot
 from nsklab.probes import AUDITS
+from nsklab.selftest import CHECKS
 from nsklab.solver import SolverConfig
 
 MINIMAL = """
@@ -33,6 +33,20 @@ t_end = 0.005
 [output]
 directory = {outdir}
 """
+
+# each shared check of nsklab.selftest, by the index of the CHECKS line that calls it
+SELFTEST_CHECKS = [
+    (0, "rfft_round_trip_deviation"), (0, "parseval_deviation"), (0, "div_grad_deviation"),
+    (1, "reconstruction_deviation"), (1, "orthogonality_deviation"), (2, "closed_form_deviation"),
+    (3, "steady_state_deviation"), (4, "transform_round_trip_deviation"), (5, "lower_constant_min"),
+    (6, "snapshot_round_trip_deviation"),
+]
+
+def _run_config(tmp_path, text, root):
+    """Exit code of `nsklab run` on `text`, written to tmp_path / "c.cfg", with outputs under `root`."""
+    (tmp_path / "c.cfg").write_text(text)
+    return cli_main(["run", str(tmp_path / "c.cfg"), "--output-root", str(root)])
+
 
 FULL = """
 [grid]
@@ -103,9 +117,7 @@ class TestParse:
             lineno = text.splitlines().index(line) + 1
             with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key '{key}' in \[solver\]$"):
                 parse_config(text)
-            cfg_path = tmp_path / "c.cfg"
-            cfg_path.write_text(text)
-            assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+            assert _run_config(tmp_path, text, tmp_path) == 2
             assert f"line {lineno}: unknown key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["true", "false"])
@@ -116,9 +128,7 @@ class TestParse:
         lineno = text.splitlines().index(line) + 1
         with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key 'snapshots' in \[output\]$"):
             parse_config(text)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert _run_config(tmp_path, text, tmp_path) == 2
         assert f"line {lineno}: unknown key 'snapshots'" in capsys.readouterr().err
         assert not (tmp_path / "snap").exists()
 
@@ -141,9 +151,7 @@ class TestParse:
         text = MINIMAL.format(outdir="growth") + f"\n[probes]\nnames = {names}\n\n[audits]\nnames = {audit}\n"
         with pytest.raises(ConfigError, match=f"audit '{audit}' reads the probes {missing};"):
             parse_config(text)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert _run_config(tmp_path, text, tmp_path) == 2
         assert missing in capsys.readouterr().err
         assert not (tmp_path / "growth").exists()
         # with its probes recorded the audit is accepted
@@ -154,10 +162,8 @@ class TestParse:
     def test_gamma_one_audit_is_config_error(self, tmp_path, capsys, audit):
         # both audits read the potential energy's gamma > 1 branch at every stored state
         text = MINIMAL.format(outdir="gamma1").replace("gamma = 2.0", "gamma = 1.0") + f"\n[audits]\nnames = {audit}\n"
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
         root = tmp_path / "root"
-        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        assert _run_config(tmp_path, text, root) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: audit '{audit}' needs gamma > 1") and "Traceback" not in err
         assert not root.exists()
@@ -219,9 +225,7 @@ class TestParse:
         # a string-valued key reads its raw text, whatever number it looks like
         text = MINIMAL.format(outdir=directory)
         assert parse_config(text).directory == directory
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path / "root")]) == 0
+        assert _run_config(tmp_path, text, tmp_path / "root") == 0
         assert (tmp_path / "root" / directory / "manifest.json").exists()
 
     @pytest.mark.parametrize("directory", ["", ".", "./"])
@@ -230,9 +234,7 @@ class TestParse:
         text = MINIMAL.format(outdir=directory)
         with pytest.raises(ConfigError, match=r"\[output\] directory must name a directory"):
             parse_config(text)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path / "root")]) == 2
+        assert _run_config(tmp_path, text, tmp_path / "root") == 2
         assert not (tmp_path / "root").exists()
 
     @pytest.mark.parametrize("directory", ["..", "../out", "a/../..", "b/../a"])
@@ -241,10 +243,8 @@ class TestParse:
         text = MINIMAL.format(outdir=directory)
         with pytest.raises(ConfigError, match=r"\[output\] directory must have no '\.\.' part"):
             parse_config(text)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
         root = tmp_path / "root"
-        assert cli_main(["run", str(cfg_path), "--output-root", str(root / "sub")]) == 2
+        assert _run_config(tmp_path, text, root / "sub") == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
     def test_an_absolute_directory_is_kept(self, tmp_path):
@@ -534,9 +534,7 @@ class TestReport:
 
 class TestCli:
     def test_run_verb_exit_zero(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(MINIMAL.format(outdir="cli_run"))
-        code = cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)])
+        code = _run_config(tmp_path, MINIMAL.format(outdir="cli_run"), tmp_path)
         assert code == 0
         assert "run complete" in capsys.readouterr().out
 
@@ -563,9 +561,7 @@ class TestCli:
             .replace("dt = 1e-3", "dt = 0.05\ncfl_safety = 1e9")
             .replace("t_end = 0.005", "t_end = 1.0\nformulation = effective")
         )
-        cfg_path = tmp_path / "abort.cfg"
-        cfg_path.write_text(text)
-        code = cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)])
+        code = _run_config(tmp_path, text, tmp_path)
         out = capsys.readouterr().out
         assert code == 3
         assert "solver aborted" in out
@@ -576,9 +572,7 @@ class TestCli:
         # the guard refuses the first step; the run still ends with its outputs and a manifest
         demo = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
         text = demo.read_text().replace("dt = 1e-3", "dt = 1e-2").replace("out/demo", "guard_run")
-        cfg_path = tmp_path / "guard.cfg"
-        cfg_path.write_text(text)
-        code = cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)])
+        code = _run_config(tmp_path, text, tmp_path)
         out = capsys.readouterr().out
         assert code == 3
         assert "solver aborted at t=0.0: dt=0.01 exceeds the stability guard" in out
@@ -616,10 +610,8 @@ class TestCli:
         ],
     )
     def test_bad_probe_parameter_is_config_error(self, tmp_path, capsys, name):
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(MINIMAL.format(outdir="bad_probe") + f"\n[probes]\nnames = {name}\n")
         root = tmp_path / "root"
-        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        assert _run_config(tmp_path, MINIMAL.format(outdir="bad_probe") + f"\n[probes]\nnames = {name}\n", root) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not root.exists()
@@ -690,9 +682,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"audit error: not a NSKF1 snapshot: {path}")
 
     def test_audit_verb(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(MINIMAL.format(outdir="audit_run"))
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 0
+        assert _run_config(tmp_path, MINIMAL.format(outdir="audit_run"), tmp_path) == 0
         capsys.readouterr()  # flush the run output
         snap = tmp_path / "audit_run" / "final.rho.nskf"
         code = cli_main(["audit", str(snap), "--gamma", "2.0"])
@@ -745,9 +735,7 @@ class TestCli:
             SolverConfig(gamma=float(gamma), dt=1e-3, t_end=1e-3)
 
     def test_report_verb(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(MINIMAL.format(outdir="rep_run"))
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 0
+        assert _run_config(tmp_path, MINIMAL.format(outdir="rep_run"), tmp_path) == 0
         out_csv = tmp_path / "s.csv"
         code = cli_main(
             ["report", str(tmp_path / "rep_run" / "manifest.json"), "-o", str(out_csv)]
@@ -779,15 +767,15 @@ class TestCli:
         assert cli_main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 7 and all(line.startswith("[ok] ") for line in lines)
+        assert {line for line, _ in SELFTEST_CHECKS} == set(range(7))  # each line can fail below
 
-    def test_selftest_verb_reports_a_failed_check(self, capsys, monkeypatch):
-        import nsklab.selftest as selftest
-
-        monkeypatch.setattr(selftest, "steady_state_deviation", lambda grid: 1.0)
+    @pytest.mark.parametrize("line,check", SELFTEST_CHECKS)
+    def test_selftest_verb_reports_a_failed_check(self, capsys, monkeypatch, line, check):
+        # a NaN fails every comparison a check makes, whichever way it points
+        monkeypatch.setattr(f"nsklab.selftest.{check}", lambda *args: math.nan)
         assert cli_main(["selftest"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert lines.count("[FAIL] constant state exactly steady") == 1
-        assert sum(line.startswith("[ok] ") for line in lines) == 6
+        expected = [f"[{'FAIL' if i == line else 'ok'}] {label}" for i, (label, _) in enumerate(CHECKS)]
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_sweep_verb_directory(self, tmp_path):
         for i in range(2):
@@ -796,6 +784,15 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw0" / "manifest.json").exists()
         assert (tmp_path / "sw1" / "manifest.json").exists()
+
+    def test_sweep_verb_names_the_config_in_error(self, tmp_path, capsys):
+        (tmp_path / "s0.cfg").write_text(MINIMAL.format(outdir="sw0").replace("dim = 2", "dim = 7"))
+        (tmp_path / "s1.cfg").write_text(MINIMAL.format(outdir="sw1"))
+        code = cli_main(["sweep", str(tmp_path), "--output-root", str(tmp_path / "root")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"sweep error: {tmp_path / 's0.cfg'}: invalid [grid]: unsupported dimension 7 (2 and 3 only)\n"
+        assert not (tmp_path / "root").exists()  # refused before any run starts
 
     def test_sweep_verb_config_not_utf8_exit_two(self, tmp_path, capsys):
         (tmp_path / "s0.cfg").write_text(MINIMAL.format(outdir="sw0"), encoding="utf-8")
@@ -815,9 +812,7 @@ class TestSolverValueExits:
         text = MINIMAL.format(outdir="rejected").replace("t_end = 0.005", line)
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(text)
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert _run_config(tmp_path, text, tmp_path) == 2
         assert match in capsys.readouterr().err
         assert not (tmp_path / "rejected").exists()
 
@@ -847,9 +842,7 @@ class TestSolverValueExits:
 
         # at this n one field takes 8 TiB; the injected error stands in for numpy's
         monkeypatch.setattr(Grid, "_build_symbols", out_of_memory)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(MINIMAL.format(outdir="huge").replace("n = 32", "n = 1048576"))
-        assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 2
+        assert _run_config(tmp_path, MINIMAL.format(outdir="huge").replace("n = 32", "n = 1048576"), tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: invalid [grid]: grid n = 1048576 in 2D does not fit in memory")
         assert "8796093022208 bytes" in err and "Traceback" not in err
@@ -868,9 +861,7 @@ class TestSolverValueExits:
             return state
 
         monkeypatch.setattr(experiment, "make_preset", poisoned_preset)
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(MINIMAL.format(outdir="nan_run"))
-        code = cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)])
+        code = _run_config(tmp_path, MINIMAL.format(outdir="nan_run"), tmp_path)
         assert code == 3
         assert "non-finite" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "nan_run" / "manifest.json").read_text())
@@ -892,10 +883,8 @@ class TestInitialStateExits:
         ids=["not-a-number", "nan", "bump-below-vacuum", "random-at-far-field"],
     )
     def test_bad_preset_value_exit_two(self, tmp_path, capsys, preset, match):
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(MINIMAL.format(outdir="bad_preset").replace("name = constant", preset))
         root = tmp_path / "root"
-        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        assert _run_config(tmp_path, MINIMAL.format(outdir="bad_preset").replace("name = constant", preset), root) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and match in err
         assert "Traceback" not in err
@@ -904,10 +893,8 @@ class TestInitialStateExits:
     def test_far_field_violation_exit_two(self, tmp_path, capsys):
         demo = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
         text = demo.read_text().replace("width = 1.2566370614359172", "width = 6.0")
-        cfg_path = tmp_path / "wide.cfg"
-        cfg_path.write_text(text)
         root = tmp_path / "root"
-        assert cli_main(["run", str(cfg_path), "--output-root", str(root)]) == 2
+        assert _run_config(tmp_path, text, root) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: initial state violates the far-field proxy")
         assert "boundary deviation 1.787e-01" in err
@@ -926,9 +913,7 @@ def test_aborted_run_final_snapshot_is_the_last_state_reached(tmp_path):
         .replace("t_end = 0.005", "t_end = 0.4")
         + "state_stride = 4\n"
     )
-    cfg_path = tmp_path / "drain.cfg"
-    cfg_path.write_text(text)
-    assert cli_main(["run", str(cfg_path), "--output-root", str(tmp_path)]) == 3
+    assert _run_config(tmp_path, text, tmp_path) == 3
     outdir = tmp_path / "drain"
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["abort_time"] == pytest.approx(0.12)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from nsklab.degiorgi import (
 from nsklab.experiment import CERTIFICATE_HEADER
 from nsklab.fields import FieldError, ScalarField, VectorField, constant_field, make_grid
 from nsklab.probes import audit_observer
+from nsklab.selftest import closed_form_deviation, threshold_decay_excess
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -80,12 +81,13 @@ class TestClosedForm:
                 nu=float(rng.uniform(0.1, 2.5)),
                 X0=float(rng.uniform(0.0, 0.9)),
             )
-            rec = recurrence_log(spec, 20)
-            for k in range(21):
-                cf = closed_form_log(spec, k)
-                if math.isinf(cf) and math.isinf(rec[k]):
-                    continue
-                assert abs(cf - rec[k]) <= 1e-12 * max(1.0, abs(cf))
+            assert closed_form_deviation(spec, 20) <= 1e-12
+
+    def test_closed_form_check_sees_a_nudged_constant(self, monkeypatch):
+        monkeypatch.setattr(
+            "nsklab.selftest.closed_form_log", lambda spec, k: closed_form_log(replace(spec, K=spec.K * (1 + 1e-9)), k)
+        )
+        assert closed_form_deviation(IterationSpec(K=2.0, A=3.0, nu=0.7, X0=0.37), 20) > 1e-12
 
     def test_threshold_halving_case(self):
         # at the threshold with A = 2, nu = 1 the sequence halves each step
@@ -112,20 +114,18 @@ class TestClosedForm:
     )
     @settings(max_examples=60, deadline=None)
     def test_decay_below_threshold(self, k_const, a_const, nu, frac):
-        # at frac = 1 the bound holds with equality, so the tolerance must
-        # cover the recurrence's forward error, which the superlinear update
-        # amplifies by (1 + nu) per step
         spec0 = IterationSpec(k_const, a_const, nu, 0.0)
-        spec = IterationSpec(k_const, a_const, nu, frac * theta(spec0))
-        logs = recurrence_log(spec, 60)
-        log_theta = math.log(theta(spec0))
-        log_a = math.log(a_const)
-        scale = max(1.0, abs(math.log(k_const)), abs(log_a), abs(log_theta))
-        for k, lg in enumerate(logs):
-            if lg == -math.inf:
-                continue
-            slack = (1.0 + nu) ** k * 64 * np.finfo(float).eps * scale + 1e-9
-            assert lg <= log_theta - (k / nu) * log_a + slack
+        assert threshold_decay_excess(IterationSpec(k_const, a_const, nu, frac * theta(spec0)), 60) <= 0.0
+
+    def test_decay_check_sees_a_start_above_threshold(self):
+        spec0 = IterationSpec(2.0, 3.0, 0.7, 0.0)
+        assert threshold_decay_excess(IterationSpec(2.0, 3.0, 0.7, 1.01 * theta(spec0)), 60) > 0.0
+
+    @pytest.mark.parametrize("check", [closed_form_deviation, threshold_decay_excess])
+    def test_checks_see_a_nan_past_the_first_step(self, monkeypatch, check):
+        nan_at_5 = lambda spec, steps: [math.nan if k == 5 else lg for k, lg in enumerate(recurrence_log(spec, steps))]
+        monkeypatch.setattr("nsklab.selftest.recurrence_log", nan_at_5)
+        assert math.isnan(check(IterationSpec(K=2.0, A=3.0, nu=0.7, X0=0.37), 20))
 
 
 class TestLevelSets:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from nsklab.fields import (
     make_grid,
     random_band_limited,
 )
+from nsklab.selftest import orthogonality_deviation, reconstruction_deviation
 from nsklab.solver import FlowState
 
 
@@ -89,9 +92,24 @@ class TestFamily:
 class TestBlocks:
     def test_reconstruction(self, family, halfgrid):
         rng = np.random.default_rng(31)
-        f = random_band_limited(halfgrid, rng)
-        rec = sum(dyadic_block(family, f, j).values for j in family.blocks())
-        assert np.max(np.abs(rec - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        assert reconstruction_deviation(family, random_band_limited(halfgrid, rng)) <= 1e-12
+
+    @pytest.mark.parametrize("check", [reconstruction_deviation, orthogonality_deviation])
+    def test_checks_see_a_perturbed_multiplier(self, family, halfgrid, check):
+        # block 1 gains every frequency: the sum is no longer 1, nor its support an annulus
+        phis = tuple(p + 1e-6 if j == 1 else p for j, p in enumerate(family.phis))
+        broken = dataclasses.replace(family, phis=phis)
+        assert check(broken, random_band_limited(halfgrid, np.random.default_rng(31))) > 1e-12
+
+    @pytest.mark.parametrize("check", [reconstruction_deviation, orthogonality_deviation])
+    def test_checks_see_a_nan_block_past_the_first(self, family, halfgrid, check, monkeypatch):
+        def nan_top(fam, u, j):  # the top block, and any block of it, is NaN
+            if j == fam.j_max or np.isnan(u.values).any():
+                return SimpleNamespace(values=np.full(fam.grid.shape, math.nan))
+            return dyadic_block(fam, u, j)
+
+        monkeypatch.setattr("nsklab.selftest.dyadic_block", nan_top)
+        assert math.isnan(check(family, random_band_limited(halfgrid, np.random.default_rng(31))))
 
     def test_low_single_mode_lands_in_cap(self, family, halfgrid):
         x, _ = halfgrid.meshgrid()
@@ -117,13 +135,7 @@ class TestBlocks:
 
     def test_quasi_orthogonality(self, family, halfgrid):
         rng = np.random.default_rng(32)
-        f = random_band_limited(halfgrid, rng)
-        scale = np.max(np.abs(f.values))
-        for j in family.blocks():
-            for jp in family.blocks():
-                if abs(j - jp) >= 2:
-                    twice = dyadic_block(family, dyadic_block(family, f, j), jp)
-                    assert np.max(np.abs(twice.values)) <= 1e-12 * scale
+        assert orthogonality_deviation(family, random_band_limited(halfgrid, rng)) <= 1e-12
 
 
 class TestBlockNorms:
@@ -323,14 +335,7 @@ class TestBernstein:
             bernstein_ratios(fam64, u, 3, 1, 4.0, 2.0)
 
     def test_corpus_within_drift_envelope(self, fam64, grid64):
-        rng = np.random.default_rng(62)
-        for trial in range(10):
-            j = int(rng.integers(1, fam64.j_max + 1))
-            f = random_band_limited(grid64, rng, max_mode=31)
-            w = dyadic_block(fam64, f, j)
-            hat = grid64.rfft(w.values)
-            hat[~(fam64.multiplier(j) > 0)] = 0.0
-            w = ScalarField(grid64, grid64.irfft(hat))
+        for j, w in calibrate._block_corpus(fam64, 10, seed=62):
             for k in (1, 2):
                 for rep in bernstein_audit(fam64, w, j, k, 2.0, 2.0):
                     assert rep.passed, rep

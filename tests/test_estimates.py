@@ -25,7 +25,6 @@ from nsklab.estimates import (
     velocity_moments,
 )
 from nsklab.fields import (
-    FieldError,
     ScalarField,
     VectorField,
     constant_field,
@@ -36,6 +35,7 @@ from nsklab.fields import (
     sqrt_field,
 )
 from nsklab.probes import REVERSE_HOLDER_PS, ProbeError, _merge_worst, audit_observer, resolve_probes
+from nsklab.selftest import lower_constant_min
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -126,9 +126,17 @@ class TestEquivalence:
         assert c2 == pytest.approx(8.0 / 9.0)
 
     def test_lower_constant_positive_on_gamma_grid(self):
-        for gamma in np.linspace(1.0, 3.0, 101)[1:]:
-            c1, _ = equivalence_constants(float(gamma))
-            assert c1 > 0.0
+        assert lower_constant_min(np.linspace(1.0, 3.0, 101)[1:]) > 0.0
+
+    @pytest.mark.parametrize("broken", [lambda c1: -c1, lambda c1: math.nan], ids=["negated", "nan"])
+    def test_positivity_check_sees_a_bad_constant(self, monkeypatch, broken):
+        # broken for gamma > 2 only, past the grid's first point
+        def constants(gamma):
+            c1, c2 = equivalence_constants(gamma)
+            return (broken(c1) if gamma > 2.0 else c1), c2
+
+        monkeypatch.setattr("nsklab.selftest.equivalence_constants", constants)
+        assert not lower_constant_min(np.linspace(1.0, 3.0, 101)[1:]) > 0.0
 
     def test_point_example(self, grid64):
         # rho = 5, rho_bar = 1, gamma = 2: pi = 8 between 4 and 128/9

@@ -36,7 +36,9 @@ from nsklab.fields import (
     sup_norm,
     write_snapshot,
 )
-from nsklab.selftest import div_grad_deviation, snapshot_round_trip_deviation
+from nsklab.selftest import (
+    div_grad_deviation, parseval_deviation, rfft_round_trip_deviation, snapshot_round_trip_deviation,
+)
 
 
 class TestGrid:
@@ -128,14 +130,24 @@ class TestOperators:
         assert np.all(laplacian(constant_field(grid64, 2.0)).values == 0.0)
 
     def test_div_grad_equals_laplacian(self, grid64):
-        assert div_grad_deviation([grid64], 10, seed=7) <= 1e-12
+        rng = np.random.default_rng(7)
+        assert all(div_grad_deviation(random_band_limited(grid64, rng)) <= 1e-12 for _ in range(10))
+
+    def test_div_grad_check_sees_the_nyquist_mode(self, grid64):
+        # gradient zeroes the Nyquist mode, the laplacian keeps it
+        x, _ = grid64.meshgrid()
+        assert div_grad_deviation(ScalarField(grid64, np.cos(32 * x))) > 1e-12
 
     def test_roundtrip(self, grid64, grid3d):
         rng = np.random.default_rng(8)
         for g in (grid64, grid3d):
-            f = random_band_limited(g, rng)
-            back = np.fft.ifftn(np.fft.fftn(f.values)).real
-            assert np.max(np.abs(back - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+            assert rfft_round_trip_deviation(random_band_limited(g, rng)) <= 1e-12
+
+    def test_roundtrip_check_sees_a_scaled_inverse(self, grid64, monkeypatch):
+        f = random_band_limited(grid64, np.random.default_rng(8))
+        irfft = Grid.irfft
+        monkeypatch.setattr(Grid, "irfft", lambda self, hat, out=None: irfft(self, hat, out) * (1 + 1e-9))
+        assert rfft_round_trip_deviation(f) > 1e-12
 
 
 class TestCompositeMaps:
@@ -202,8 +214,12 @@ class TestNorms:
         assert lp_norm(f, np.inf) == sup_norm(f)
 
     def test_parseval(self, corpus64):
-        for f in corpus64:
-            assert abs(l2_norm(f) - spectral_l2_norm(f)) <= 1e-10 * max(1.0, l2_norm(f))
+        assert all(parseval_deviation(f) <= 1e-10 for f in corpus64)
+
+    def test_parseval_check_sees_a_scaled_transform(self, corpus64, monkeypatch):
+        rfft = Grid.rfft
+        monkeypatch.setattr(Grid, "rfft", lambda self, values: rfft(self, values) * (1 + 1e-9))
+        assert parseval_deviation(corpus64[0]) > 1e-10
 
     @given(c=st.floats(-10, 10, allow_nan=False), p=st.floats(1.0, 6.0))
     @settings(max_examples=25, deadline=None)
