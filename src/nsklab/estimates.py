@@ -188,7 +188,8 @@ def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
     form, all from the workspace's |v|^2: the one source of every rho |v|^q
     integral.  For an even integer q > 0, |v|^q is a prefix of one
     left-to-right chain of products v2 * v2 * ..., shared by every such q;
-    any other q takes one power."""
+    any other q takes one power.  The chain is built in one array, the
+    first product's."""
     rho, v2, cell = ws.state.rho.values, ws.v2, ws.state.grid.cell_volume
 
     def moment(power: np.ndarray) -> float:
@@ -200,7 +201,10 @@ def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
     prefix, power, reached = {}, v2, 1
     for half in sorted({int(q) // 2 for q in exponents if even(q)}):
         for _ in range(half - reached):
-            power = power * v2
+            if power is v2:
+                power = v2 * v2
+            else:
+                np.multiply(power, v2, out=power)
         prefix[half], reached = moment(power), half
     del power
     return moment(v2), {q: prefix[int(q) // 2] if even(q) else moment(v2 ** (q / 2.0)) for q in exponents}

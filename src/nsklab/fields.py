@@ -102,6 +102,11 @@ class Grid:
     Parseval weights ``rweight`` (1 on the zero and Nyquist columns of the
     last axis, 2 on the conjugate-pair columns).  ``rim_mask`` marks the cells
     within two of a face of the box, where the far-field check reads a state.
+
+    The mask keeps, per axis, the modes ``|m| <= n/3``: the index blocks
+    ``0..n/3`` and ``n-n/3..n-1``, and on the half axis ``0..n/3``, so the
+    dealiased transforms (``rfft``/``irfft`` with ``dealias``) skip the lines
+    it zeroes.
     """
 
     dim: int
@@ -179,12 +184,42 @@ class Grid:
         object.__setattr__(self, "coordinates", x1)
         object.__setattr__(self, "rim_mask", rim)
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
-        """Half-lattice spectrum of real samples, in one new array (without
-        ``out``, numpy allocates one per axis)."""
-        return np.fft.rfftn(values, out=np.empty(self.shape[:-1] + (self.n // 2 + 1,), complex))
+        # the lines along axis a that sit at kept modes on every later axis:
+        # the only ones a dealiased transform takes along a
+        cut = n // 3 + 1
+        blocks = (slice(cut), slice(n - n // 3, n))
+        lines = tuple(
+            tuple((slice(None),) * (a + 1) + later + (slice(cut),) for later in product(blocks, repeat=dim - 2 - a))
+            for a in range(dim - 1)
+        )
+        object.__setattr__(self, "_dealias_cut", (cut, n - n // 3))
+        object.__setattr__(self, "_kept_lines", lines)
 
-    def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rfft(self, values: np.ndarray, dealias: bool = False) -> np.ndarray:
+        """Half-lattice spectrum of real samples, in one new array (without
+        ``out``, numpy allocates one per axis).
+
+        With ``dealias``, the spectrum times ``rdealias_mask``, zero outside
+        it.  The last axis is transformed in full and cut at n/3; each leading
+        axis, in the order ``numpy.fft.rfftn`` takes them, only on the lines
+        that sit at kept modes on the axes already transformed, and then cut.
+        Each kept mode goes through the same 1D transforms, so it is the same
+        bit for bit as in the full spectrum.
+        """
+        out = np.empty(self.shape[:-1] + (self.n // 2 + 1,), complex)
+        if not dealias:
+            return np.fft.rfftn(values, out=out)
+        cut, top = self._dealias_cut
+        np.fft.rfft(values, axis=-1, out=out)
+        out[..., cut:] = 0.0
+        for axis in range(self.dim - 2, -1, -1):
+            for lines in self._kept_lines[axis]:
+                part = out[lines]
+                np.fft.fft(part, axis=axis, out=part)
+            out[(slice(None),) * axis + (slice(cut, top),)] = 0.0
+        return out
+
+    def irfft(self, hat: np.ndarray, out: np.ndarray | None = None, dealias: bool = False) -> np.ndarray:
         """Real samples of a half-lattice spectrum, written into ``out`` if given.
 
         Overwrites ``hat``: its leading axes are transformed in its own
@@ -192,10 +227,15 @@ class Grid:
         order ``numpy.fft.irfftn`` takes them, so the samples are the same
         bit for bit and the output is the only new array (``irfftn``
         allocates one complex intermediate per leading axis).  A caller that
-        reads the spectrum again passes a copy.
+        reads the spectrum again passes a copy.  With ``dealias``, for a
+        spectrum zero outside ``rdealias_mask``, each leading axis is
+        transformed only on the lines that sit at kept modes on the axes not
+        yet transformed: the others are zero, and stay so.
         """
         for axis in range(self.dim - 1):
-            np.fft.ifft(hat, axis=axis, out=hat)
+            for lines in self._kept_lines[axis] if dealias else (Ellipsis,):
+                part = hat[lines]
+                np.fft.ifft(part, axis=axis, out=part)
         return np.fft.irfft(hat, n=self.n, axis=-1, out=out)
 
     def rmonomial(self, alpha) -> np.ndarray:

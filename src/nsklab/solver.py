@@ -158,9 +158,11 @@ class Workspace:
     """A state and the data derived from it, each computed at most once, on first use:
     the half-lattice ``spectra`` of rho and of each velocity component,
     ``log_rho_hat``, ``grad_log_rho``, ``v2`` (|v|^2 of the effective velocity,
-    its squares added in component order) and ``floats``, the per-state results
-    of evaluations that probes share.  ``run()`` builds one per sampled state.
-    An effective step consumes ``grad_log_rho``; a later read derives it again."""
+    its squares added in component order), the maxima ``rho_max`` and
+    ``v2_max`` that a run records and the step's guard reads, and ``floats``,
+    the per-state results of evaluations that probes share.  ``run()`` builds
+    one per sampled state.  An effective step consumes ``grad_log_rho``; a
+    later read derives it again."""
 
     def __init__(self, state: FlowState, carried=None):
         self.state = state
@@ -185,12 +187,25 @@ class Workspace:
             grid.irfft(1j * k * self.log_rho_hat, out=grad[i])
         return grad
 
-    @cached_property
-    def v2(self) -> np.ndarray:
+    def _squared_speed(self) -> np.ndarray:
         v = self.state.vel.components
         if self.state.formulation == "primitive":
             v = v + self.grad_log_rho
-        return sum(c * c for c in v)
+        return _total(c * c for c in v)
+
+    v2 = cached_property(_squared_speed)
+
+    @cached_property
+    def rho_max(self) -> float:
+        return float(np.max(self.state.rho.values))
+
+    @cached_property
+    def v2_max(self) -> float:
+        """The maximum of ``v2``, read from it while the workspace holds it, else
+        from a |v|^2 formed for it alone: a step's guard on a workspace that
+        no sample read keeps no |v|^2."""
+        v2 = self.__dict__.get("v2")
+        return float(np.max(self._squared_speed() if v2 is None else v2))
 
     @property
     def effective(self) -> FlowState:
@@ -234,9 +249,7 @@ def from_effective(s: FlowState) -> FlowState:
 # stepping
 
 
-def _check_cfl(state: FlowState, cfg: SolverConfig, transport_speed: float) -> None:
-    grid = state.grid
-    rmax = float(np.max(state.rho.values))
+def _check_cfl(grid: Grid, cfg: SolverConfig, rmax: float, transport_speed: float) -> None:
     stiffness = max(1.0, cfg.gamma * rmax ** (cfg.gamma - 1.0))
     limit = cfg.cfl_safety * grid.dx**2 / stiffness
     if transport_speed > 0.0:
@@ -254,7 +267,17 @@ def _max_norm(components) -> float:
     Taken as sqrt(max |F|^2): sqrt is monotone and correctly rounded, so this
     equals max sqrt(|F|^2) bit for bit without a square root per grid point.
     """
-    return math.sqrt(float(np.max(sum(c * c for c in components))))
+    return math.sqrt(float(np.max(_total(c * c for c in components))))
+
+
+def _total(terms) -> np.ndarray:
+    """The sum of the fresh arrays ``terms``, added in order into the first one's storage."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+        del term
+    return total
 
 
 def _new_state(s: FlowState, cfg: SolverConfig, rho: np.ndarray, vel: np.ndarray) -> FlowState:
@@ -284,28 +307,28 @@ def _new_state(s: FlowState, cfg: SolverConfig, rho: np.ndarray, vel: np.ndarray
 def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
     """One IMEX step of the effective system.
 
-    The step reads the log-density pair and the spectra of s's workspace
-    ``ws`` (or of a fresh one), and overwrites the spectra in place with the
-    ones the implicit solve produces, which are the new state's.  It consumes
-    the workspace's grad log rho: that array becomes the transport velocity
-    w = v - 2 grad log rho, so ``ws`` no longer holds it after the step.
+    The step reads the log-density pair, the maxima and the spectra of s's
+    workspace ``ws`` (or of a fresh one), and overwrites the spectra in place
+    with the ones the implicit solve produces, which are the new state's.  It
+    consumes the workspace's grad log rho: that array becomes the transport
+    velocity w = v - 2 grad log rho, so ``ws`` no longer holds it after the step.
 
     Each field lives only while a later phase reads it: the velocity spectra
-    are updated first, while w lives, the mass next, and every inverse
-    transform runs last, the velocity's into w's storage once no phase reads w.
+    are updated first, while w lives, the mass next, the implicit solve after
+    the last forward transform, and every inverse transform runs last, the
+    velocity's into w's storage once no phase reads w.
     """
     if s.formulation != "effective":
         raise FieldError("step_effective needs an effective-form state")
     ws = ws or Workspace(s)
     grid = s.grid
-    mask = grid.rdealias_mask
     ks = grid.rwavevectors
     r = s.rho.values
     v = s.vel.components
     dt = cfg.dt
 
     w = ws.grad_log_rho
-    _check_cfl(s, cfg, _max_norm(v) + 2.0 * _max_norm(w))
+    _check_cfl(grid, cfg, ws.rho_max, math.sqrt(ws.v2_max) + 2.0 * _max_norm(w))
     del ws.grad_log_rho  # overwritten below by w
     np.multiply(w, 2.0, out=w)
     np.subtract(v, w, out=w)
@@ -319,48 +342,50 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
         base_hat = None
     else:
         ws.__dict__.pop("log_rho_hat", None)  # read only at gamma = 1
-        base_hat = r_hat if g == 2.0 else grid.rfft(r ** (g - 1.0))
+        base_hat = r_hat if g == 2.0 else grid.rfft(r ** (g - 1.0), dealias=True)
 
-    # velocity: implicit Laplacian, explicit pressure and transport by w; the
-    # transport terms are added into one accumulator, from 0 in increasing j
-    # as sum() adds them, and the update is formed in the storage of its
-    # transform.  The pressure spectrum and the implicit solve's denominator
-    # 1 + dt |xi|^2 are formed per component, so that neither is held
-    # through the transforms
+    # velocity: explicit pressure and transport by w; the transport terms are
+    # added into the first one in increasing j, and the update is formed in
+    # the storage of its transform.  The pressure spectrum is formed per
+    # component, so that it is not held through the transforms
     for i in range(grid.dim):
-        transport = np.zeros(grid.shape)
-        for j, k in enumerate(ks):
+        transport = grid.irfft(1j * ks[0] * v_hat[i])
+        transport *= w[0]
+        for k, wj in zip(ks[1:], w[1:]):
             dv = grid.irfft(1j * k * v_hat[i])
-            dv *= w[j]
+            dv *= wj
             transport += dv
             del dv
-        h = grid.rfft(transport)
+        h = grid.rfft(transport, dealias=True)
         del transport
-        h *= mask
-        np.negative(h, out=h)
-        p_hat = ws.log_rho_hat if base_hat is None else (g / (g - 1.0)) * (base_hat * mask)
-        h -= 1j * ks[i] * p_hat
+        p_hat = ws.log_rho_hat if base_hat is None else (g / (g - 1.0)) * (base_hat * grid.rdealias_mask)
+        h += 1j * ks[i] * p_hat
         del p_hat
-        np.multiply(dt, h, out=h)
+        h *= -dt
         v_hat[i] += h
         del h
-        v_hat[i] /= 1.0 + dt * grid.rk2
     del base_hat
 
-    # mass: implicit diffusion, explicit divergence-form transport; the flux
-    # spectra are added into one accumulator, from 0 in increasing i as sum()
-    # adds them
-    flux = np.zeros_like(r_hat)
-    for i, k in enumerate(ks):
-        h = grid.rfft(r * v[i])
-        h *= mask
-        h *= -1j * k
+    # mass: explicit divergence-form transport; the flux spectra are added
+    # into the first one in increasing i
+    flux = grid.rfft(r * v[0], dealias=True)
+    flux *= -1j * ks[0]
+    for i in range(1, grid.dim):
+        h = grid.rfft(r * v[i], dealias=True)
+        h *= -1j * ks[i]
         flux += h
         del h
     flux *= dt
     r_hat += flux
     del flux
-    r_hat /= 1.0 + dt * grid.rk2
+
+    # the implicit Laplacian and diffusion: one reciprocal 1 / (1 + dt |xi|^2)
+    # for every spectrum
+    solve = 1.0 / (1.0 + dt * grid.rk2)
+    r_hat *= solve
+    for h in v_hat:
+        h *= solve
+    del solve
 
     # the spectra pass on to the next state's workspace, so each inverse
     # transform overwrites a copy
@@ -372,39 +397,39 @@ def step_effective(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
 
 def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None) -> FlowState:
     """One IMEX step of the primitive system; it reads the log-density
-    spectrum of s's workspace ``ws`` (or of a fresh one).
+    spectrum and the density maximum of s's workspace ``ws`` (or of a fresh one).
 
     Each field lives only while a later phase reads it: the new density is
     formed first, from the momentum spectra m_hat; then y = m_hat + dt rhs is
     built in m_hat's storage, the pressure force and the linearized stress
     from the unmodified m_hat first, then the divergence of each stress pair
     i <= j, with one inverse transform per pair; the new momentum comes last,
-    divided by the new density in place.
+    divided by the new density in place.  Every spectrum that feeds or
+    follows the dealias mask takes the dealiased transforms.
     """
     if s.formulation != "primitive":
         raise FieldError("step_primitive needs a primitive-form state")
     ws = ws or Workspace(s)
     grid = s.grid
-    mask = grid.rdealias_mask
     d = grid.dim
     ks, kk = grid.rwavevectors, grid.rsecond
     r = s.rho.values
     u = s.vel.components
     dt = cfg.dt
 
-    _check_cfl(s, cfg, _max_norm(u))
+    _check_cfl(grid, cfg, ws.rho_max, _max_norm(u))
 
-    m_hat = [grid.rfft(r * u[i]) * mask for i in range(d)]
-    m_real = [grid.irfft(h.copy()) for h in m_hat]  # the transform overwrites its input
+    m_hat = [grid.rfft(r * u[i], dealias=True) for i in range(d)]
+    m_real = [grid.irfft(h.copy(), dealias=True) for h in m_hat]  # the transform overwrites its input
 
     # mass: explicit divergence-form transport
-    new_r = grid.irfft(grid.rfft(r) - dt * sum(1j * ks[j] * m_hat[j] for j in range(d)))
+    new_r = grid.irfft(grid.rfft(r) - dt * _total(1j * ks[j] * m_hat[j] for j in range(d)))
 
     # the pressure force and the linearized stress that the implicit solve
     # adds back; each component reads every m_hat, so all are formed before y
-    p_hat = grid.rfft(r**cfg.gamma) * mask
+    p_hat = grid.rfft(r**cfg.gamma, dealias=True)
     dy = [
-        dt * (grid.rk2 * m_hat[i] + sum(kk[i][j] * m_hat[j] for j in range(d)) - 1j * ks[i] * p_hat)
+        dt * (grid.rk2 * m_hat[i] + _total(kk[i][j] * m_hat[j] for j in range(d)) - 1j * ks[i] * p_hat)
         for i in range(d)
     ]
     y = m_hat
@@ -424,19 +449,20 @@ def step_primitive(s: FlowState, cfg: SolverConfig, ws: Workspace | None = None)
         for j in range(i, d):
             sym = grid.irfft(1j * ks[j] * u_hat[i] + 1j * ks[i] * u_hat[j] - kk[i][j] * log_hat)
             sym *= r
-            y[i] += dt * (1j * ks[j] * (grid.rfft(sym - m_real[i] * u[j]) * mask))
+            y[i] += dt * (1j * ks[j] * grid.rfft(sym - m_real[i] * u[j], dealias=True))
             if j > i:
-                y[j] += dt * (1j * ks[i] * (grid.rfft(sym - m_real[j] * u[i]) * mask))
+                y[j] += dt * (1j * ks[i] * grid.rfft(sym - m_real[j] * u[i], dealias=True))
             del sym
     del u_hat, m_real
 
-    # momentum: implicit viscous and linearized capillary stress
-    a = 1.0 + dt * grid.rk2
-    a_full = a + dt * grid.rk2
+    # momentum: implicit viscous and linearized capillary stress, each solve
+    # a product with its reciprocal
+    solve = 1.0 / (1.0 + dt * grid.rk2)
+    solve_full = 1.0 / (1.0 + dt * grid.rk2 + dt * grid.rk2)
     new_m = np.empty_like(u)
     for i in range(d):
-        kky = sum(kk[i][j] * y[j] for j in range(d))
-        grid.irfft((y[i] - dt * kky / a_full) / a, out=new_m[i])
+        kky = _total(kk[i][j] * y[j] for j in range(d))
+        grid.irfft((y[i] - dt * kky * solve_full) * solve, out=new_m[i], dealias=True)
     del y
     new_m /= new_r  # the new velocity, in the new momentum's storage
     return _new_state(s, cfg, new_r, new_m)
@@ -478,8 +504,11 @@ class TrajectoryRecord:
 
 
 def veff_max(ws: Workspace) -> float:
-    """Maximum of the effective velocity |u + grad log rho| over the grid (see ``_max_norm``)."""
-    return math.sqrt(float(np.max(ws.v2)))
+    """Maximum of the effective velocity |u + grad log rho| over the grid (see
+    ``_max_norm``).  It keeps the workspace's |v|^2, which the sample's probes
+    and observer read."""
+    ws.v2
+    return math.sqrt(ws.v2_max)
 
 
 def far_field_defect(state: FlowState) -> float:
@@ -570,7 +599,7 @@ def run(
     def sample(ws: Workspace, stored: bool) -> None:
         times.append(ws.state.t)
         r = ws.state.rho.values
-        for name, value in zip(ALWAYS_RECORDED, (np.min(r), np.max(r), veff_max(ws))):
+        for name, value in zip(ALWAYS_RECORDED, (np.min(r), ws.rho_max, veff_max(ws))):
             series[name].append(float(value))
         for name, fn in probes.items():
             series[name].append(float(fn(ws)))

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -768,6 +771,17 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 7 and all(line.startswith("[ok] ") for line in lines)
         assert {line for line, _ in SELFTEST_CHECKS} == set(range(7))  # each line can fail below
+
+    def test_python_m_nsklab_reaches_the_cli(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "nsklab", "selftest"],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("[ok] ")
 
     @pytest.mark.parametrize("line,check", SELFTEST_CHECKS)
     def test_selftest_verb_reports_a_failed_check(self, capsys, monkeypatch, line, check):

@@ -399,6 +399,56 @@ class TestRealTransformLayer:
         assert not np.shares_memory(first, second)
         assert values.tobytes() == kept.tobytes()
 
+    @staticmethod
+    def _white_noise(g):
+        values = np.random.default_rng(g.n).standard_normal(g.shape)
+        for axis in range(g.dim):  # white noise carries every Nyquist plane
+            assert np.max(np.abs(np.take(np.fft.fftn(values), g.n // 2, axis=axis))) > 1.0
+        return values
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 24), (2, 36), (2, 48), (2, 128), (3, 24), (3, 32)])
+    def test_dealiased_rfft_is_the_masked_spectrum(self, dim, n):
+        g = make_grid(dim, n, 3.0, 1.0)
+        values = self._white_noise(g)
+        kept = values.copy()
+        hat, full = g.rfft(values, dealias=True), g.rfft(values)
+        mask = np.broadcast_to(g.rdealias_mask, hat.shape)
+        assert hat.shape == full.shape and hat.dtype == full.dtype
+        assert np.all(hat[mask] == (full * g.rdealias_mask)[mask])
+        assert hat[mask].tobytes() == full[mask].tobytes()  # the kept modes, bit for bit
+        assert np.all(hat[~mask] == 0.0) and np.max(np.abs(full[~mask])) > 1.0
+        assert values.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 24), (2, 36), (2, 48), (2, 128), (3, 24), (3, 32)])
+    def test_dealiased_irfft_is_irfft_on_a_masked_spectrum(self, dim, n):
+        g = make_grid(dim, n, 3.0, 1.0)
+        hat = g.rfft(self._white_noise(g)) * g.rdealias_mask
+        reference = g.irfft(hat.copy())
+        out = np.empty(g.shape)
+        assert g.irfft(hat.copy(), dealias=True).tobytes() == reference.tobytes()
+        assert g.irfft(hat.copy(), out=out, dealias=True) is out
+        assert out.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
+    def test_dealiased_transforms_allocate_only_their_output(self, dim, n):
+        g = make_grid(dim, n, 3.0, 1.0)
+        values = self._white_noise(g)
+
+        def allocated(transform, arg) -> float:
+            transform(arg.copy())  # the first call may fill the FFT library's caches
+            arg = arg.copy()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = transform(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return (peak - before) / result.nbytes
+
+        assert allocated(lambda x: g.rfft(x, dealias=True), values) <= 1.1
+        assert allocated(lambda h: g.irfft(h, dealias=True), g.rfft(values, dealias=True)) <= 1.1
+
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_parseval_gradient_energy_is_exact(self, dim, n):
         g = make_grid(dim, n, 4 * np.pi, 1.0)

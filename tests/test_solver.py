@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nsklab.fields import (
     FieldError,
+    Grid,
     PositivityError,
     ScalarField,
     VectorField,
@@ -309,6 +310,70 @@ class TestTransformBudget:
         step(s, cfg)
         assert len(transforms) == expected
         assert set(transforms) == {"rfft", "irfft"}
+
+
+class TestDealiasedTransforms:
+    """The steppers' dealiased transforms and reciprocal solves change no bit of a state."""
+
+    @pytest.mark.parametrize("formulation", ["effective", "primitive"])
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_states_are_those_of_the_full_transforms(self, monkeypatch, collecting, dim, n, gamma, formulation):
+        s = _random_state(dim, n, formulation, seed=7)
+        cfg = SolverConfig(gamma=gamma, dt=1e-3, t_end=4e-3)
+
+        def states():
+            out = []
+            rec = run(s, cfg, check_far_field=False, observe=collecting(out))
+            assert not rec.aborted and len(out) == 5
+            return [(st.rho.values.tobytes(), st.vel.components.tobytes()) for st in out]
+
+        pruned = states()
+        rfft, irfft = Grid.rfft, Grid.irfft
+
+        def full_rfft(self, values, dealias=False):
+            hat = rfft(self, values)
+            return hat * self.rdealias_mask if dealias else hat
+
+        def full_irfft(self, hat, out=None, dealias=False):
+            return irfft(self, hat, out=out)
+
+        monkeypatch.setattr(Grid, "rfft", full_rfft)
+        monkeypatch.setattr(Grid, "irfft", full_irfft)
+        assert states() == pruned
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_pressure_is_dealiased_except_at_gamma_one(self, gamma):
+        # at rest, an effective step moves the velocity by the pressure force
+        # alone: the gradient of log rho at gamma = 1, taken from its full
+        # spectrum as the audits and the stored-state pass take it, and of
+        # gamma/(gamma-1) rho^(gamma-1), dealiased, otherwise
+        g = make_grid(2, 32, 4 * np.pi, 1.0)
+        rho = 1.0 + 0.1 * np.random.default_rng(3).random(g.shape)  # content on every mode
+        s = FlowState(0.0, ScalarField(g, rho), VectorField(g, np.zeros((2,) + g.shape)), "effective")
+        dt = 1e-3
+        new = step(s, SolverConfig(gamma=gamma, dt=dt, t_end=dt))
+        if gamma == 1.0:
+            p_hat = g.rfft(np.log(rho))
+        else:
+            p_hat = gamma / (gamma - 1.0) * g.rfft(rho ** (gamma - 1.0)) * g.rdealias_mask
+        for k, component in zip(g.rwavevectors, new.vel.components):
+            expected = g.irfft(-dt * 1j * k * p_hat / (1.0 + dt * g.rk2))
+            assert np.max(np.abs(component - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_division_by_a_real_is_the_product_with_its_reciprocal(self):
+        # numpy divides a complex by a real as by a complex with zero imaginary
+        # part: rat = 0 / a, scale = 1 / (a + 0 * rat), and each part times scale
+        rng = np.random.default_rng(5)
+        size = 100_000
+        x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-100, 100, size)
+        a = 10.0 ** rng.uniform(-3, 8, size)
+        assert (x / a).tobytes() == (x * (1.0 / a)).tobytes()
+        quotient = x.copy()
+        quotient /= a
+        product = x.copy()
+        product *= 1.0 / a
+        assert quotient.tobytes() == product.tobytes()
 
 
 # small power-of-two grids: there the transform round trip of a constant is
