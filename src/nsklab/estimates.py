@@ -64,6 +64,11 @@ LOG_FLOOR = math.exp(HOLDER_EXPONENT**2)  # e^(25/9), additive floor of V_T
 # potential energy density and its equivalence constants
 
 
+def _power_potential(r, rho_bar: float, g: float):
+    """The gamma > 1 potential of ``potential_energy_density`` at the densities ``r``, unclipped."""
+    return r**g / g - rho_bar**g / g - rho_bar ** (g - 1.0) * (r - rho_bar)
+
+
 def potential_energy_density(rho: ScalarField, rho_bar: float, gamma: float) -> ScalarField:
     """Convex relative entropy of the density against the far-field value.
 
@@ -81,8 +86,7 @@ def potential_energy_density(rho: ScalarField, rho_bar: float, gamma: float) -> 
     else:
         if np.min(r) < 0:
             raise FieldError("density must be nonnegative")
-        g = float(gamma)
-        pi = r**g / g - rho_bar**g / g - rho_bar ** (g - 1.0) * (r - rho_bar)
+        pi = _power_potential(r, rho_bar, float(gamma))
     return ScalarField(rho.grid, np.maximum(pi, 0.0))
 
 
@@ -98,8 +102,7 @@ def equivalence_constants(gamma: float) -> tuple[float, float]:
 def _low_branch_span(gamma: float, rho_bar: float) -> tuple[float, float]:
     """Range of pi / (rho - rho_bar)^2 over [0, 4 rho_bar], by dense sampling."""
     r = np.linspace(0.0, 4.0 * rho_bar, 20001)
-    g = float(gamma)
-    pi = r**g / g - rho_bar**g / g - rho_bar ** (g - 1.0) * (r - rho_bar)
+    pi = _power_potential(r, rho_bar, float(gamma))
     dev2 = (r - rho_bar) ** 2
     keep = dev2 > (1e-4 * rho_bar) ** 2
     ratio = pi[keep] / dev2[keep]

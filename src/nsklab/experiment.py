@@ -227,7 +227,8 @@ class SweepResult:
 
 def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResult]:
     """Independent runs; a config error, named by its path, or duplicate
-    output directories are rejected before launch."""
+    output directories are rejected before launch, and so is a preset that a
+    config's values cannot build: each initial state is built there and dropped."""
     parsed = []
     for path in config_paths:
         text = read_config(path)  # its error names the path
@@ -241,6 +242,11 @@ def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResu
         if key in seen:
             raise ConfigError(f"duplicate output directory {cfg.directory!r} in {path} and {seen[key]}")
         seen[key] = path
+    for path, cfg in parsed:
+        try:
+            _initial_state(cfg)
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
     results = []
     for path, cfg in parsed:
         try:

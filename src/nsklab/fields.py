@@ -34,10 +34,8 @@ __all__ = [
     "gradient",
     "divergence",
     "laplacian",
-    "hessian",
     "gradient_energy",
     "hessian_energy",
-    "log_field",
     "sqrt_field",
     "power_field",
     "lp_norm",
@@ -315,15 +313,6 @@ class VectorField:
             raise FieldError("field contains non-finite values")
         object.__setattr__(self, "components", c)
 
-    @classmethod
-    def from_scalars(cls, parts) -> "VectorField":
-        parts = list(parts)
-        grid = parts[0].grid
-        for p in parts[1:]:
-            if p.grid != grid:
-                raise FieldError("grid mismatch between components")
-        return cls(grid, np.stack([p.values for p in parts]))
-
     def component(self, i: int) -> ScalarField:
         # a view of components that the constructor has already checked
         return _trusted(ScalarField, grid=self.grid, values=self.components[i])
@@ -360,19 +349,6 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(grid, grid.irfft(-grid.rk2 * grid.rfft(f.values)))
 
 
-def hessian(f: ScalarField) -> np.ndarray:
-    """All second derivatives as a (dim, dim, n, ...) array."""
-    grid = f.grid
-    hat = grid.rfft(f.values)
-    d = grid.dim
-    out = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        for j in range(i, d):
-            out[i, j] = grid.irfft(-grid.rsecond[i][j] * hat)
-            out[j, i] = out[i, j]
-    return out
-
-
 def jacobian(F: VectorField) -> np.ndarray:
     """First derivatives d_j F_i as a (dim, dim, n, ...) array indexed [i, j]."""
     grid = F.grid
@@ -396,11 +372,6 @@ def _require_positive(f: ScalarField, what: str) -> None:
         raise PositivityError(
             f"density not strictly positive: min {m:.6e} at index {loc} ({what})"
         )
-
-
-def log_field(f: ScalarField) -> ScalarField:
-    _require_positive(f, "log")
-    return ScalarField(f.grid, np.log(f.values))
 
 
 def sqrt_field(f: ScalarField) -> ScalarField:
@@ -465,10 +436,10 @@ def gradient_energy(grid: Grid, hat: np.ndarray) -> float:
 def hessian_energy(grid: Grid, hat: np.ndarray) -> float:
     """Integral of |hess f|^2 from the half-lattice spectrum of f, with no inverse transform.
 
-    The symbol is sum_ij rsecond[i][j]^2, the one ``hessian`` applies, so this
-    equals the quadrature of ``hessian(f)**2`` to round-off.  ``rk2**2`` would
-    not: it keeps the mixed products where exactly one axis sits at its
-    Nyquist mode, which ``hessian`` zeroes.
+    The symbol is sum_ij rsecond[i][j]^2, so this equals the quadrature of the
+    second derivatives ``irfft(-rsecond[i][j] * rfft(f))`` squared to
+    round-off.  ``rk2**2`` would not: it keeps the mixed products where exactly
+    one axis sits at its Nyquist mode, which ``rsecond`` zeroes.
     """
     d = grid.dim
     symbol = sum(grid.rsecond[i][j] ** 2 for i in range(d) for j in range(d))

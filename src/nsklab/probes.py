@@ -18,7 +18,7 @@ import numpy as np
 from . import degiorgi, estimates
 from .audits import AuditReport, _merge_worst, bound_report
 from .dyadic import BesovIndex, besov_norm, build_dyadic_family, top_block
-from .fields import _LOG_RANGE, ScalarField, sobolev_norm, vector_sobolev_norm
+from .fields import _LOG_RANGE, FieldError, ScalarField, sobolev_norm, vector_sobolev_norm
 from .solver import ALWAYS_RECORDED
 
 __all__ = [
@@ -137,8 +137,10 @@ def _besov_probe(spec: str):
     tokens = spec.split(".")
     if len(tokens) != 3:
         raise ProbeError(f"besov probe needs three tokens s.p.r, got {spec!r}")
-    s = _parse_exponent(tokens[0])
-    idx = BesovIndex(s, _parse_exponent(tokens[1]), _parse_exponent(tokens[2]))
+    try:
+        idx = BesovIndex(*map(_parse_exponent, tokens))
+    except FieldError as err:
+        raise ProbeError(f"probe 'besov.rho.{spec}': {err}") from None
     cache: dict = {}
 
     def probe(ws):

@@ -40,7 +40,7 @@ from .solver import (
 __all__ = [
     "CHECKS", "run_selftest", "rfft_round_trip_deviation", "parseval_deviation",
     "div_grad_deviation", "reconstruction_deviation", "orthogonality_deviation",
-    "closed_form_deviation", "threshold_decay_excess", "lower_constant_min",
+    "closed_form_deviation", "lower_constant_min",
     "steady_state_deviation", "transform_round_trip_deviation", "snapshot_round_trip_deviation",
 ]
 
@@ -86,21 +86,6 @@ def closed_form_deviation(spec: IterationSpec, steps: int) -> float:
     devs = [abs(cf - lg) / max(1.0, abs(cf)) if math.isfinite(cf) else math.inf
             for cf, lg in pairs if not (math.isinf(cf) and math.isinf(lg))]
     return float(np.max(devs, initial=0.0))
-
-
-def threshold_decay_excess(spec: IterationSpec, steps: int) -> float:
-    """Largest excess of log X_k along the recurrence, k = 0..steps, over the bound
-    log theta - (k / nu) log A that X0 <= theta promises.  At X0 = theta that is an
-    equality, so it allows the forward error, amplified by (1 + nu) per step.
-    A NaN at any index is returned."""
-    log_theta, log_a = math.log(theta(spec)), math.log(spec.A)
-    scale = max(1.0, abs(math.log(spec.K)), abs(log_a), abs(log_theta))
-    excess = []
-    for k, lg in enumerate(recurrence_log(spec, steps)):
-        if lg != -math.inf:
-            slack = (1.0 + spec.nu) ** k * 64 * np.finfo(float).eps * scale + 1e-9
-            excess.append(lg - (log_theta - (k / spec.nu) * log_a + slack))
-    return float(np.max(excess, initial=-math.inf))
 
 
 def lower_constant_min(gammas) -> float:

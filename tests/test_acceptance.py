@@ -46,7 +46,7 @@ from nsklab.fields import (
 from nsklab.probes import audit_observer, resolve_probes
 from nsklab.selftest import (
     closed_form_deviation, div_grad_deviation, lower_constant_min, orthogonality_deviation, parseval_deviation,
-    reconstruction_deviation, rfft_round_trip_deviation, steady_state_deviation, threshold_decay_excess,
+    reconstruction_deviation, rfft_round_trip_deviation, steady_state_deviation,
 )
 from nsklab.solver import (
     FlowState,
@@ -57,6 +57,7 @@ from nsklab.solver import (
     run,
     to_effective,
 )
+from oracles import threshold_decay_excess
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str = "") -> None:

@@ -405,16 +405,21 @@ class TestSweep:
     def test_child_failure_isolated(self, tmp_path):
         good = tmp_path / "good.cfg"
         good.write_text(MINIMAL.format(outdir="ok"))
-        # a config that parses but cannot run: preset amplitude kills positivity
+        # a valid config whose run cannot start: a file stands where its output directory goes
         bad = tmp_path / "bad.cfg"
-        bad.write_text(
-            MINIMAL.format(outdir="boom").replace(
-                "name = constant", "name = gaussian-bump\namplitude = -2.0"
-            )
-        )
+        bad.write_text(MINIMAL.format(outdir="boom"))
+        (tmp_path / "boom").write_text("")
         results = sweep([good, bad], tmp_path)
         assert results[0].error == "" and results[0].manifest is not None
-        assert results[1].manifest is None and "positivity" in results[1].error
+        assert results[1].manifest is None and results[1].error.startswith("FileExistsError: ")
+
+    def test_an_unbuildable_preset_is_refused_before_any_run(self, tmp_path):
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text(MINIMAL.format(outdir="ok"))
+        bad.write_text(MINIMAL.format(outdir="boom").replace("name = constant", "name = gaussian-bump\namplitude = -1.5"))
+        with pytest.raises(ConfigError, match=f"^{bad}: bump amplitude would destroy density positivity$"):
+            sweep([good, bad], tmp_path / "root")
+        assert not (tmp_path / "root").exists()
 
 
 class TestReport:
@@ -619,6 +624,16 @@ class TestCli:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not root.exists()
 
+    @pytest.mark.parametrize(
+        "name,why",
+        [("besov.rho.1.0.2", "p must lie in [1, inf], got 0.0"), ("besov.rho.nan.2.2", "regularity exponent must be finite")],
+    )
+    def test_bad_besov_index_is_config_error_naming_the_probe(self, tmp_path, capsys, name, why):
+        root = tmp_path / "root"
+        assert _run_config(tmp_path, MINIMAL.format(outdir="bad_besov") + f"\n[probes]\nnames = {name}\n", root) == 2
+        assert capsys.readouterr().err == f"config error: probe {name!r}: {why}\n"
+        assert not root.exists()
+
     @staticmethod
     def _demo_with_probe(tmp_path, name):
         """configs/demo.cfg over two steps, recording ``name`` for sobolev.rho.H2."""
@@ -806,6 +821,25 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"sweep error: {tmp_path / 's0.cfg'}: invalid [grid]: unsupported dimension 7 (2 and 3 only)\n"
+        assert not (tmp_path / "root").exists()  # refused before any run starts
+
+    def test_sweep_verb_names_the_bad_besov_probe_and_its_config(self, tmp_path, capsys):
+        (tmp_path / "s0.cfg").write_text(MINIMAL.format(outdir="sw0"))
+        (tmp_path / "s1.cfg").write_text(MINIMAL.format(outdir="sw1") + "\n[probes]\nnames = besov.rho.nan.2.2\n")
+        code = cli_main(["sweep", str(tmp_path), "--output-root", str(tmp_path / "root")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"sweep error: {tmp_path / 's1.cfg'}: probe 'besov.rho.nan.2.2': regularity exponent must be finite\n"
+        assert not (tmp_path / "root").exists()
+
+    def test_sweep_verb_refuses_an_unbuildable_preset_before_any_run(self, tmp_path, capsys):
+        (tmp_path / "s0.cfg").write_text(MINIMAL.format(outdir="sw0"))
+        bump = "name = gaussian-bump\namplitude = -1.5"
+        (tmp_path / "s1.cfg").write_text(MINIMAL.format(outdir="sw1").replace("name = constant", bump))
+        code = cli_main(["sweep", str(tmp_path), "--output-root", str(tmp_path / "root")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"sweep error: {tmp_path / 's1.cfg'}: bump amplitude would destroy density positivity\n"
         assert not (tmp_path / "root").exists()  # refused before any run starts
 
     def test_sweep_verb_config_not_utf8_exit_two(self, tmp_path, capsys):

@@ -27,7 +27,7 @@ from nsklab.degiorgi import (
 from nsklab.experiment import CERTIFICATE_HEADER
 from nsklab.fields import FieldError, ScalarField, VectorField, constant_field, make_grid
 from nsklab.probes import audit_observer
-from nsklab.selftest import closed_form_deviation, threshold_decay_excess
+from nsklab.selftest import closed_form_deviation
 from nsklab.solver import (
     FlowState,
     SolverConfig,
@@ -38,6 +38,7 @@ from nsklab.solver import (
     to_effective,
     veff_max,
 )
+from oracles import threshold_decay_excess
 
 
 class TestTheta:
@@ -124,7 +125,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("check", [closed_form_deviation, threshold_decay_excess])
     def test_checks_see_a_nan_past_the_first_step(self, monkeypatch, check):
         nan_at_5 = lambda spec, steps: [math.nan if k == 5 else lg for k, lg in enumerate(recurrence_log(spec, steps))]
-        monkeypatch.setattr("nsklab.selftest.recurrence_log", nan_at_5)
+        monkeypatch.setattr(f"{check.__module__}.recurrence_log", nan_at_5)
         assert math.isnan(check(IterationSpec(K=2.0, A=3.0, nu=0.7, X0=0.37), 20))
 
 

@@ -28,7 +28,6 @@ from nsklab.fields import (
     ScalarField,
     VectorField,
     constant_field,
-    hessian,
     jacobian,
     make_grid,
     random_band_limited,
@@ -45,6 +44,7 @@ from nsklab.solver import (
     run,
     to_effective,
 )
+from oracles import hessian
 
 
 def _bd_terms(observed, states):
