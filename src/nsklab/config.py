@@ -1,7 +1,8 @@
 """Experiment configuration: a strict line-oriented key = value format.
 
 Sections in square brackets, one ``key = value`` per line, ``#`` comments.
-Unknown sections, unknown keys, and duplicates are errors with line numbers;
+Unknown sections, unknown keys, duplicate keys and names listed twice are
+errors with line numbers;
 the physical parameters (gamma, dt, box length, far-field density, horizon)
 must be explicit, never defaulted.
 """
@@ -45,7 +46,7 @@ _SCHEMA = {
 
 @dataclass
 class ExperimentConfig:
-    grid_params: dict
+    grid: Grid
     preset_name: str
     preset_params: dict
     solver: SolverConfig
@@ -59,7 +60,8 @@ class ExperimentConfig:
     text: str = ""
 
     def make_grid(self) -> Grid:
-        return Grid(**self.grid_params)
+        """The grid ``parse_config`` built to check ``[grid]``: one per config."""
+        return self.grid
 
     def config_hash(self) -> str:
         return sha256(self.text.encode("utf-8")).hexdigest()
@@ -133,7 +135,12 @@ def _take(sections, section, key, expect, required=True, default=None):
 
 def _name_list(sections, section) -> tuple:
     names = _take(sections, section, "names", str, required=False, default="")
-    return tuple(tok.strip() for tok in names.split(",") if tok.strip())
+    out = tuple(tok.strip() for tok in names.split(",") if tok.strip())
+    for i, name in enumerate(out):
+        if name in out[:i]:
+            lineno = sections[section]["names"][1]
+            raise ConfigError(f"line {lineno}: {name!r} listed twice in [{section}] names")
+    return out
 
 
 def read_config(path) -> str:
@@ -153,14 +160,13 @@ def load_config(path) -> ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _raw_sections(text)
-    grid_params = {
-        "dim": _take(sections, "grid", "dim", int),
-        "n": _take(sections, "grid", "n", int),
-        "box_length": _take(sections, "grid", "box_length", float),
-        "far_field_density": _take(sections, "grid", "far_field_density", float),
-    }
     try:
-        grid = Grid(**grid_params)
+        grid = Grid(
+            dim=_take(sections, "grid", "dim", int),
+            n=_take(sections, "grid", "n", int),
+            box_length=_take(sections, "grid", "box_length", float),
+            far_field_density=_take(sections, "grid", "far_field_density", float),
+        )
     except FieldError as err:
         raise ConfigError(f"invalid [grid]: {err}") from err
 
@@ -217,7 +223,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"[output] directory must have no '..' part, got {directory!r}")
 
     cfg = ExperimentConfig(
-        grid_params=grid_params,
+        grid=grid,
         preset_name=preset_name,
         preset_params=preset_params,
         solver=solver,
@@ -227,7 +233,7 @@ def parse_config(text: str) -> ExperimentConfig:
         directory=directory,
         state_stride=state_stride,
         seed=seed,
-        warnings=theorem_range_warnings(solver.gamma, grid_params["dim"]),
+        warnings=theorem_range_warnings(solver.gamma, grid.dim),
         text=text,
     )
     return cfg

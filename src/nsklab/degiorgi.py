@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import calibrated
-from .fields import _LOG_RANGE, FieldError, ScalarField, divergence, gradient, laplacian
+from .fields import _LOG_RANGE, FieldError, ScalarField, _total, divergence, gradient, laplacian
 from .solver import to_effective
 
 __all__ = [
@@ -351,8 +351,8 @@ def inverse_density_pde_residual(states):
         lap_w = laplacian(w)
         v = mid.vel
         div_v = divergence(v)
-        grad_sq = np.sum(grad_w.components**2, axis=0)
-        advect = np.sum(v.components * grad_w.components, axis=0)
+        grad_sq = _total(c * c for c in grad_w.components)
+        advect = _total(a * b for a, b in zip(v.components, grad_w.components))
         res = (
             wdot
             - lap_w.values

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -23,11 +24,11 @@ from .fields import (
     FieldError,
     PositivityError,
     ScalarField,
+    _total,
     gradient,
     gradient_energy,
     hessian_energy,
     integral,
-    jacobian,
     power_field,
     sqrt_field,
 )
@@ -99,14 +100,22 @@ def equivalence_constants(gamma: float) -> tuple[float, float]:
     return c1, c2
 
 
+@cache
 def _low_branch_span(gamma: float, rho_bar: float) -> tuple[float, float]:
-    """Range of pi / (rho - rho_bar)^2 over [0, 4 rho_bar], by dense sampling."""
-    r = np.linspace(0.0, 4.0 * rho_bar, 20001)
-    pi = _power_potential(r, rho_bar, float(gamma))
-    dev2 = (r - rho_bar) ** 2
-    keep = dev2 > (1e-4 * rho_bar) ** 2
-    ratio = pi[keep] / dev2[keep]
-    return float(np.min(ratio)), float(np.max(ratio))
+    """Range of pi / (rho - rho_bar)^2 over [0, 4 rho_bar], by dense sampling.
+
+    Formed once per (gamma, rho_bar), over the samples in ten chunks: the
+    extremes of the chunks' extremes are those of the whole range, bit for bit.
+    """
+    lows, highs = [], []
+    for r in np.array_split(np.linspace(0.0, 4.0 * rho_bar, 20001), 10):
+        pi = _power_potential(r, rho_bar, float(gamma))
+        dev2 = (r - rho_bar) ** 2
+        keep = dev2 > (1e-4 * rho_bar) ** 2
+        ratio = pi[keep] / dev2[keep]
+        lows.append(np.min(ratio))
+        highs.append(np.max(ratio))
+    return float(np.min(lows)), float(np.max(highs))
 
 
 def pi_equivalence_audit(rho: ScalarField, rho_bar: float, gamma: float):
@@ -167,9 +176,8 @@ class EnergyBreakdown:
 
 def energy(ws: Workspace, gamma: float) -> EnergyBreakdown:
     """Kinetic + pressure-potential + density-gradient energy of a workspace's state."""
-    s = ws.primitive
-    rho = s.rho
-    kinetic = 0.5 * float(np.sum(rho.values * np.sum(s.vel.components**2, axis=0)) * rho.grid.cell_volume)
+    rho = ws.state.rho
+    kinetic = 0.5 * float(np.sum(rho.values * _total(c * c for c in ws.velocity("primitive"))) * rho.grid.cell_volume)
     pi = potential_energy_density(rho, rho.grid.far_field_density, gamma)
     factor = 1.0 if gamma == 1.0 else gamma / (gamma - 1.0)
     potential = factor * integral(pi)
@@ -178,12 +186,32 @@ def energy(ws: Workspace, gamma: float) -> EnergyBreakdown:
 
 
 def dissipation_rate(ws: Workspace) -> float:
-    """2 * integral of rho |D(u)|^2, the decay rate of the total energy."""
-    s = ws.primitive
-    jac = jacobian(s.vel)
-    d = 0.5 * (jac + np.swapaxes(jac, 0, 1))
-    dens = np.sum(d**2, axis=(0, 1)) * s.rho.values
-    return 2.0 * float(np.sum(dens) * s.grid.cell_volume)
+    """2 * integral of rho |D(u)|^2, the decay rate of the total energy.
+
+    The squares of the entries D(u)_ij = (d_j u_i + d_i u_j) / 2 are summed
+    one at a time in row-major order, as ``second_order_terms`` sums its
+    tensors, so the floats are those of the full d x d tensor; an
+    off-diagonal D(u)_ij is held only until (j, i) reads it.  d transforms
+    and d^2 inverse transforms, as for the tensor.
+    """
+    grid = ws.state.grid
+    ks = grid.rwavevectors
+    hats = [grid.rfft(c) for c in ws.velocity("primitive")]
+    held = {}
+
+    def strain(i, j):
+        if j < i:
+            return held.pop((j, i))
+        e = grid.irfft(1j * ks[j] * hats[i])
+        e += e if j == i else grid.irfft(1j * ks[i] * hats[j])
+        e *= 0.5
+        if j > i:
+            held[i, j] = e
+        return e
+
+    dens = _total(strain(i, j) ** 2 for i in range(grid.dim) for j in range(grid.dim))
+    dens *= ws.state.rho.values
+    return 2.0 * float(np.sum(dens) * grid.cell_volume)
 
 
 def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
@@ -216,10 +244,13 @@ def velocity_moments(ws: Workspace, exponents=()) -> tuple[float, dict]:
 def v_energy_dissipations(ws: Workspace, gamma: float) -> tuple[float, float]:
     """The two dissipation integrands paired with the v-energy:
     |grad rho^(gamma/2)|^2 and rho |grad v|^2."""
-    s = ws.effective
-    a = gradient_energy(s.grid, s.grid.rfft(power_field(s.rho, gamma / 2.0).values))
-    jv = jacobian(s.vel)
-    b = float(np.sum(s.rho.values * np.sum(jv**2, axis=(0, 1))) * s.grid.cell_volume)
+    rho = ws.state.rho
+    grid = rho.grid
+    a = gradient_energy(grid, grid.rfft(power_field(rho, gamma / 2.0).values))
+    # the squares of the entries d_j v_i, summed one at a time in row-major order
+    hats = map(grid.rfft, ws.velocity("effective"))
+    squares = (grid.irfft(1j * k * hat) ** 2 for hat in hats for k in grid.rwavevectors)
+    b = float(np.sum(rho.values * _total(squares)) * grid.cell_volume)
     return a, b
 
 
@@ -276,7 +307,7 @@ def second_order_terms(ws: Workspace, identity: bool = True, convexity: bool = T
     if convexity:
         out["A"] = hessian_energy(grid, s_hat)
         gq = gradient(power_field(rho, 0.25)).components
-        out["Bp"] = float(np.sum(sum(c * c for c in gq) ** 2) * cell)
+        out["Bp"] = float(np.sum(_total(c * c for c in gq) ** 2) * cell)
     if u is not None:
         # 4 d/dt of the gradient-of-sqrt energy, with the time derivative expressed
         # through the mass equation: 4 * integral of div(rho u) * lap(sqrt rho)/sqrt rho

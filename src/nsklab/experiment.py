@@ -228,7 +228,8 @@ class SweepResult:
 def sweep(config_paths, output_root: Path | str | None = None) -> list[SweepResult]:
     """Independent runs; a config error, named by its path, or duplicate
     output directories are rejected before launch, and so is a preset that a
-    config's values cannot build: each initial state is built there and dropped."""
+    config's values cannot build: each initial state is built there, on the
+    config's one grid, and dropped."""
     parsed = []
     for path in config_paths:
         text = read_config(path)  # its error names the path

@@ -270,6 +270,21 @@ def make_grid(dim: int, n: int, box_length: float, far_field_density: float) -> 
     return Grid(dim, n, box_length, far_field_density)
 
 
+def _total(terms) -> np.ndarray:
+    """The sum of the fresh arrays ``terms``, added in order into the first one's storage.
+
+    The one way a sum over field components is formed: numpy's sum of the
+    stacked terms over axis 0 adds them in the same order, so the floats are
+    the same bit for bit, without the stack.
+    """
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+        del term
+    return total
+
+
 def _trusted(cls, **attrs):
     """An instance of the frozen dataclass ``cls`` with exactly ``attrs``, built
     without ``__post_init__``: for values the caller has already checked as the
@@ -318,7 +333,7 @@ class VectorField:
         return _trusted(ScalarField, grid=self.grid, values=self.components[i])
 
     def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.components**2, axis=0))
+        return np.sqrt(_total(c * c for c in self.components))
 
 
 def constant_field(grid: Grid, value: float) -> ScalarField:
@@ -347,18 +362,6 @@ def divergence(F: VectorField) -> ScalarField:
 def laplacian(f: ScalarField) -> ScalarField:
     grid = f.grid
     return ScalarField(grid, grid.irfft(-grid.rk2 * grid.rfft(f.values)))
-
-
-def jacobian(F: VectorField) -> np.ndarray:
-    """First derivatives d_j F_i as a (dim, dim, n, ...) array indexed [i, j]."""
-    grid = F.grid
-    d = grid.dim
-    out = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        hat = grid.rfft(F.components[i])
-        for j in range(d):
-            out[i, j] = grid.irfft(1j * grid.rwavevectors[j] * hat)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .fields import (
     PositivityError,
     ScalarField,
     VectorField,
+    _total,
     _trusted,
     random_band_limited,
 )
@@ -188,10 +189,7 @@ class Workspace:
         return grad
 
     def _squared_speed(self) -> np.ndarray:
-        v = self.state.vel.components
-        if self.state.formulation == "primitive":
-            v = v + self.grad_log_rho
-        return _total(c * c for c in v)
+        return _total(c * c for c in self.velocity("effective"))
 
     v2 = cached_property(_squared_speed)
 
@@ -222,6 +220,16 @@ class Workspace:
         if s.formulation == "primitive":
             return s
         return FlowState(s.t, s.rho, VectorField(s.grid, s.vel.components - self.grad_log_rho), "primitive")
+
+    def velocity(self, formulation: str):
+        """The velocity components in ``formulation``, one at a time, a
+        converted one formed only when read: the components of ``effective``
+        or ``primitive`` bit for bit, without their (d, n, ...) array."""
+        s = self.state
+        if s.formulation == formulation:
+            return iter(s.vel.components)
+        pairs = zip(s.vel.components, self.grad_log_rho)
+        return (c + g for c, g in pairs) if formulation == "effective" else (c - g for c, g in pairs)
 
     def drop_sample_data(self) -> None:
         """Forget |v|^2 and, for a primitive state, grad log rho: its step reads neither.
@@ -268,16 +276,6 @@ def _max_norm(components) -> float:
     equals max sqrt(|F|^2) bit for bit without a square root per grid point.
     """
     return math.sqrt(float(np.max(_total(c * c for c in components))))
-
-
-def _total(terms) -> np.ndarray:
-    """The sum of the fresh arrays ``terms``, added in order into the first one's storage."""
-    terms = iter(terms)
-    total = next(terms)
-    for term in terms:
-        total += term
-        del term
-    return total
 
 
 def _new_state(s: FlowState, cfg: SolverConfig, rho: np.ndarray, vel: np.ndarray) -> FlowState:

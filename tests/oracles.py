@@ -1,8 +1,11 @@
 """Reference computations the tests share and no verb runs.
 
-``hessian`` is the reference for ``Grid.rsecond``, ``fields.hessian_energy``
-and ``estimates.second_order_terms``; ``threshold_decay_excess`` is the decay
-check of the De Giorgi recurrence that criterion 5 and ``test_degiorgi`` share.
+``jacobian`` and ``hessian`` build the full (dim, dim, n, ...) derivative
+tensors that ``src/`` never forms: the references for the half-lattice
+symbols and for every entrywise sum over them (``estimates.dissipation_rate``,
+``estimates.v_energy_dissipations``, ``estimates.second_order_terms``,
+``fields.hessian_energy``); ``threshold_decay_excess`` is the decay check of
+the De Giorgi recurrence that criterion 5 and ``test_degiorgi`` share.
 """
 
 import math
@@ -10,7 +13,19 @@ import math
 import numpy as np
 
 from nsklab.degiorgi import IterationSpec, recurrence_log, theta
-from nsklab.fields import ScalarField
+from nsklab.fields import ScalarField, VectorField
+
+
+def jacobian(F: VectorField) -> np.ndarray:
+    """First derivatives d_j F_i as a (dim, dim, n, ...) array indexed [i, j]."""
+    grid = F.grid
+    d = grid.dim
+    out = np.empty((d, d) + grid.shape)
+    for i in range(d):
+        hat = grid.rfft(F.components[i])
+        for j in range(d):
+            out[i, j] = grid.irfft(1j * grid.rwavevectors[j] * hat)
+    return out
 
 
 def hessian(f: ScalarField) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from nsklab.cli import main as cli_main
 from nsklab.config import ConfigError, load_config, parse_config
 from nsklab.experiment import RunManifest, report, run_experiment, sweep
-from nsklab.fields import FieldError, ScalarField, make_grid, read_snapshot, write_snapshot
+from nsklab.fields import FieldError, Grid, ScalarField, make_grid, read_snapshot, write_snapshot
 from nsklab.probes import AUDITS
 from nsklab.selftest import CHECKS
 from nsklab.solver import SolverConfig
@@ -169,6 +169,18 @@ class TestParse:
         assert _run_config(tmp_path, text, root) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: audit '{audit}' needs gamma > 1") and "Traceback" not in err
+        assert not root.exists()
+
+    @pytest.mark.parametrize(
+        "section,names,twice",
+        [("probes", "energy.total, venergy, energy.total", "energy.total"), ("audits", "log-law, log-law", "log-law")],
+    )
+    def test_a_name_listed_twice_exits_two(self, tmp_path, capsys, section, names, twice):
+        text = MINIMAL.format(outdir="twice") + f"\n[{section}]\nnames = {names}\n"
+        lineno = text.splitlines().index(f"names = {names}") + 1
+        root = tmp_path / "root"
+        assert _run_config(tmp_path, text, root) == 2
+        assert capsys.readouterr().err == f"config error: line {lineno}: {twice!r} listed twice in [{section}] names\n"
         assert not root.exists()
 
     def test_unknown_section(self):
@@ -363,6 +375,19 @@ class TestRunExperiment:
 class TestSweep:
     def test_empty(self):
         assert sweep([]) == []
+
+    def test_each_config_builds_its_grid_once(self, tmp_path, monkeypatch):
+        # parse_config builds the grid to check [grid]; the sweep's preset
+        # check and the run read that one
+        built, build = [], Grid._build_symbols
+        monkeypatch.setattr(Grid, "_build_symbols", lambda grid: built.append(grid) or build(grid))
+        paths = []
+        for i in range(2):
+            paths.append(tmp_path / f"s{i}.cfg")
+            paths[-1].write_text(MINIMAL.format(outdir=f"sw{i}").replace("name = constant", "name = gaussian-bump"))
+        results = sweep(paths, tmp_path)
+        assert [r.manifest.exit_code for r in results] == [0, 0]
+        assert len(built) == 2
 
     def test_duplicate_outdirs_rejected(self, tmp_path):
         p1 = tmp_path / "a.cfg"
@@ -830,6 +855,17 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"sweep error: {tmp_path / 's1.cfg'}: probe 'besov.rho.nan.2.2': regularity exponent must be finite\n"
+        assert not (tmp_path / "root").exists()
+
+    def test_sweep_verb_names_the_config_that_lists_an_audit_twice(self, tmp_path, capsys):
+        (tmp_path / "s0.cfg").write_text(MINIMAL.format(outdir="sw0"))
+        text = MINIMAL.format(outdir="sw1") + "\n[audits]\nnames = log-law, log-law\n"
+        (tmp_path / "s1.cfg").write_text(text)
+        code = cli_main(["sweep", str(tmp_path), "--output-root", str(tmp_path / "root")])
+        assert code == 2
+        lineno = text.splitlines().index("names = log-law, log-law") + 1
+        err = capsys.readouterr().err
+        assert err == f"sweep error: {tmp_path / 's1.cfg'}: line {lineno}: 'log-law' listed twice in [audits] names\n"
         assert not (tmp_path / "root").exists()
 
     def test_sweep_verb_refuses_an_unbuildable_preset_before_any_run(self, tmp_path, capsys):

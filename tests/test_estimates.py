@@ -22,14 +22,16 @@ from nsklab.estimates import (
     region_split,
     reverse_holder_audit,
     second_order_terms,
+    v_energy_dissipations,
     velocity_moments,
 )
 from nsklab.fields import (
     ScalarField,
     VectorField,
     constant_field,
-    jacobian,
+    gradient,
     make_grid,
+    power_field,
     random_band_limited,
     sqrt_field,
 )
@@ -44,7 +46,7 @@ from nsklab.solver import (
     run,
     to_effective,
 )
-from oracles import hessian
+from oracles import hessian, jacobian
 
 
 def _bd_terms(observed, states):
@@ -204,6 +206,59 @@ class TestEnergy:
             errs.append(abs(rate + dissipation_rate(Workspace(s))) / dissipation_rate(Workspace(s)))
         assert errs[1] <= 0.6 * errs[0]
         assert errs[1] <= 0.05
+
+
+def _noisy_state(dim, n, formulation):
+    """A ``random-large`` state plus white noise on every field, so that every
+    Nyquist plane carries energy, as the given formulation's state."""
+    s = make_preset("random-large", make_grid(dim, n, 4 * np.pi, 1.0), seed=5)
+    rng = np.random.default_rng(5)
+    rho = s.rho.values + 0.01 * rng.standard_normal(s.grid.shape)
+    vel = s.vel.components + 0.01 * rng.standard_normal(s.vel.components.shape)
+    for values in (rho, *vel):
+        for axis in range(dim):
+            assert np.max(np.abs(np.take(np.fft.fftn(values), n // 2, axis=axis))) > 1e-3
+    return _state(s.grid, rho, vel, formulation)
+
+
+class TestComponentSums:
+    """The sums over components and derivative entries, formed one term at a
+    time, against the (d, ...) and (d, d, ...) tensor forms, bit for bit."""
+
+    @pytest.fixture(params=[(2, 32), (3, 16)], ids=["2d", "3d"])
+    def shape(self, request):
+        return request.param
+
+    @pytest.fixture(params=["primitive", "effective"])
+    def ws(self, request, shape):
+        return Workspace(_noisy_state(*shape, request.param))
+
+    def test_dissipation_rate(self, ws):
+        s = ws.primitive
+        jac = jacobian(s.vel)
+        d = 0.5 * (jac + np.swapaxes(jac, 0, 1))
+        expected = 2.0 * float(np.sum(np.sum(d**2, axis=(0, 1)) * s.rho.values) * s.grid.cell_volume)
+        assert dissipation_rate(ws) == expected
+
+    def test_velocity_dissipation(self, ws):
+        s = ws.effective
+        jv = jacobian(s.vel)
+        expected = float(np.sum(s.rho.values * np.sum(jv**2, axis=(0, 1))) * s.grid.cell_volume)
+        assert v_energy_dissipations(ws, 2.0)[1] == expected
+
+    def test_kinetic_energy(self, ws):
+        s = ws.primitive
+        expected = 0.5 * float(np.sum(s.rho.values * np.sum(s.vel.components**2, axis=0)) * s.grid.cell_volume)
+        assert energy(ws, 2.0).kinetic == expected
+
+    def test_magnitude(self, ws):
+        vel = ws.state.vel
+        assert np.array_equal(vel.magnitude(), np.sqrt(np.sum(vel.components**2, axis=0)))
+
+    def test_quartic_gradient(self, ws):
+        gq = gradient(power_field(ws.state.rho, 0.25)).components
+        expected = float(np.sum(np.sum(gq**2, axis=0) ** 2) * ws.state.grid.cell_volume)
+        assert second_order_terms(ws, identity=False)["Bp"] == expected
 
 
 class TestVEnergy:

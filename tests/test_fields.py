@@ -20,7 +20,6 @@ from nsklab.fields import (
     gradient_energy,
     hs_norm,
     integral,
-    jacobian,
     l2_norm,
     laplacian,
     lp_norm,
@@ -37,7 +36,7 @@ from nsklab.fields import (
 from nsklab.selftest import (
     div_grad_deviation, parseval_deviation, rfft_round_trip_deviation, snapshot_round_trip_deviation,
 )
-from oracles import hessian
+from oracles import hessian, jacobian
 
 
 class TestGrid:

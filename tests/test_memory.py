@@ -1,16 +1,19 @@
 """Working-set guards for the per-step and per-audit spectral passes, and for a whole run.
 
-The steppers and the second-order pass hold one spectrum per field and form
-each derivative as a transient; none builds a (d, d, n, ...) tensor of
-derivative fields, and each step lets a spectrum go after its last reader.
+The steppers, the second-order pass and the probes hold one spectrum per
+field and form each derivative as a transient; none builds a (d, d, n, ...)
+tensor of derivative fields, and each step lets a spectrum go after its last
+reader.
 A run's audits keep no stored state, the certificate keeps a stored state's
 1/rho only where one of its windows can read it, and a run lets go of its
 initial state once it has stepped past it, so its peak does not grow with
 the number of stored states while they stay below the certificate's first
 base.  The peak is what tracemalloc sees numpy allocate during one
-call at 3D 32^3, in units of one real field R, above what was live before
-the call (the inputs, and the workspace's carried spectra where a step reads
-them).  Each bound is the measured peak plus 0.5R.
+call at 3D 32^3 (3D 16^3 for the probes), in units of one real field R,
+above what was live before the call (the inputs, and the workspace's carried
+spectra where a step reads them, or the sampled workspace's |v|^2 and
+grad log rho where a probe reads it).  Each bound is the measured peak plus
+0.5R.
 
 On glibc a run keeps the memory it frees for the fields it allocates next,
 so a second run faults in next to no fresh pages; elsewhere the run is the
@@ -92,6 +95,53 @@ def test_effective_step_with_carried_spectra(primitive):
     # runs in its spectrum's storage, each transport product and the mass
     # flux are formed in place
     assert _peak_in_fields(lambda: solver.step_effective(s, CFG, next(calls)), s) <= 4.2
+
+
+# per probe family, the bound on one sample's transient on a primitive and on
+# an effective 3D 16^3 state (at 16^3 a half-lattice spectrum is 1.125R).
+# energy.dissipation formed the (d, d, ...) velocity gradient, its transpose
+# sum and its square: 28.0R and 31.1R; the venergy dissipations the gradient
+# and its square beside a converted velocity: 22.1R and 19.0R.  Both now sum
+# the gradient's entries one at a time and convert the velocity one
+# component at a time: 8.7R (the d velocity spectra and the held
+# off-diagonal entries of D(u)) and 4.5R.  The energy read a whole converted
+# velocity for its kinetic term, 7.5R on an effective state; 4.4R now
+PROBE_BOUNDS = {
+    "energy.total": (4.9, 4.9),
+    "energy.dissipation": (9.2, 9.2),
+    "venergy": (1.6, 1.6),
+    "venergy.velocity_dissipation": (5.0, 5.0),
+    "jungel.D": (10.1, 10.1),
+    "norm.weighted.p6": (2.6, 2.6),
+    "psi.p4": (2.6, 2.6),
+    "sobolev.rho.H2": (4.9, 4.9),
+    "sobolev.v.H1": (7.0, 4.0),
+    "besov.rho.1.2.2": (6.0, 6.0),
+}
+
+
+@pytest.fixture(scope="module")
+def small_states():
+    s = make_preset("random-large", make_grid(3, 16, 4 * np.pi, 1.0), seed=3)
+    return {"primitive": s, "effective": to_effective(s)}
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+@pytest.mark.parametrize("name", list(PROBE_BOUNDS))
+def test_probe_transient(small_states, name, formulation):
+    state = small_states[formulation]
+    probe = resolve_probes([name], 2.0)[name]
+
+    def sampled():
+        # a workspace as the run hands it to the probes: |v|^2 and grad log rho formed
+        ws = solver.Workspace(state)
+        ws.v2, ws.grad_log_rho
+        return ws
+
+    # fresh workspaces: a probe keeps its value in the workspace it read
+    workspaces = iter([sampled(), sampled()])
+    bound = PROBE_BOUNDS[name][formulation == "effective"]
+    assert _peak_in_fields(lambda: probe(next(workspaces)), state) <= bound
 
 
 WHOLE_RUN = """

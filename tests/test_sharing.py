@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from nsklab import estimates, solver
-from nsklab.fields import ScalarField, jacobian, make_grid
+from nsklab.fields import ScalarField, make_grid
 from nsklab.probes import audit_observer, resolve_audits, resolve_probes
 from nsklab.solver import (
     FlowState,
@@ -36,7 +36,7 @@ from nsklab.solver import (
     step,
     to_effective,
 )
-from oracles import hessian
+from oracles import hessian, jacobian
 
 pytest_plugins = ["pytester"]
 
