@@ -261,10 +261,11 @@ def second_order_terms(ws: Workspace, identity: bool = True, convexity: bool = T
 
     Always "D" = int rho |hess log rho|^2.  With ``identity``: "lhs" =
     int rho |grad v|^2, "u" = int rho |grad u|^2 and "dt" = 4 int div(rho u)
-    lap(sqrt rho)/sqrt rho, u read from ``ws.primitive``.  With
-    ``convexity``: "A" = int |hess sqrt rho|^2 (by Parseval, from the
-    spectrum of sqrt rho that "dt" also uses) and "Bp" = int
-    |grad rho^(1/4)|^4.  Only these floats outlive the call.
+    lap(sqrt rho)/sqrt rho, u read one component at a time from
+    ``ws.velocity("primitive")``.  With ``convexity``: "A" = int
+    |hess sqrt rho|^2 (by Parseval, from the spectrum of sqrt rho that "dt"
+    also uses) and "Bp" = int |grad rho^(1/4)|^4.  Only these floats outlive
+    the call.
 
     grad v is formed as grad u + hess log rho, not by differentiating
     v = u + grad log rho.  The two differ only through the Nyquist-plane
@@ -274,7 +275,7 @@ def second_order_terms(ws: Workspace, identity: bool = True, convexity: bool = T
     1.8e-15 relative).
     """
     rho = ws.state.rho
-    u = ws.primitive.vel if identity else None
+    u = ws.velocity("primitive") if identity else None
     grid = rho.grid
     cell = grid.cell_volume
     r = rho.values
@@ -288,7 +289,7 @@ def second_order_terms(ws: Workspace, identity: bool = True, convexity: bool = T
     squares = {"D": 0.0} if u is None else {"D": 0.0, "u": 0.0, "lhs": 0.0}
     held = {}
     for i in range(grid.dim):
-        u_hat = None if u is None else grid.rfft(u.components[i])
+        u_hat = None if u is None else grid.rfft(next(u))
         for j in range(grid.dim):
             h = held.pop((j, i)) if j < i else grid.irfft(-kk[i][j] * log_hat)
             if j > i:
@@ -311,7 +312,7 @@ def second_order_terms(ws: Workspace, identity: bool = True, convexity: bool = T
     if u is not None:
         # 4 d/dt of the gradient-of-sqrt energy, with the time derivative expressed
         # through the mass equation: 4 * integral of div(rho u) * lap(sqrt rho)/sqrt rho
-        div_m = grid.irfft(sum(1j * k * grid.rfft(r * c) for k, c in zip(ks, u.components)))
+        div_m = grid.irfft(sum(1j * k * grid.rfft(r * c) for k, c in zip(ks, ws.velocity("primitive"))))
         lap_s = grid.irfft(-grid.rk2 * s_hat)
         out["dt"] = 4.0 * float(np.sum(div_m * lap_s / srho.values) * cell)
     return out

@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig, parse_config, read_config
 from .estimates import log_law_constant
 from .fields import FieldError, ScalarField, sobolev_norm, write_snapshot
 from .probes import GROWTH_EXPONENTS, audit_observer, growth_constant, resolve_audits, resolve_probes
-from .solver import SolverError, make_preset, require_far_field, run, to_effective
+from .solver import SolverError, Workspace, make_preset, require_far_field, run, to_effective
 
 __all__ = ["RunManifest", "run_experiment", "sweep", "report", "SweepResult"]
 
@@ -110,7 +110,7 @@ def _initial_state(config: ExperimentConfig):
     proxy, is a ConfigError."""
     try:
         state = make_preset(config.preset_name, config.make_grid(), config.preset_params, seed=config.seed)
-        require_far_field(state)
+        require_far_field(Workspace(state))
     except (FieldError, SolverError) as err:
         raise ConfigError(str(err)) from None
     return to_effective(state) if config.formulation == "effective" else state

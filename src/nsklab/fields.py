@@ -332,9 +332,6 @@ class VectorField:
         # a view of components that the constructor has already checked
         return _trusted(ScalarField, grid=self.grid, values=self.components[i])
 
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(_total(c * c for c in self.components))
-
 
 def constant_field(grid: Grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, float(value)))
@@ -465,10 +462,6 @@ def sobolev_norm(f: ScalarField, k: int) -> float:
 def hs_norm(f: ScalarField, s: float) -> float:
     """Fractional Sobolev norm with weight (1 + |xi|^2)^s."""
     return _parseval(f, (1.0 + f.grid.rk2) ** s)
-
-
-def vector_sobolev_norm(F: VectorField, k: int) -> float:
-    return float(np.sqrt(sum(sobolev_norm(F.component(i), k) ** 2 for i in range(F.grid.dim))))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from . import degiorgi, estimates
 from .audits import AuditReport, _merge_worst, bound_report
 from .dyadic import BesovIndex, besov_norm, build_dyadic_family, top_block
-from .fields import _LOG_RANGE, FieldError, ScalarField, sobolev_norm, vector_sobolev_norm
+from .fields import _LOG_RANGE, FieldError, ScalarField, sobolev_norm
 from .solver import ALWAYS_RECORDED
 
 __all__ = [
@@ -166,7 +166,9 @@ def _resolve_probe(name: str, simple: dict):
         )
     if name.startswith("sobolev.v.H"):
         k = _parse_order(name[len("sobolev.v.H") :])
-        return lambda ws: vector_sobolev_norm(ws.effective.vel, k)
+        return lambda ws: float(
+            np.sqrt(sum(sobolev_norm(ScalarField(ws.state.grid, c), k) ** 2 for c in ws.velocity("effective")))
+        )
     if name.startswith("besov.rho."):
         return _besov_probe(name[len("besov.rho.") :])
     near = difflib.get_close_matches(name, known_probe_names(), n=3)

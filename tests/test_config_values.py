@@ -73,7 +73,8 @@ def _usual_with(section, **values):
     return out
 
 
-# each of these ended in a traceback, or in a numpy warning before its config error
+# each of these ended in a traceback, in a numpy warning before its config
+# error, or in a run of other values than the config's (max_mode 2.5 ran as 2)
 _REJECTED = {
     "box-length-overflows": _usual_with("grid", box_length=1e308),
     "box-length-inf": _usual_with("grid", box_length=math.inf),
@@ -82,6 +83,7 @@ _REJECTED = {
     "negative-seed": {**_usual_with("rng", seed=-1), "preset": {"name": "random-large"}},
     "bump-width-zero": _usual_with("preset", width=0.0),
     "bump-width-underflows": _usual_with("preset", width=1e-200),
+    "max-mode-not-whole": {**_USUAL, "preset": {"name": "random-large", "max_mode": 2.5}},
 }
 
 
@@ -112,6 +114,7 @@ def _state_or_config_error(values):
 @example(values=_REJECTED["negative-seed"])
 @example(values=_REJECTED["bump-width-zero"])
 @example(values=_REJECTED["bump-width-underflows"])
+@example(values=_REJECTED["max-mode-not-whole"])
 @example(values=_usual_with("grid", box_length=10**400))
 @example(values={**_USUAL, "preset": {"name": "random-large", "max_mode": 1e300}})
 @example(values={**_USUAL, "preset": {"name": "random-large", "velocity_amplitude": 1e200}})

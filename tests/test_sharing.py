@@ -36,6 +36,7 @@ from nsklab.solver import (
     step,
     to_effective,
 )
+import oracles
 from oracles import hessian, jacobian
 
 pytest_plugins = ["pytester"]
@@ -165,7 +166,7 @@ class TestCarriedStep:
         s = _bump(dim)
         cfg = SolverConfig(gamma=gamma, dt=1e-3, t_end=1e-3)
         fresh = Workspace(s)
-        for read in (lambda ws: ws.grad_log_rho, lambda ws: ws.primitive.vel.components):
+        for read in (lambda ws: ws.grad_log_rho, lambda ws: list(ws.velocity("primitive"))):
             ws = _carried(s, spectra=False)
             transforms.clear()
             step(s, cfg, ws)
@@ -187,17 +188,22 @@ class TestCarriedStep:
         assert new.rho.values.dtype == new.vel.components.dtype == np.float64
 
     def test_formulation_changes_use_and_drop_the_carried_copy(self, transforms):
-        # the workspace's views read its grad(log rho) and are never kept
+        # the converted velocity reads the workspace's grad(log rho) and is never
+        # kept; a state's own velocity is its components, read in place
         s = _bump(2)
         ws = _carried(s, spectra=False)
+        prim = from_effective(s)
         transforms.clear()
-        prim = ws.primitive
+        u = list(ws.velocity("primitive"))
+        defect = far_field_defect(ws)
         assert transforms == []
         assert _held(ws) == {"log_rho_hat", "grad_log_rho"}
-        assert ws.primitive is not prim
-        assert np.array_equal(prim.vel.components, from_effective(s).vel.components)
-        assert far_field_defect(prim) == far_field_defect(s)
-        assert Workspace(s).effective is s and Workspace(prim).primitive is prim
+        assert np.array_equal(u, prim.vel.components)
+        assert defect == far_field_defect(Workspace(prim))
+        for state in (s, prim):
+            own = Workspace(state)
+            assert all(np.shares_memory(c, state.vel.components) for c in own.velocity(state.formulation))
+            assert _held(own) == set()
 
     def test_primitive_states_carry_nothing(self):
         # the primitive step reads only the log-density spectrum of the sample, so only it is held across it
@@ -301,7 +307,7 @@ class TestRunLoop:
             if formulation == "effective":
                 s = to_effective(s)
             ws = Workspace(s)
-            v = ws.effective.vel.components
+            v = oracles.effective(ws).vel.components
             assert solver.veff_max(ws) == np.sqrt(np.max(sum(c * c for c in v)))
             rho, cell = s.rho.values, g.cell_volume
             former = np.sum(v**2, axis=0)

@@ -507,11 +507,11 @@ class TestPresets:
     def test_far_field_proxy_for_all_presets(self, grid64_wide):
         for name in ("constant", "gaussian-bump", "random-large"):
             s = make_preset(name, grid64_wide, seed=11)
-            assert far_field_defect(s) <= 1e-8
+            assert far_field_defect(Workspace(s)) <= 1e-8
 
     def test_far_field_proxy_in_effective_form(self, grid64_wide):
         s = to_effective(make_preset("gaussian-bump", grid64_wide))
-        assert far_field_defect(s) <= 1e-8
+        assert far_field_defect(Workspace(s)) <= 1e-8
 
     def test_random_preset_deterministic(self, grid64_wide):
         a = make_preset("random-large", grid64_wide, seed=4)
